@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import catalog
 from .coloring import ENGINES
@@ -22,17 +21,6 @@ from .diagram import load_diagram
 from .invariant import InvariantPolynomial, compute_invariant
 from .quandle import load_quandle, parse_quandle
 from .search import DEFAULT_SPACE_BOUND, MODES, run_search
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    paths: dict
-    engine: str = "propagate"
-    output_format: str = "text"
-    jobs: int = 1
-    limit: int = None
-    time_budget: float = None
 
 
 def _resolve_quandle(token):

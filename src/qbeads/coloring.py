@@ -26,6 +26,7 @@ raises on any mismatch.
 """
 
 from .errors import InputError, QBeadsError
+from .field import VectorTables
 from .forms import BilinearForm
 
 ENGINES = ("oracle", "propagate", "both")
@@ -126,19 +127,11 @@ class BeadCounter:
         self.diagram = diagram
         self.quandle = quandle
         self.form = form
-        field = form.field
-        self.vectors = field.all_vectors(form.n)
+        tables = VectorTables(form.field, form.n)
+        self.vectors, self.vadd, self.smul = tables.vectors, tables.vadd, tables.smul
         self.nv = len(self.vectors)
-        index = {v: i for i, v in enumerate(self.vectors)}
-        self.vadd = [
-            [index[field.vec_add(u, v)] for v in self.vectors] for u in self.vectors
-        ]
-        self.smul = [
-            [index[field.scalar_mul(s, v)] for v in self.vectors]
-            for s in range(field.p)
-        ]
         self.bil = form.eval_table()
-        self.p = field.p
+        self.p = form.field.p
 
     def _step_table(self, x, y, sign):
         """out-index = f(in-index, over-index) at a crossing colored (x, y)."""

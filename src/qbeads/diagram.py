@@ -79,12 +79,6 @@ class LinkDiagram:
     def __hash__(self):
         return hash(self.canonical_key())
 
-    def component_of(self, arc):
-        for i, comp in enumerate(self.components):
-            if arc in comp:
-                return i
-        raise InputError(f"arc {arc} belongs to no component")
-
     def validate(self):
         problems = validate_diagram(self)
         if problems:
@@ -313,11 +307,6 @@ def format_diagram(diagram):
 def load_diagram(path):
     with open(path, encoding="utf-8") as fh:
         return parse_diagram(fh.read())
-
-
-def save_diagram(diagram, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_diagram(diagram))
 
 
 # -- planar diagram (PD) import ---------------------------------------

@@ -38,9 +38,6 @@ class PrimeField:
     def __hash__(self):
         return hash(("PrimeField", self.p))
 
-    def reduce(self, a):
-        return a % self.p
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -155,3 +152,50 @@ class PrimeField:
 
     def is_nondegenerate(self, B):
         return self.matrix_rank(B) == len(B)
+
+
+class VectorTables:
+    """Index tables over the vectors of F_p^n, shared by every loop that
+    works on vector indices instead of tuples.
+
+    Indices follow PrimeField.all_vectors(n) order.  vadd[i][j] is the
+    index of vectors[i] + vectors[j], smul[s][j] that of s * vectors[j],
+    and dot[i][j] is vectors[i] . vectors[j] mod p.  units holds the
+    indices of the unit vectors e_1, ..., e_n in ascending index order,
+    so a loop over them visits a subsequence of a loop over all vectors.
+    """
+
+    def __init__(self, field, n):
+        p = self.p = field.p
+        self.vectors = field.all_vectors(n)
+        self.index = {v: i for i, v in enumerate(self.vectors)}
+        self.vadd = [
+            [self.index[field.vec_add(u, v)] for v in self.vectors] for u in self.vectors
+        ]
+        self.smul = [
+            [self.index[field.scalar_mul(s, v)] for v in self.vectors] for s in range(p)
+        ]
+        self.dot = []
+        for w in self.vectors:
+            # w . v for every v, one coordinate at a time in all_vectors
+            # order (earlier coordinates vary slowest)
+            values = [0]
+            for wk in w:
+                values = [t + wk * s for t in values for s in range(p)]
+            self.dot.append([t % p for t in values])
+        self.units = sorted(
+            self.index[tuple(int(i == k) for i in range(n))] for k in range(n)
+        )
+
+    def bilinear_table(self, B):
+        """t[i][j] = vectors[i]^T B vectors[j] mod p.
+
+        Row i is the dot row of the functional vectors[i]^T B, so rows
+        are shared between tables and with dot: treat them as read-only.
+        """
+        p = self.p
+        columns = list(zip(*B))
+        return [
+            self.dot[self.index[tuple(sum(a * b for a, b in zip(u, col)) % p for col in columns)]]
+            for u in self.vectors
+        ]

@@ -312,8 +312,3 @@ def load_quandle(path, name=None):
 
     inferred = name if name is not None else os.path.splitext(os.path.basename(path))[0]
     return parse_quandle(text, name=inferred)
-
-
-def save_quandle(quandle, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_quandle(quandle))

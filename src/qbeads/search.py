@@ -4,11 +4,14 @@ The m*m index pairs are assigned in a fixed order: diagonal pairs
 (0,0), (1,1), ... first, then off-diagonal pairs row-major.  Diagonal
 candidates are restricted to alternating matrices (exactly axiom (i));
 after each assignment every instance of axioms (ii)/(iii) whose
-referenced pairs are all assigned is brute-forced over vector triples,
-pruning the branch on the first failure.  Because every instance has
-been checked once the last pair is assigned, completed leaves are valid
-forms; emission order is deterministic (lexicographic matrices within
-each slot).
+referenced pairs are all assigned is checked by forms.axiom_failures,
+pruning the branch on the first failure.  That checker, shared with
+form validation, runs over unit vectors only: both sides of (ii) are
+bilinear in (a, b) for fixed c, and both sides of (iii) in (a, c) for
+fixed b, so unit vectors decide each instance exactly.  Because every
+instance has been checked once the last pair is assigned, completed
+leaves are valid forms; emission order is deterministic (lexicographic
+matrices within each slot).
 
 The naive space (#candidate matrices)^(#pairs) is refused above a
 configurable bound unless allow_large is set, since even small
@@ -20,8 +23,8 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InputError
-from .field import PrimeField
-from .forms import BilinearForm, form_violations
+from .field import PrimeField, VectorTables
+from .forms import BilinearForm, axiom_failures, form_violations
 
 MODES = ("all", "alternating-only", "constant-diagonal")
 DEFAULT_SPACE_BOUND = 10**9
@@ -77,23 +80,13 @@ class _Searcher:
         self.field = PrimeField(p)
         self.n = n
         self.mode = mode
-        self.p = p
 
         field = self.field
-        self.vectors = field.all_vectors(n)
-        nv = len(self.vectors)
-        self.nv = nv
-        index = {v: i for i, v in enumerate(self.vectors)}
-        self.vadd = [[index[field.vec_add(u, v)] for v in self.vectors] for u in self.vectors]
-        self.smul = [[index[field.scalar_mul(s, v)] for v in self.vectors] for s in range(p)]
-
+        self.vector_tables = VectorTables(field, n)
         self.all_mats = list(field.all_matrices(n))
         self.alt_ids = [i for i, M in enumerate(self.all_mats) if field.is_alternating(M)]
         # one bilinear table per candidate matrix, shared across slots
-        self.tables = [
-            [[field.bilinear_eval(M, u, v) for v in self.vectors] for u in self.vectors]
-            for M in self.all_mats
-        ]
+        self.tables = [self.vector_tables.bilinear_table(M) for M in self.all_mats]
 
         self.pairs = _pair_order(quandle.order)
         self.pair_slot = {pair: k for k, pair in enumerate(self.pairs)}
@@ -121,39 +114,11 @@ class _Searcher:
 
     def check_instance(self, instance, assigned):
         kind, x, y, z = instance
-        op = self.quandle.op
-        T = lambda a, b: self.tables[assigned[self.pair_slot[(a, b)]]]
-        vadd, smul, p, nv = self.vadd, self.smul, self.p, self.nv
-        if kind == "ii":
-            Txy = T(x, y)
-            Txz = T(x, z)
-            Tyz = T(y, z)
-            Tout = T(op(x, z), op(y, z))
-            for a in range(nv):
-                row_xz = Txz[a]
-                row_xy = Txy[a]
-                for b in range(nv):
-                    row_yz = Tyz[b]
-                    left = row_xy[b]
-                    for c in range(nv):
-                        a2 = vadd[a][smul[row_xz[c]][c]]
-                        b2 = vadd[b][smul[row_yz[c]][c]]
-                        if left != Tout[a2][b2]:
-                            return False
-            return True
-        Txy = T(x, y)
-        Txyz = T(op(x, y), z)
-        Txz = T(x, z)
-        Tyz = T(y, z)
-        for a in range(nv):
-            for b in range(nv):
-                ab = Txy[a][b]
-                for c in range(nv):
-                    if (Txyz[a][c] + ab * Txyz[b][c]) % p != (
-                        Txz[a][c] + ab * Tyz[b][c]
-                    ) % p:
-                        return False
-        return True
+        table = lambda u, v: self.tables[assigned[self.pair_slot[(u, v)]]]
+        failures = axiom_failures(
+            kind, x, y, z, self.quandle.op, table, self.vector_tables
+        )
+        return next(failures, None) is None
 
     def dfs(self, limit, deadline, status):
         n_slots = len(self.pairs)
@@ -242,7 +207,13 @@ def run_search(quandle, p, n, mode="all", **kwargs):
 
 
 def verify_search_output(result):
-    """Re-validate every emitted form with the brute-force oracle."""
+    """Re-validate every emitted form with form_violations.
+
+    This shares forms.axiom_failures with the search itself, so it
+    re-checks how leaves are assembled rather than the axiom checker;
+    the tests compare that checker with a brute-force sweep over all
+    vector triples.
+    """
     failures = []
     for i, form in enumerate(result.forms):
         violations = form_violations(form.quandle, form.blocks, form.field, form.n)

@@ -8,6 +8,7 @@ Criteria with a stated time budget are timed with a wall clock.
 import time
 from pathlib import Path
 
+from axiom_oracle import brute_force_violations
 from qbeads import catalog
 from qbeads.coloring import BeadCounter, bead_solutions, counting_invariant, enumerate_xcolorings
 from qbeads.diagram import load_diagram
@@ -177,5 +178,9 @@ def test_criterion_8():
     found = {form.blocks for form in result.forms}
     assert partial.blocks in found
     assert full.blocks in found
-    verify_search_output(result)  # re-validates every emitted form
+    assert verify_search_output(result) == []
+    # verify_search_output shares the search's axiom checker, so every
+    # emitted form is also swept over all vector triples
+    for form in result.forms:
+        assert brute_force_violations(form.quandle, form.blocks, form.field, form.n) == []
     assert elapsed < 600.0, f"took {elapsed:.2f}s"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qbeads.errors import InputError
-from qbeads.field import PrimeField, is_prime
+from qbeads.field import PrimeField, VectorTables, is_prime
 
 
 def test_primality_gate():
@@ -86,3 +86,33 @@ def test_all_matrices_count():
     mats = list(f.all_matrices(2))
     assert len(mats) == 16
     assert len(set(mats)) == 16
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_vector_tables(p, n):
+    f = PrimeField(p)
+    t = VectorTables(f, n)
+    vs = t.vectors
+    assert vs == f.all_vectors(n)
+    assert all(t.index[v] == i for i, v in enumerate(vs))
+    for i, u in enumerate(vs):
+        for j, v in enumerate(vs):
+            assert vs[t.vadd[i][j]] == f.vec_add(u, v)
+            assert t.dot[i][j] == sum(a * b for a, b in zip(u, v)) % p
+    for s in range(p):
+        assert [vs[k] for k in t.smul[s]] == [f.scalar_mul(s, v) for v in vs]
+    units = sorted((0,) * k + (1,) + (0,) * (n - k - 1) for k in range(n))
+    assert [vs[k] for k in t.units] == units
+    assert t.units == sorted(t.units)
+
+
+@given(st.data())
+def test_bilinear_table_matches_eval(data):
+    p, n = data.draw(st.sampled_from([(2, 0), (2, 1), (2, 3), (3, 1), (3, 2), (5, 2)]))
+    f = PrimeField(p)
+    B = data.draw(
+        st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    t = VectorTables(f, n)
+    table = t.bilinear_table(B)
+    assert table == [[f.bilinear_eval(B, u, v) for v in t.vectors] for u in t.vectors]

@@ -32,7 +32,7 @@ def test_every_emitted_form_is_valid():
     field = PrimeField(2)
     for f in res.forms:
         assert form_violations(q, f.blocks, field, 2) == []
-    verify_search_output(res)
+    assert verify_search_output(res) == []
 
 
 def test_zero_form_is_always_found():
@@ -62,7 +62,7 @@ def test_swap3_search_finds_the_fixture_families():
     assert ((S, S, Z), (S, S, Z), (Z, Z, Z)) in blocks
     assert ((S, S, Z), (S, S, Z), (Z, Z, S)) in blocks
     assert res.space_estimate == 16 ** 9
-    verify_search_output(res)
+    assert verify_search_output(res) == []
 
 
 def test_space_guard():
