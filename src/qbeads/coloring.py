@@ -16,13 +16,17 @@ inverse map evaluates the form at (color(under_out), color(over)):
 
     bead(under_in) = bead(under_out) -/+ [bead(under_out), bead(over)] * bead(over)
 
-Two counting engines are provided.  "oracle" enumerates assignments in
-arc-index order, checking each crossing as soon as its last arc gets a
-value and abandoning the prefix on failure -- no value is ever derived,
-only checked.  "propagate" backtracks over arcs (most-shared over arcs
-first) and propagates both crossing directions through forward and
-inverse step tables.  They must always agree; "both" runs both and
-raises on any mismatch.
+Both counts run one plan compiled per diagram.  Which crossings can be
+derived or checked depends only on which arcs are known, never on their
+values, so _plan fixes the seed arcs and the straight-line derive and
+check steps each seed's value triggers.  _solve runs that plan over one
+(forward, inverse) table pair per crossing: quandle tables for
+X-colorings, step tables for beads (the "propagate" engine).
+
+The "oracle" engine enumerates assignments in arc-index order and checks
+each crossing once its last arc has a value; it derives nothing and uses
+no plan and no inverse table.  It is kept as the independent reference:
+"both" runs the two engines and raises on any mismatch.
 """
 
 from .errors import InputError, QBeadsError
@@ -49,65 +53,108 @@ def _check_coloring(diagram, quandle, coloring):
             )
 
 
+def _plan(diagram):
+    """The propagation order of a diagram: [(seed arc, steps)].
+
+    Seeds go most-shared over arc first, skipping arcs already derived.
+    A step is (kind, crossing, target, source, over): "forward" sets
+    under_out from under_in, "backward" sets under_in from under_out,
+    and "check" compares under_out with the forward value.  Every
+    crossing gets exactly one step.
+    """
+    n_arcs = diagram.arc_count
+    crossings = diagram.crossings
+    over_degree = [0] * n_arcs
+    by_arc = [[] for _ in range(n_arcs)]
+    for i, c in enumerate(crossings):
+        over_degree[c.over] += 1
+        for a in {c.under_in, c.over, c.under_out}:
+            by_arc[a].append(i)
+    known = [False] * n_arcs
+    planned = [False] * len(crossings)
+    plan = []
+    for seed in sorted(range(n_arcs), key=lambda a: (-over_degree[a], a)):
+        if known[seed]:
+            continue
+        known[seed] = True
+        steps, stack = [], [seed]
+        while stack:
+            for i in by_arc[stack.pop()]:
+                c = crossings[i]
+                if planned[i] or not known[c.over]:
+                    continue
+                if known[c.under_in]:
+                    kind = "check" if known[c.under_out] else "forward"
+                    step = (kind, i, c.under_out, c.under_in, c.over)
+                elif known[c.under_out]:
+                    step = ("backward", i, c.under_in, c.under_out, c.over)
+                else:
+                    continue
+                planned[i] = True
+                steps.append(step)
+                if not known[step[2]]:
+                    known[step[2]] = True
+                    stack.append(step[2])
+        plan.append((seed, steps))
+    return plan
+
+
+def _solve(plan, size, tables, limit):
+    """Run a plan over values 0..size-1; return (count, solutions).
+
+    tables[i] is the (forward, inverse) pair of crossing i, indexed
+    [source][over].  Solutions come in lexicographic order of the seed
+    values, the first `limit` of them (all when limit is None).  The arcs
+    a seed's steps write are fixed, so its next value just overwrites
+    them: nothing is undone.
+    """
+    stages = [
+        (
+            seed,
+            [
+                (target, source, over, tables[i][kind == "backward"], kind == "check")
+                for kind, i, target, source, over in steps
+            ],
+        )
+        for seed, steps in plan
+    ]
+    # every arc is a seed or the target of one derive step
+    values = [0] * sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
+    count = 0
+    sols = []
+
+    def run(depth):
+        nonlocal count
+        if depth == len(stages):
+            count += 1
+            if limit is None or len(sols) < limit:
+                sols.append(tuple(values))
+            return
+        seed, steps = stages[depth]
+        for v in range(size):
+            values[seed] = v
+            for target, source, over, table, check in steps:
+                w = table[values[source]][values[over]]
+                if not check:
+                    values[target] = w
+                elif values[target] != w:
+                    break
+            else:
+                run(depth + 1)
+
+    run(0)
+    return count, sols
+
+
 def enumerate_xcolorings(diagram, quandle):
     """All X-colorings, as tuples indexed by arc, in sorted order.
 
-    Backtracks over arcs in component order; propagates each crossing
-    in both directions as soon as two of its three arcs are colored.
+    Runs the diagram's compiled plan over the quandle's operation table
+    and its inverse, forward and backward as the crossing sign demands.
     """
-    order = [a for comp in diagram.components for a in comp]
-    by_arc = [[] for _ in range(diagram.arc_count)]
-    for i, c in enumerate(diagram.crossings):
-        for a in {c.under_in, c.over, c.under_out}:
-            by_arc[a].append(i)
-    crossings = diagram.crossings
-    colors = [None] * diagram.arc_count
-    found = []
-
-    def propagate(assigned):
-        """Assign propagated colors; return (ok, newly assigned arcs)."""
-        stack = [assigned]
-        news = []
-        while stack:
-            arc = stack.pop()
-            for ci in by_arc[arc]:
-                c = crossings[ci]
-                cu, co, co2 = colors[c.under_in], colors[c.over], colors[c.under_out]
-                if co is None:
-                    continue
-                if cu is not None:
-                    want = quandle.op_signed(cu, co, c.sign)
-                    if co2 is None:
-                        colors[c.under_out] = want
-                        news.append(c.under_out)
-                        stack.append(c.under_out)
-                    elif co2 != want:
-                        return False, news
-                elif co2 is not None:
-                    want = quandle.op_signed(co2, co, -c.sign)
-                    colors[c.under_in] = want
-                    news.append(c.under_in)
-                    stack.append(c.under_in)
-        return True, news
-
-    def backtrack(pos):
-        while pos < len(order) and colors[order[pos]] is not None:
-            pos += 1
-        if pos == len(order):
-            found.append(tuple(colors))
-            return
-        arc = order[pos]
-        for x in range(quandle.order):
-            colors[arc] = x
-            ok, news = propagate(arc)
-            if ok:
-                backtrack(pos + 1)
-            for a in news:
-                colors[a] = None
-            colors[arc] = None
-
-    backtrack(0)
-    return sorted(found)
+    q, inv = quandle.table, quandle.inv_table
+    tables = [(q, inv) if c.sign > 0 else (inv, q) for c in diagram.crossings]
+    return sorted(_solve(_plan(diagram), quandle.order, tables, None)[1])
 
 
 def counting_invariant(diagram, quandle):
@@ -116,8 +163,8 @@ def counting_invariant(diagram, quandle):
 
 
 class BeadCounter:
-    """Precomputed index tables for counting bead colorings of one
-    diagram over one form, reused across all X-colorings."""
+    """The compiled plan of one diagram and the step tables of one form,
+    reused across all X-colorings."""
 
     def __init__(self, diagram, quandle, form):
         if not isinstance(form, BilinearForm):
@@ -127,20 +174,22 @@ class BeadCounter:
         self.diagram = diagram
         self.quandle = quandle
         self.form = form
-        tables = VectorTables(form.field, form.n)
-        self.vectors, self.vadd, self.smul = tables.vectors, tables.vadd, tables.smul
-        self.nv = len(self.vectors)
-        self.bil = form.eval_table()
-        self.p = form.field.p
+        self.vector_tables = VectorTables(form.field, form.n)
+        self.vectors = self.vector_tables.vectors
+        self.plan = _plan(diagram)
+        self.step_tables = {}  # (x, y, sign) -> table, at most 2m^2 of them
 
     def _step_table(self, x, y, sign):
         """out-index = f(in-index, over-index) at a crossing colored (x, y)."""
-        bil = self.bil[x][y]
-        vadd, smul, p = self.vadd, self.smul, self.p
-        return [
-            [vadd[i][smul[(sign * bil[i][j]) % p][j]] for j in range(self.nv)]
-            for i in range(self.nv)
-        ]
+        key = (x, y, sign)
+        if key not in self.step_tables:
+            t = self.vector_tables
+            vadd, smul, p = t.vadd, t.smul, t.p
+            self.step_tables[key] = [
+                [vadd[i][smul[(sign * b) % p][j]] for j, b in enumerate(row)]
+                for i, row in enumerate(t.bilinear_table(self.form.blocks[x][y]))
+            ]
+        return self.step_tables[key]
 
     def count(self, coloring, engine="propagate"):
         if engine not in ENGINES:
@@ -177,7 +226,11 @@ class BeadCounter:
     def _count_oracle(self, coloring, limit):
         """Enumerate assignments in lexicographic arc order; check each
         crossing once all three of its arcs are assigned, dropping the
-        prefix at the first failed check.  Nothing is propagated."""
+        prefix at the first failed check.  Nothing is propagated.
+
+        This is the reference the compiled plan is checked against
+        (engine="both"): it uses only the forward step tables and no
+        plan, seed order or inverse table."""
         n_arcs = self.diagram.arc_count
         checks = [[] for _ in range(n_arcs)]
         for c in self.diagram.crossings:
@@ -188,15 +241,14 @@ class BeadCounter:
             )
         count = 0
         sols = []
-        want_sols = limit is None or limit > 0
         assignment = [0] * n_arcs
-        nv = self.nv
+        nv = len(self.vectors)
 
         def sweep(depth):
             nonlocal count
             if depth == n_arcs:
                 count += 1
-                if want_sols and (limit is None or len(sols) < limit):
+                if limit is None or len(sols) < limit:
                     sols.append(tuple(assignment))
                 return
             for v in range(nv):
@@ -211,79 +263,15 @@ class BeadCounter:
         return count, sols
 
     def _count_propagate(self, coloring, limit):
-        """Backtrack over arcs (most-shared over arcs first), propagating
-        each crossing forward and backward as its inputs fill in."""
-        n_arcs = self.diagram.arc_count
-        over_degree = [0] * n_arcs
-        for c in self.diagram.crossings:
-            over_degree[c.over] += 1
-        order = sorted(range(n_arcs), key=lambda a: (-over_degree[a], a))
-
-        # forward[(in, over) -> out] and inverse tables per crossing
-        fwd = []
-        inv = []
-        by_arc = [[] for _ in range(n_arcs)]
-        for i, c in enumerate(self.diagram.crossings):
-            x, y = coloring[c.under_in], coloring[c.over]
-            x_out = coloring[c.under_out]
-            fwd.append(self._step_table(x, y, c.sign))
-            inv.append(self._step_table(x_out, y, -c.sign))
-            for a in {c.under_in, c.over, c.under_out}:
-                by_arc[a].append(i)
-        crossings = self.diagram.crossings
-
-        beads = [None] * n_arcs
-        count = 0
-        sols = []
-        want_sols = limit is None or limit > 0
-
-        def propagate(arc):
-            stack = [arc]
-            news = []
-            while stack:
-                a = stack.pop()
-                for ci in by_arc[a]:
-                    c = crossings[ci]
-                    b_in = beads[c.under_in]
-                    b_ov = beads[c.over]
-                    b_out = beads[c.under_out]
-                    if b_ov is None:
-                        continue
-                    if b_in is not None:
-                        want = fwd[ci][b_in][b_ov]
-                        if b_out is None:
-                            beads[c.under_out] = want
-                            news.append(c.under_out)
-                            stack.append(c.under_out)
-                        elif b_out != want:
-                            return False, news
-                    elif b_out is not None:
-                        beads[c.under_in] = inv[ci][b_out][b_ov]
-                        news.append(c.under_in)
-                        stack.append(c.under_in)
-            return True, news
-
-        def backtrack(pos):
-            nonlocal count
-            while pos < n_arcs and beads[order[pos]] is not None:
-                pos += 1
-            if pos == n_arcs:
-                count += 1
-                if want_sols and (limit is None or len(sols) < limit):
-                    sols.append(tuple(beads))
-                return
-            arc = order[pos]
-            for v in range(self.nv):
-                beads[arc] = v
-                ok, news = propagate(arc)
-                if ok:
-                    backtrack(pos + 1)
-                for a in news:
-                    beads[a] = None
-                beads[arc] = None
-
-        backtrack(0)
-        return count, sols
+        """Run the compiled plan over this coloring's step tables."""
+        tables = [
+            (
+                self._step_table(coloring[c.under_in], coloring[c.over], c.sign),
+                self._step_table(coloring[c.under_out], coloring[c.over], -c.sign),
+            )
+            for c in self.diagram.crossings
+        ]
+        return _solve(self.plan, len(self.vectors), tables, limit)
 
 
 def count_beads(diagram, quandle, form, coloring, engine="propagate"):

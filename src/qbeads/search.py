@@ -72,16 +72,27 @@ def _instance_schedule(quandle, pair_slot):
     return schedule
 
 
+def _space_estimate(m, p, n, mode):
+    """The naive space the guard bounds: (widest slot)^(m*m).
+
+    Computed from counts alone, so a refused search builds nothing:
+    p^(n*n) candidate matrices, p^(n(n-1)/2) of them alternating (the
+    diagonal is zero and the upper triangle fixes the lower one).  The
+    widest slot is an off-diagonal one with every matrix, unless m = 1
+    or the mode restricts every slot to alternating matrices.
+    """
+    alternating = p ** (n * (n - 1) // 2)
+    width = alternating if m == 1 or mode == "alternating-only" else p ** (n * n)
+    return width ** (m * m)
+
+
 class _Searcher:
-    def __init__(self, quandle, p, n, mode):
-        if mode not in MODES:
-            raise InputError(f"unknown search mode {mode!r}, expected one of {MODES}")
+    def __init__(self, quandle, field, n, mode):
         self.quandle = quandle
-        self.field = PrimeField(p)
+        self.field = field
         self.n = n
         self.mode = mode
 
-        field = self.field
         self.vector_tables = VectorTables(field, n)
         self.all_mats = list(field.all_matrices(n))
         self.alt_ids = [i for i, M in enumerate(self.all_mats) if field.is_alternating(M)]
@@ -101,16 +112,6 @@ class _Searcher:
         if self.mode == "alternating-only":
             return self.alt_ids
         return list(range(len(self.all_mats)))
-
-    def space_estimate(self):
-        per_slot = []
-        for k in range(len(self.pairs)):
-            cands = self.slot_candidates(k)
-            if cands is not None:
-                per_slot.append(len(cands))
-        # the guard intentionally uses the naive uniform bound
-        width = max(per_slot)
-        return width ** len(self.pairs)
 
     def check_instance(self, instance, assigned):
         kind, x, y, z = instance
@@ -178,8 +179,14 @@ def search_forms(
     SearchResult as status to observe the incomplete flag.  run_search
     wraps all of this and returns the collected SearchResult.
     """
-    searcher = _Searcher(quandle, p, n, mode)
-    estimate = searcher.space_estimate()
+    if mode not in MODES:
+        raise InputError(f"unknown search mode {mode!r}, expected one of {MODES}")
+    field = PrimeField(p)
+    if n < 0:
+        raise InputError(f"matrix dimension must be >= 0, got {n}")
+    if limit is not None and limit < 0:
+        raise InputError(f"limit must be >= 0, got {limit}")
+    estimate = _space_estimate(quandle.order, p, n, mode)
     if status is None:
         status = SearchResult()
     status.mode = mode
@@ -190,6 +197,7 @@ def search_forms(
             f"search space estimate {estimate:.2e} exceeds the bound "
             f"{space_bound:.2e}; pass allow_large to proceed"
         )
+    searcher = _Searcher(quandle, field, n, mode)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     start = time.monotonic()
     for form in searcher.dfs(limit, deadline, status):

@@ -233,6 +233,14 @@ def test_form_search_bad_budget(capsys):
     assert code == 2
 
 
+def test_form_search_negative_dimension(capsys):
+    code, out, err = run(capsys, "form-search", "swap3", "--p", "2", "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # -- catalog-list -----------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
+import itertools
 from pathlib import Path
 
 import pytest
 
+from qbeads import catalog
 from qbeads.coloring import (
     BeadCounter,
     bead_solutions,
@@ -11,7 +13,7 @@ from qbeads.coloring import (
 )
 from qbeads.diagram import Crossing, LinkDiagram, load_diagram
 from qbeads.errors import InputError
-from qbeads.forms import validate_form, zero_form
+from qbeads.forms import constant_form, validate_form, zero_form
 from qbeads.quandle import Quandle, alexander_quandle
 
 DATA = Path(__file__).parent / "data"
@@ -23,6 +25,15 @@ PARTIAL = [[S, S, Z], [S, S, Z], [Z, Z, Z]]
 FULL = [[S, S, Z], [S, S, Z], [Z, Z, S]]
 
 HOPF = LinkDiagram("hopf", 2, [Crossing(1, 0, 1, 0), Crossing(1, 1, 0, 1)], [[0], [1]])
+# one classical crossing between two circles, under_in == under_out
+VHOPF = LinkDiagram("vhopf", 2, [Crossing(1, 0, 1, 0)], [[0], [1]])
+
+
+def small_diagrams():
+    """Catalog links of at most six crossings and the tests/data diagrams."""
+    links = [catalog.load(name).diagram for name in catalog.list_links()]
+    data = [load_diagram(path) for path in sorted(DATA.glob("*.diagram"))]
+    return [d for d in links if len(d.crossings) <= 6] + data
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +61,41 @@ def test_virtual_style_single_crossing(swap3):
     # one classical crossing between two circles; the over circle never
     # passes under anything, which no planar diagram of two circles with
     # one crossing could do
-    d = LinkDiagram("vhopf", 2, [Crossing(1, 0, 1, 0)], [[0], [1]])
-    d.validate()
-    cols = enumerate_xcolorings(d, swap3)
+    VHOPF.validate()
+    cols = enumerate_xcolorings(VHOPF, swap3)
     # arc 0 must be fixed by the right translation of arc 1's color:
     # anything under 0 or 1, but only 2 under 2
     assert cols == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+
+def test_xcolorings_match_brute_force(swap3):
+    """The compiled plan against a filter over all m^arcs assignments."""
+    quandles = [swap3, alexander_quandle(3, 2), alexander_quandle(5, 2)]
+    for d in small_diagrams() + [HOPF, VHOPF]:
+        for q in quandles:
+            brute = [
+                f
+                for f in itertools.product(range(q.order), repeat=d.arc_count)
+                if all(
+                    f[c.under_out] == q.op_signed(f[c.under_in], f[c.over], c.sign)
+                    for c in d.crossings
+                )
+            ]
+            assert enumerate_xcolorings(d, q) == brute, (d.name, q.name)
+
+
+def test_engines_agree_at_p3(swap3):
+    """Over F_3 the two signs give different step tables, which F_2
+    cannot tell apart: the oracle uses forward tables only, the plan
+    forward and inverse ones."""
+    for q in (swap3, alexander_quandle(3, 2)):
+        form = constant_form(q, 3, 2, [[0, 1], [2, 0]])
+        for d in small_diagrams():
+            counter = BeadCounter(d, q, form)
+            for f in enumerate_xcolorings(d, q):
+                assert counter.solutions(f, engine="oracle") == sorted(
+                    counter.solutions(f, engine="propagate")
+                ), (d.name, q.name, f)
 
 
 def test_bead_counts_per_coloring(swap3):

@@ -1,12 +1,13 @@
 import pytest
 
 from qbeads.errors import InputError
-from qbeads.field import PrimeField
+from qbeads.field import PrimeField, VectorTables
 from qbeads.forms import form_violations, zero_form
 from qbeads.quandle import Quandle, trivial_quandle
 from qbeads.search import (
     DEFAULT_SPACE_BOUND,
     MODES,
+    SearchResult,
     run_search,
     search_forms,
     verify_search_output,
@@ -107,3 +108,39 @@ def test_streaming_interface():
 def test_bad_mode():
     with pytest.raises(InputError):
         run_search(trivial_quandle(1), 2, 1, mode="everything")
+
+
+def test_refused_search_builds_no_tables(monkeypatch):
+    built = []
+    original = VectorTables.bilinear_table
+
+    def counted(self, B):
+        built.append(B)
+        return original(self, B)
+
+    monkeypatch.setattr(VectorTables, "bilinear_table", counted)
+    q = Quandle.from_table(SWAP3)
+    status = SearchResult()
+    with pytest.raises(InputError) as e:
+        list(search_forms(q, 3, 3, status=status))
+    assert "allow_large" in str(e.value)
+    assert status.space_estimate == (3 ** 9) ** 9
+    assert built == []
+
+
+def test_space_estimate_counts_the_widest_slot():
+    q = Quandle.from_table(SWAP3)
+    for mode, width in (("all", 16), ("constant-diagonal", 16), ("alternating-only", 2)):
+        res = run_search(q, 2, 2, mode=mode, limit=0, allow_large=True)
+        assert res.space_estimate == width ** 9
+    # one element: the only slot is diagonal, so alternating whatever the mode
+    for mode in MODES:
+        assert run_search(trivial_quandle(1), 3, 2, mode=mode).space_estimate == 3
+
+
+def test_negative_dimension_and_limit():
+    q = trivial_quandle(2)
+    with pytest.raises(InputError):
+        run_search(q, 2, -1)
+    with pytest.raises(InputError):
+        run_search(q, 2, 1, limit=-1)
