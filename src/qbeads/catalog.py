@@ -117,8 +117,8 @@ class CatalogEntry:
     expected: dict = dataclass_field(default_factory=dict)
 
 
-def load(name):
-    """Load one catalog link with its expected polynomials per form."""
+def link_diagram(name):
+    """Load and validate one catalog link's diagram."""
     path = catalog_root() / "links" / f"{name}.diagram"
     if not path.is_file():
         raise InputError(
@@ -126,6 +126,12 @@ def load(name):
         )
     diagram = load_diagram(path)
     diagram.validate()
+    return diagram
+
+
+def load(name):
+    """Load one catalog link with its expected polynomials per form."""
+    diagram = link_diagram(name)
     expected = {}
     for form_name in list_forms():
         table = expected_table(form_name)

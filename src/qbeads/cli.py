@@ -48,7 +48,7 @@ def _resolve_form(token, quandle=None):
 def _resolve_link(token):
     if os.path.isfile(token):
         return load_diagram(token).validate()
-    return catalog.load(token).diagram
+    return catalog.link_diagram(token)
 
 
 def _emit(args, record, render):
@@ -198,9 +198,8 @@ def cmd_batch(args):
     start = time.monotonic()
     results = []
     for name in names:
-        entry = catalog.load(name)
         result = compute_invariant(
-            entry.diagram, quandle, form, engine=args.engine, jobs=args.jobs
+            catalog.link_diagram(name), quandle, form, engine=args.engine, jobs=args.jobs
         )
         record = result.record()
         record["link"] = name

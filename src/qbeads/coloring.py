@@ -191,10 +191,13 @@ class BeadCounter:
             ]
         return self.step_tables[key]
 
-    def count(self, coloring, engine="propagate"):
+    def _check(self, coloring, engine):
         if engine not in ENGINES:
             raise InputError(f"unknown engine {engine!r}, expected one of {ENGINES}")
         _check_coloring(self.diagram, self.quandle, coloring)
+
+    def count(self, coloring, engine="propagate"):
+        self._check(coloring, engine)
         if engine == "both":
             a = self._count_oracle(coloring, 0)
             b = self._count_propagate(coloring, 0)
@@ -210,7 +213,7 @@ class BeadCounter:
 
     def solutions(self, coloring, engine="propagate", limit=None):
         """Bead colorings as tuples of vectors, one per arc."""
-        _check_coloring(self.diagram, self.quandle, coloring)
+        self._check(coloring, engine)
         if engine == "both":
             _, sols_o = self._count_oracle(coloring, None)
             _, sols_p = self._count_propagate(coloring, None)

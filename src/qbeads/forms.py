@@ -21,6 +21,22 @@ and b running over unit vectors and c over all vectors, and (iii) with
 a and c over unit vectors and b over all vectors: m^3 * p^n * n^2
 cases per axiom instead of m^3 * p^3n.  Every failure it reports is
 also a failure of the full sweep over all vector triples.
+
+Orbit lemma: a valid family is constant on the blocks (orbit of x,
+orbit of y), where the orbits are those of Inn(X), the quandle's
+connected components.  Proof: c = 0 in (ii) gives B[x][y] =
+B[x>z][y>z], and b = 0 in (iii) gives B[x>y][z] = B[x][z]; applying
+the second to the first index of the first, B[x][y] = B[x][y>z].  So
+both indices may be moved along their orbits, and a connected quandle
+admits only constant families.  The search assigns one matrix per
+orbit pair on this account.
+
+For a knot K every arc of an X-coloring lies in one orbit O, and the
+bead step at each crossing is x > y = x + (x^T M_O y) y with M_O =
+B[O][O].  So the enhanced invariant is sum_O N_O u^k(K, M_O), where
+N_O counts the X-colorings of K in O and k(K, M_O) counts the
+colorings of K by F_p^n under that operation: the symplectic quandle
+of M_O when M_O is nondegenerate.
 """
 
 from .errors import AxiomError, InputError

@@ -6,6 +6,17 @@ colorings; the invariant is sum_f u^(k_f), stored as a multiset of
 exponents.  Evaluating at u = 1 recovers the X-coloring counting
 invariant.  Rendering is canonical: terms in descending exponent,
 multiplicity 1 left implicit, so for example ``u^16 + 4u^10``.
+
+The propagate engine reads a coloring f only through the step tables
+of its crossings, and the table at a crossing is fixed by its sign and
+the blocks B[f(under_in)][f(over)] and B[f(under_out)][f(over)].  So
+compute_invariant keys each coloring by the ids of those two distinct
+matrices at every crossing and counts beads once per key, which is
+exact for any form.  For a valid form the blocks are constant on
+orbits, and every arc of a link component lies in one orbit, so there
+is at most one count per component-orbit tuple.  The oracle and both
+engines still count every coloring, so the engines are compared on
+each one.
 """
 
 import time
@@ -116,12 +127,39 @@ def _count_chunk(args):
     return [counter.count(c, engine=engine) for c in colorings]
 
 
+def _distinct_colorings(diagram, form, colorings, engine):
+    """(representatives, index): the colorings to count, and for each
+    coloring the position of the representative whose count it shares.
+
+    Under the propagate engine colorings with equal block keys (see the
+    module docstring) share one count; every other engine counts each.
+    """
+    if engine != "propagate":
+        return colorings, range(len(colorings))
+    ids = {}
+    block_id = [[ids.setdefault(B, len(ids)) for B in row] for row in form.blocks]
+    arcs = [(c.under_in, c.over, c.under_out) for c in diagram.crossings]
+    position = {}
+    representatives, index = [], []
+    for f in colorings:
+        # one int per crossing for its pair of block ids
+        key = tuple(
+            [block_id[f[i]][f[o]] * len(ids) + block_id[f[u]][f[o]] for i, o, u in arcs]
+        )
+        if key not in position:
+            position[key] = len(representatives)
+            representatives.append(f)
+        index.append(position[key])
+    return representatives, index
+
+
 def compute_invariant(diagram, quandle, form, engine="propagate", jobs=1):
     """Count bead colorings over every X-coloring of the diagram.
 
-    jobs > 1 splits the X-colorings across processes; the result is
-    identical for any jobs value because counts are merged by coloring
-    index.
+    Colorings that share a count are counted once (see the module
+    docstring).  jobs > 1 splits the colorings left to count across
+    processes; the result is identical for any jobs value because
+    counts are merged by position.
     """
     if engine not in ENGINES:
         raise InputError(f"unknown engine {engine!r}, expected one of {ENGINES}")
@@ -129,12 +167,13 @@ def compute_invariant(diagram, quandle, form, engine="propagate", jobs=1):
         raise InputError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
     colorings = enumerate_xcolorings(diagram, quandle)
-    if jobs == 1 or len(colorings) < 2:
+    todo, index = _distinct_colorings(diagram, form, colorings, engine)
+    if jobs == 1 or len(todo) < 2:
         counter = BeadCounter(diagram, quandle, form)
-        counts = [counter.count(c, engine=engine) for c in colorings]
+        distinct = [counter.count(c, engine=engine) for c in todo]
     else:
-        jobs = min(jobs, len(colorings))
-        chunks = [colorings[i::jobs] for i in range(jobs)]
+        jobs = min(jobs, len(todo))
+        chunks = [todo[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(
                 pool.map(
@@ -142,10 +181,11 @@ def compute_invariant(diagram, quandle, form, engine="propagate", jobs=1):
                     [(diagram, quandle, form, chunk, engine) for chunk in chunks],
                 )
             )
-        counts = [0] * len(colorings)
+        distinct = [0] * len(todo)
         for i, chunk_counts in enumerate(results):
             for j, value in enumerate(chunk_counts):
-                counts[i + j * jobs] = value
+                distinct[i + j * jobs] = value
+    counts = [distinct[k] for k in index]
     poly = InvariantPolynomial()
     for k in counts:
         poly.add_exponent(k)

@@ -124,6 +124,29 @@ class Quandle:
             return self.inv_table[x][y]
         raise InputError(f"crossing sign must be +1 or -1, got {sign!r}")
 
+    def orbits(self):
+        """Each element's orbit under Inn(X), labelled by its least element.
+
+        A union-find over x ~ x ▷ y.  The right translations generate
+        Inn(X), and on a finite set the orbits of a group are those of
+        its generators, so the inverse translations add nothing.  The
+        orbits are the quandle's connected components.
+        """
+        parent = list(range(self.order))
+
+        def root(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for x, row in enumerate(self.table):
+            for xy in row:
+                a, b = root(x), root(xy)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+        return tuple(root(x) for x in range(self.order))
+
     def is_involutory(self):
         """True when every right translation is its own inverse (a kei)."""
         return self.table == self.inv_table

@@ -1,22 +1,34 @@
 """Depth-first search for all bilinear form families on a quandle.
 
-The m*m index pairs are assigned in a fixed order: diagonal pairs
-(0,0), (1,1), ... first, then off-diagonal pairs row-major.  Diagonal
-candidates are restricted to alternating matrices (exactly axiom (i));
-after each assignment every instance of axioms (ii)/(iii) whose
-referenced pairs are all assigned is checked by forms.axiom_failures,
-pruning the branch on the first failure.  That checker, shared with
-form validation, runs over unit vectors only: both sides of (ii) are
-bilinear in (a, b) for fixed c, and both sides of (iii) in (a, c) for
-fixed b, so unit vectors decide each instance exactly.  Because every
-instance has been checked once the last pair is assigned, completed
-leaves are valid forms; emission order is deterministic (lexicographic
-matrices within each slot).
+Every valid family is constant on the blocks (orbit of x, orbit of y),
+where the orbits are those of Inn(X) (see the forms module docstring
+for the two-line proof).  So the search assigns one matrix per
+orbit-pair slot, r*r slots for r orbits, instead of one per element
+pair.  The pairs are ordered diagonal first, (0,0), (1,1), ..., then
+off-diagonal row-major, and the slots by the first pair in that order
+that falls in them.  A slot (O, O) holds diagonal pairs, so its
+candidates are the alternating matrices (exactly axiom (i)); in
+constant-diagonal mode every such slot after slot 0 copies slot 0.
+
+Under orbit-constancy the axiom (ii)/(iii) instance at (x, y, z) reads
+the same blocks as the one at the orbits' least elements, so only the
+r^3 representative triples are checked, each once all the slots it
+reads are assigned, pruning the branch on the first failure.  That
+checker, forms.axiom_failures, is shared with form validation and runs
+over unit vectors only: both sides of (ii) are bilinear in (a, b) for
+fixed c, and both sides of (iii) in (a, c) for fixed b, so unit vectors
+decide each instance exactly.  Completed leaves are therefore valid
+forms, and no valid form is skipped.
+
+Emission order is deterministic: lexicographic in the matrix of each
+element pair, in pair order, as if every pair had its own slot.  A pair
+whose slot appeared earlier copies that slot's matrix and adds nothing
+to the order.
 
 The naive space (#candidate matrices)^(#pairs) is refused above a
 configurable bound unless allow_large is set, since even small
 parameters explode: m=3, p=2, n=2 gives 16^9, about 7e10, yet prunes
-down to a sub-minute search.
+down to a sub-second search.
 """
 
 import time
@@ -47,39 +59,51 @@ def _pair_order(m):
     return pairs
 
 
-def _instance_schedule(quandle, pair_slot):
-    """Map slot index -> list of axiom instances first checkable there.
+def _orbit_slots(quandle):
+    """Orbit-pair slots in order of first appearance in _pair_order.
 
-    An instance is ("ii", x, y, z) or ("iii", x, y, z); it is scheduled
-    at the largest slot among its referenced pairs, so every instance
-    runs exactly once and as early as possible.
+    Returns (slots, pair_slot): slots[k] is the (orbit, orbit) pair of
+    slot k, with orbits labelled by their least element, and
+    pair_slot[x][y] the slot of element pair (x, y).
     """
-    m = quandle.order
+    orbit = quandle.orbits()
+    index = {}
+    for x, y in _pair_order(quandle.order):
+        index.setdefault((orbit[x], orbit[y]), len(index))
+    pair_slot = [[index[(ox, oy)] for oy in orbit] for ox in orbit]
+    return list(index), pair_slot
+
+
+def _instance_schedule(quandle, slots, pair_slot):
+    """Slot index -> the axiom instances first checkable there.
+
+    An instance is ("ii", x, y, z) or ("iii", x, y, z) with x, y, z the
+    least elements of their orbits; it is scheduled at the largest slot
+    among the blocks it reads, so every instance runs exactly once and
+    as early as possible.
+    """
     op = quandle.op
-    schedule = {k: [] for k in range(len(pair_slot))}
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                refs_ii = [
-                    (x, y),
-                    (x, z),
-                    (y, z),
-                    (op(x, z), op(y, z)),
-                ]
-                schedule[max(pair_slot[r] for r in refs_ii)].append(("ii", x, y, z))
-                refs_iii = [(x, y), (x, z), (y, z), (op(x, y), z)]
-                schedule[max(pair_slot[r] for r in refs_iii)].append(("iii", x, y, z))
+    reps = sorted({ox for ox, _ in slots})
+    schedule = [[] for _ in slots]
+    for x in reps:
+        for y in reps:
+            for z in reps:
+                reads_ii = [(x, y), (x, z), (y, z), (op(x, z), op(y, z))]
+                reads_iii = [(x, y), (x, z), (y, z), (op(x, y), z)]
+                schedule[max(pair_slot[u][v] for u, v in reads_ii)].append(("ii", x, y, z))
+                schedule[max(pair_slot[u][v] for u, v in reads_iii)].append(("iii", x, y, z))
     return schedule
 
 
 def _space_estimate(m, p, n, mode):
-    """The naive space the guard bounds: (widest slot)^(m*m).
+    """The naive space the guard bounds: (widest pair)^(m*m), as if
+    every element pair had a slot of its own.
 
     Computed from counts alone, so a refused search builds nothing:
     p^(n*n) candidate matrices, p^(n(n-1)/2) of them alternating (the
     diagonal is zero and the upper triangle fixes the lower one).  The
-    widest slot is an off-diagonal one with every matrix, unless m = 1
-    or the mode restricts every slot to alternating matrices.
+    widest pair is an off-diagonal one with every matrix, unless m = 1
+    or the mode restricts every pair to alternating matrices.
     """
     alternating = p ** (n * (n - 1) // 2)
     width = alternating if m == 1 or mode == "alternating-only" else p ** (n * n)
@@ -95,41 +119,40 @@ class _Searcher:
 
         self.vector_tables = VectorTables(field, n)
         self.all_mats = list(field.all_matrices(n))
+        if mode == "alternating-only":
+            # every slot takes alternating matrices only; build no other table
+            self.all_mats = [M for M in self.all_mats if field.is_alternating(M)]
         self.alt_ids = [i for i, M in enumerate(self.all_mats) if field.is_alternating(M)]
         # one bilinear table per candidate matrix, shared across slots
         self.tables = [self.vector_tables.bilinear_table(M) for M in self.all_mats]
 
-        self.pairs = _pair_order(quandle.order)
-        self.pair_slot = {pair: k for k, pair in enumerate(self.pairs)}
-        self.schedule = _instance_schedule(quandle, self.pair_slot)
+        self.slots, self.pair_slot = _orbit_slots(quandle)
+        self.schedule = _instance_schedule(quandle, self.slots, self.pair_slot)
 
     def slot_candidates(self, k):
-        x, y = self.pairs[k]
-        if x == y:
+        ox, oy = self.slots[k]
+        if ox == oy:
             if self.mode == "constant-diagonal" and k > 0:
                 return None  # copy of slot 0, handled in the DFS
-            return self.alt_ids
-        if self.mode == "alternating-only":
             return self.alt_ids
         return list(range(len(self.all_mats)))
 
     def check_instance(self, instance, assigned):
         kind, x, y, z = instance
-        table = lambda u, v: self.tables[assigned[self.pair_slot[(u, v)]]]
+        table = lambda u, v: self.tables[assigned[self.pair_slot[u][v]]]
         failures = axiom_failures(
             kind, x, y, z, self.quandle.op, table, self.vector_tables
         )
         return next(failures, None) is None
 
     def dfs(self, limit, deadline, status):
-        n_slots = len(self.pairs)
+        n_slots = len(self.slots)
         assigned = [None] * n_slots
 
         def emit():
-            m = self.quandle.order
-            grid = [[None] * m for _ in range(m)]
-            for k, (x, y) in enumerate(self.pairs):
-                grid[x][y] = self.all_mats[assigned[k]]
+            grid = [
+                [self.all_mats[assigned[k]] for k in row] for row in self.pair_slot
+            ]
             return BilinearForm(self.quandle, self.field, self.n, grid)
 
         def walk(k):

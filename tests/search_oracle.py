@@ -1,0 +1,78 @@
+"""Pair-slot reference for the form search, used only by the tests.
+
+qbeads.search assigns one matrix per orbit-pair slot, relying on the
+lemma that every valid family is constant on orbit blocks.  This module
+keeps the direct depth-first search over all m*m pairs, checking every
+axiom (ii)/(iii) instance at every element triple, so tests can compare
+the orbit search's forms and their order against it.
+
+Pairs are assigned diagonal first, (0,0), (1,1), ..., then off-diagonal
+row-major; each slot runs through its candidate matrices in
+field.all_matrices order, so the forms come out in lexicographic order
+of that pair tuple.  An instance is checked once all the pairs it reads
+are assigned.
+"""
+
+from qbeads.field import PrimeField, VectorTables
+from qbeads.forms import axiom_failures
+
+
+def pair_order(m):
+    pairs = [(x, x) for x in range(m)]
+    pairs += [(x, y) for x in range(m) for y in range(m) if x != y]
+    return pairs
+
+
+def reference_search(quandle, p, n, mode="all"):
+    """Every valid form's blocks, in the pair search's emission order."""
+    field = PrimeField(p)
+    vector_tables = VectorTables(field, n)
+    mats = list(field.all_matrices(n))
+    tables = [vector_tables.bilinear_table(M) for M in mats]
+    every = list(range(len(mats)))
+    alternating = [i for i, M in enumerate(mats) if field.is_alternating(M)]
+
+    m, op = quandle.order, quandle.op
+    pairs = pair_order(m)
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    schedule = [[] for _ in pairs]
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
+                reads_ii = [(x, y), (x, z), (y, z), (op(x, z), op(y, z))]
+                reads_iii = [(x, y), (x, z), (y, z), (op(x, y), z)]
+                schedule[max(slot[r] for r in reads_ii)].append(("ii", x, y, z))
+                schedule[max(slot[r] for r in reads_iii)].append(("iii", x, y, z))
+
+    def candidates(k):
+        x, y = pairs[k]
+        if x == y:
+            if mode == "constant-diagonal" and k > 0:
+                return [assigned[0]]
+            return alternating
+        return alternating if mode == "alternating-only" else every
+
+    def table(u, v):
+        return tables[assigned[slot[(u, v)]]]
+
+    assigned = [None] * len(pairs)
+    found = []
+
+    def walk(k):
+        if k == len(pairs):
+            grid = [[None] * m for _ in range(m)]
+            for (x, y), mat_id in zip(pairs, assigned):
+                grid[x][y] = mats[mat_id]
+            found.append(tuple(tuple(row) for row in grid))
+            return
+        for mat_id in candidates(k):
+            assigned[k] = mat_id
+            if all(
+                next(axiom_failures(kind, x, y, z, op, table, vector_tables), None) is None
+                for kind, x, y, z in schedule[k]
+            ):
+                walk(k + 1)
+        assigned[k] = None
+
+    walk(0)
+    return found

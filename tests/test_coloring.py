@@ -192,3 +192,7 @@ def test_engine_names(swap3):
     form = validate_form(swap3, PARTIAL, 2, 2)
     with pytest.raises(InputError):
         count_beads(HOPF, swap3, form, (0, 0), engine="guess")
+    with pytest.raises(InputError):
+        bead_solutions(HOPF, swap3, form, (0, 0), engine="guess")
+    with pytest.raises(InputError):
+        BeadCounter(HOPF, swap3, form).solutions((0, 0), engine="guess")

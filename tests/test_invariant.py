@@ -1,9 +1,23 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from qbeads.catalog import load as load_entry, load_form, load_quandle
+from qbeads.catalog import link_diagram, list_links, load as load_entry, load_form, load_quandle
+from qbeads.coloring import BeadCounter, counting_invariant
+from qbeads.diagram import load_diagram
 from qbeads.errors import InputError
+from qbeads.forms import constant_form
 from qbeads.invariant import InvariantPolynomial, compare, compute_invariant
+from qbeads.quandle import symplectic_quandle
+
+DATA = Path(__file__).parent / "data"
+
+
+def all_diagrams():
+    """The 18 catalog links and the tests/data diagrams."""
+    links = [link_diagram(name) for name in list_links()]
+    return links + [load_diagram(path) for path in sorted(DATA.glob("*.diagram"))]
 
 
 def P(*pairs):
@@ -77,13 +91,15 @@ def test_compute_invariant_record():
 
 def test_parallel_jobs_are_deterministic():
     q = load_quandle("swap3")
-    form = load_form("swap3-full")
-    entry = load_entry("L6a4")
-    solo = compute_invariant(entry.diagram, q, form, jobs=1)
-    multi = compute_invariant(entry.diagram, q, form, jobs=4)
-    assert solo.polynomial == multi.polynomial
-    assert solo.counts == multi.counts
-    assert solo.colorings == multi.colorings
+    for form in (load_form("swap3-full"), constant_form(q, 3, 2, [[0, 1], [2, 0]])):
+        for name in ["L6a4", "L7a1", "L7n2"]:
+            d = load_entry(name).diagram
+            solo = compute_invariant(d, q, form, jobs=1)
+            for jobs in (2, 4):
+                multi = compute_invariant(d, q, form, jobs=jobs)
+                assert solo.polynomial == multi.polynomial
+                assert solo.counts == multi.counts
+                assert solo.colorings == multi.colorings
 
 
 def test_counting_equals_evaluation_at_one():
@@ -92,3 +108,47 @@ def test_counting_equals_evaluation_at_one():
     for name in ["L4a1", "L6a5", "L7n1"]:
         res = compute_invariant(load_entry(name).diagram, q, form)
         assert res.polynomial.evaluate_at_one() == len(res.colorings)
+
+
+@pytest.mark.parametrize("form_name", ["swap3-partial", "swap3-full", "constant-F9"])
+def test_shared_counts_equal_per_coloring_counts(form_name):
+    """Counting once per block key gives every coloring its own count."""
+    q = load_quandle("swap3")
+    if form_name == "constant-F9":
+        form = constant_form(q, 3, 2, [[0, 1], [2, 0]])
+    else:
+        form = load_form(form_name)
+    for d in all_diagrams():
+        res = compute_invariant(d, q, form)
+        counter = BeadCounter(d, q, form)
+        assert res.counts == [counter.count(f) for f in res.colorings], d.name
+
+
+def test_one_orbit_bead_counts_are_symplectic_colorings():
+    """Over a coloring inside one orbit O the bead step at a crossing
+    is the symplectic quandle operation of M = B[O][O], so the bead
+    count is that quandle's counting invariant (when M is
+    nondegenerate).  Its tables come from the quandle module's
+    symplectic construction, not from BeadCounter's step tables."""
+    q = load_quandle("swap3")
+    form = load_form("swap3-partial")
+    orbit = q.orbits()
+    field = form.field
+    checked = 0
+    for name in list_links():
+        d = link_diagram(name)
+        res = compute_invariant(d, q, form)
+        for f, k in zip(res.colorings, res.counts):
+            labels = {orbit[x] for x in f}
+            if len(labels) != 1:
+                continue
+            o = labels.pop()
+            M = form.blocks[o][o]
+            if not field.is_nondegenerate(M):
+                continue
+            assert k == counting_invariant(d, symplectic_quandle(field.p, form.n, M)), (
+                name,
+                f,
+            )
+            checked += 1
+    assert checked == 88

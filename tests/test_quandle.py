@@ -173,6 +173,36 @@ def test_symplectic_quandle():
         symplectic_quandle(2, 2, [[0, 0], [0, 0]])  # degenerate
 
 
+def _closure_orbits(q):
+    """Each element's orbit by closing {x} under both translations."""
+    labels = []
+    for x in range(q.order):
+        orbit, frontier = {x}, [x]
+        while frontier:
+            w = frontier.pop()
+            for y in range(q.order):
+                for v in (q.op(w, y), q.inv_op(w, y)):
+                    if v not in orbit:
+                        orbit.add(v)
+                        frontier.append(v)
+        labels.append(min(orbit))
+    return tuple(labels)
+
+
+def test_orbits():
+    assert Quandle.from_table(SWAP3).orbits() == (0, 0, 2)
+    for q in (alexander_quandle(3, 2), alexander_quandle(5, 2), alexander_quandle(9, 2)):
+        assert q.orbits() == (0,) * q.order  # connected
+    for m in (1, 2, 5):
+        assert trivial_quandle(m).orbits() == tuple(range(m))
+    assert alexander_quandle(4, 3).orbits() == (0, 1, 0, 1)
+    # conjugation quandles: the orbits are the conjugacy classes
+    for table in GROUPS:
+        for q in (conjugation_quandle(table), core_quandle(table)):
+            assert q.orbits() == _closure_orbits(q)
+    assert len(set(conjugation_quandle(GROUPS[5]).orbits())) == 3  # S3
+
+
 def test_symplectic_indexing_follows_vector_order():
     # element i is the i-th vector of F_p^n in lexicographic order,
     # and the zero vector is a fixed point of every translation

@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbeads.errors import InputError
 from qbeads.field import PrimeField, VectorTables
 from qbeads.forms import form_violations, zero_form
-from qbeads.quandle import Quandle, trivial_quandle
+from qbeads.quandle import Quandle, alexander_quandle, trivial_quandle
 from qbeads.search import (
     DEFAULT_SPACE_BOUND,
     MODES,
@@ -13,7 +14,17 @@ from qbeads.search import (
     verify_search_output,
 )
 
+from search_oracle import reference_search
+
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
+
+QUANDLES = {
+    "swap3": Quandle.from_table(SWAP3, name="swap3"),
+    "trivial2": trivial_quandle(2),
+    "trivial3": trivial_quandle(3),
+    "alexander(3,2)": alexander_quandle(3, 2),
+    "alexander(4,3)": alexander_quandle(4, 3),
+}
 
 
 def test_one_element_quandle():
@@ -144,3 +155,47 @@ def test_negative_dimension_and_limit():
         run_search(q, 2, -1)
     with pytest.raises(InputError):
         run_search(q, 2, 1, limit=-1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("name", QUANDLES)
+def test_orbit_search_matches_pair_search(name, p, n, mode):
+    """One slot per orbit pair finds the forms the pair-slot search
+    finds, in the same order."""
+    q = QUANDLES[name]
+    res = run_search(q, p, n, mode=mode, allow_large=True)
+    assert res.complete
+    assert [f.blocks for f in res.forms] == reference_search(q, p, n, mode)
+
+
+def _relabelled(q, perm):
+    m = q.order
+    table = [[None] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(m):
+            table[perm[x]][perm[y]] = perm[q.op(x, y)]
+    return Quandle.from_table(table)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(QUANDLES)),
+    pn=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]),
+    mode=st.sampled_from(MODES),
+    data=st.data(),
+)
+def test_emitted_forms_are_orbit_constant(name, pn, mode, data):
+    p, n = pn
+    q = QUANDLES[name]
+    q = _relabelled(q, data.draw(st.permutations(range(q.order))))
+    res = run_search(q, p, n, mode=mode, allow_large=True)
+    assert res.complete and res.forms
+    orbit = q.orbits()
+    for f in res.forms:
+        assert all(
+            f.blocks[x][y] == f.blocks[orbit[x]][orbit[y]]
+            for x in range(q.order)
+            for y in range(q.order)
+        )
+    assert verify_search_output(res) == []
