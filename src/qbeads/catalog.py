@@ -26,16 +26,19 @@ from .invariant import InvariantPolynomial
 from .quandle import load_quandle as _load_quandle_file
 
 CATALOG_ENV = "QBEADS_CATALOG"
+_PACKAGE_CATALOG = Path(resources.files("qbeads")) / "catalog"
 
 
 def catalog_root():
+    """The catalog directory: $QBEADS_CATALOG, read on every call, or
+    the package's own."""
     override = os.environ.get(CATALOG_ENV)
     if override:
         root = Path(override)
         if not root.is_dir():
             raise InputError(f"{CATALOG_ENV}={override!r} is not a directory")
         return root
-    return Path(resources.files("qbeads")) / "catalog"
+    return _PACKAGE_CATALOG
 
 
 def _names(subdir, suffix):
@@ -118,15 +121,13 @@ class CatalogEntry:
 
 
 def link_diagram(name):
-    """Load and validate one catalog link's diagram."""
+    """Load one catalog link's diagram, validated by the parser."""
     path = catalog_root() / "links" / f"{name}.diagram"
     if not path.is_file():
         raise InputError(
             f"unknown catalog link {name!r}; available: {', '.join(list_links())}"
         )
-    diagram = load_diagram(path)
-    diagram.validate()
-    return diagram
+    return load_diagram(path)
 
 
 def load(name):

@@ -47,7 +47,7 @@ def _resolve_form(token, quandle=None):
 
 def _resolve_link(token):
     if os.path.isfile(token):
-        return load_diagram(token).validate()
+        return load_diagram(token)
     return catalog.link_diagram(token)
 
 
@@ -196,39 +196,36 @@ def cmd_batch(args):
     )
 
     start = time.monotonic()
+    polynomials = {}
     results = []
     for name in names:
         result = compute_invariant(
             catalog.link_diagram(name), quandle, form, engine=args.engine, jobs=args.jobs
         )
+        polynomials[name] = result.polynomial
         record = result.record()
         record["link"] = name
         results.append(record)
 
     groups = []
     group_index = {}
-    for record in results:
-        text = InvariantPolynomial.from_term_list(record["terms"]).render()
+    for name, poly in polynomials.items():
+        text = poly.render()
         if text not in group_index:
             group_index[text] = len(groups)
             groups.append([text, []])
-        groups[group_index[text]][1].append(record["link"])
+        groups[group_index[text]][1].append(name)
 
     diffs = None
     if expected is not None:
         diffs = []
-        for record in results:
-            want = expected.get(record["link"])
+        for name, got in polynomials.items():
+            want = expected.get(name)
             if want is None:
                 continue
-            got = InvariantPolynomial.from_term_list(record["terms"])
             if got != want:
                 diffs.append(
-                    {
-                        "link": record["link"],
-                        "computed": got.render(),
-                        "expected": want.render(),
-                    }
+                    {"link": name, "computed": got.render(), "expected": want.render()}
                 )
 
     record = {

@@ -16,12 +16,17 @@ inverse map evaluates the form at (color(under_out), color(over)):
 
     bead(under_in) = bead(under_out) -/+ [bead(under_out), bead(over)] * bead(over)
 
-Both counts run one plan compiled per diagram.  Which crossings can be
-derived or checked depends only on which arcs are known, never on their
-values, so _plan fixes the seed arcs and the straight-line derive and
-check steps each seed's value triggers.  _solve runs that plan over one
-(forward, inverse) table pair per crossing: quandle tables for
-X-colorings, step tables for beads (the "propagate" engine).
+Both counts run one plan per diagram, LinkDiagram.plan.  Which
+crossings can be derived or checked depends only on which arcs are
+known, never on their values, so the plan fixes the seed arcs and the
+straight-line derive and check steps each seed's value triggers.  Its
+seeds are a minimum Wirtinger set, the fewest arcs whose values fix all
+the others; their number is the diagram's Wirtinger number (Blair,
+Kjuchukova, Velazquez and Villanueva, "Wirtinger systems of generators
+of knot groups"; see diagram.seed_arcs).  A count enumerates the values
+of the seeds only.  _solve runs the plan over one (forward, inverse) table
+pair per crossing: quandle tables for X-colorings, the form's step
+tables for beads (the "propagate" engine).
 
 The "oracle" engine enumerates assignments in arc-index order and checks
 each crossing once its last arc has a value; it derives nothing and uses
@@ -30,7 +35,6 @@ no plan and no inverse table.  It is kept as the independent reference:
 """
 
 from .errors import InputError, QBeadsError
-from .field import VectorTables
 from .forms import BilinearForm
 
 ENGINES = ("oracle", "propagate", "both")
@@ -53,59 +57,16 @@ def _check_coloring(diagram, quandle, coloring):
             )
 
 
-def _plan(diagram):
-    """The propagation order of a diagram: [(seed arc, steps)].
-
-    Seeds go most-shared over arc first, skipping arcs already derived.
-    A step is (kind, crossing, target, source, over): "forward" sets
-    under_out from under_in, "backward" sets under_in from under_out,
-    and "check" compares under_out with the forward value.  Every
-    crossing gets exactly one step.
-    """
-    n_arcs = diagram.arc_count
-    crossings = diagram.crossings
-    over_degree = [0] * n_arcs
-    by_arc = [[] for _ in range(n_arcs)]
-    for i, c in enumerate(crossings):
-        over_degree[c.over] += 1
-        for a in {c.under_in, c.over, c.under_out}:
-            by_arc[a].append(i)
-    known = [False] * n_arcs
-    planned = [False] * len(crossings)
-    plan = []
-    for seed in sorted(range(n_arcs), key=lambda a: (-over_degree[a], a)):
-        if known[seed]:
-            continue
-        known[seed] = True
-        steps, stack = [], [seed]
-        while stack:
-            for i in by_arc[stack.pop()]:
-                c = crossings[i]
-                if planned[i] or not known[c.over]:
-                    continue
-                if known[c.under_in]:
-                    kind = "check" if known[c.under_out] else "forward"
-                    step = (kind, i, c.under_out, c.under_in, c.over)
-                elif known[c.under_out]:
-                    step = ("backward", i, c.under_in, c.under_out, c.over)
-                else:
-                    continue
-                planned[i] = True
-                steps.append(step)
-                if not known[step[2]]:
-                    known[step[2]] = True
-                    stack.append(step[2])
-        plan.append((seed, steps))
-    return plan
-
-
 def _solve(plan, size, tables, limit):
     """Run a plan over values 0..size-1; return (count, solutions).
 
     tables[i] is the (forward, inverse) pair of crossing i, indexed
     [source][over].  Solutions come in lexicographic order of the seed
-    values, the first `limit` of them (all when limit is None).  The arcs
-    a seed's steps write are fixed, so its next value just overwrites
+    values, taken in plan order (ascending seed arcs for
+    LinkDiagram.plan), the first `limit` of them (all when limit is
+    None).  So the seeds, not the arc order, fix the order of
+    bead_solutions; enumerate_xcolorings sorts its result.  The arcs a
+    seed's steps write are fixed, so its next value just overwrites
     them: nothing is undone.
     """
     stages = [
@@ -149,12 +110,12 @@ def _solve(plan, size, tables, limit):
 def enumerate_xcolorings(diagram, quandle):
     """All X-colorings, as tuples indexed by arc, in sorted order.
 
-    Runs the diagram's compiled plan over the quandle's operation table
+    Runs the diagram's plan over the quandle's operation table
     and its inverse, forward and backward as the crossing sign demands.
     """
     q, inv = quandle.table, quandle.inv_table
     tables = [(q, inv) if c.sign > 0 else (inv, q) for c in diagram.crossings]
-    return sorted(_solve(_plan(diagram), quandle.order, tables, None)[1])
+    return sorted(_solve(diagram.plan, quandle.order, tables, None)[1])
 
 
 def counting_invariant(diagram, quandle):
@@ -163,8 +124,8 @@ def counting_invariant(diagram, quandle):
 
 
 class BeadCounter:
-    """The compiled plan of one diagram and the step tables of one form,
-    reused across all X-colorings."""
+    """Bead counts over the X-colorings of one diagram, reading the
+    diagram's plan and the form's step tables, both built once."""
 
     def __init__(self, diagram, quandle, form):
         if not isinstance(form, BilinearForm):
@@ -174,22 +135,8 @@ class BeadCounter:
         self.diagram = diagram
         self.quandle = quandle
         self.form = form
-        self.vector_tables = VectorTables(form.field, form.n)
-        self.vectors = self.vector_tables.vectors
-        self.plan = _plan(diagram)
-        self.step_tables = {}  # (x, y, sign) -> table, at most 2m^2 of them
-
-    def _step_table(self, x, y, sign):
-        """out-index = f(in-index, over-index) at a crossing colored (x, y)."""
-        key = (x, y, sign)
-        if key not in self.step_tables:
-            t = self.vector_tables
-            vadd, smul, p = t.vadd, t.smul, t.p
-            self.step_tables[key] = [
-                [vadd[i][smul[(sign * b) % p][j]] for j, b in enumerate(row)]
-                for i, row in enumerate(t.bilinear_table(self.form.blocks[x][y]))
-            ]
-        return self.step_tables[key]
+        self.vectors = form.vector_tables.vectors
+        self.plan = diagram.plan
 
     def _check(self, coloring, engine):
         if engine not in ENGINES:
@@ -238,7 +185,7 @@ class BeadCounter:
         checks = [[] for _ in range(n_arcs)]
         for c in self.diagram.crossings:
             x, y = coloring[c.under_in], coloring[c.over]
-            table = self._step_table(x, y, c.sign)
+            table = self.form.step_table(x, y, c.sign)
             checks[max(c.under_in, c.over, c.under_out)].append(
                 (c.under_in, c.over, c.under_out, table)
             )
@@ -269,8 +216,8 @@ class BeadCounter:
         """Run the compiled plan over this coloring's step tables."""
         tables = [
             (
-                self._step_table(coloring[c.under_in], coloring[c.over], c.sign),
-                self._step_table(coloring[c.under_out], coloring[c.over], -c.sign),
+                self.form.step_table(coloring[c.under_in], coloring[c.over], c.sign),
+                self.form.step_table(coloring[c.under_out], coloring[c.over], -c.sign),
             )
             for c in self.diagram.crossings
         ]

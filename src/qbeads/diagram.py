@@ -26,6 +26,8 @@ they replace the inferred sign labels crossing by crossing.
 import re
 import shlex
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, combinations
 
 from .errors import InputError
 
@@ -78,6 +80,11 @@ class LinkDiagram:
 
     def __hash__(self):
         return hash(self.canonical_key())
+
+    @cached_property
+    def plan(self):
+        """The propagation plan, built on first use: see propagation_plan."""
+        return propagation_plan(self)
 
     def validate(self):
         problems = validate_diagram(self)
@@ -184,7 +191,145 @@ def crossing_relations(diagram):
     return [(c.under_in, c.over, c.under_out, c.sign) for c in diagram.crossings]
 
 
+# -- propagation plan -------------------------------------------------
+
+# seed_arcs searches every subset up to this many candidate arcs
+MAX_EXHAUSTIVE_ARCS = 20
+
+
+def _closure(relations, known):
+    """Bit mask of the arcs fixed by the arcs in the mask known.
+
+    relations holds one (over bit, under-end bits) pair per crossing:
+    once the over arc is known, either under end fixes the other, by a
+    forward or a backward step.
+    """
+    grew = True
+    while grew:
+        grew = False
+        for over, ends in relations:
+            if known & over and known & ends and ends & ~known:
+                known |= ends
+                grew = True
+    return known
+
+
+def seed_arcs(diagram):
+    """A minimum set of seed arcs, in ascending order.
+
+    The seeds' values fix every other arc by forward and backward steps
+    through crossings, and the fewest such arcs is the diagram's
+    Wirtinger number (Blair, Kjuchukova, Velazquez and Villanueva,
+    "Wirtinger systems of generators of knot groups").  An arc that is
+    no crossing's under end, a free loop, is always a seed.  A step
+    fixes an arc from its neighbour on the same component, so every
+    other component holds a seed too.
+
+    With at most MAX_EXHAUSTIVE_ARCS other arcs, subsets are searched by
+    size from that bound up, and the first that fixes every arc wins.
+    Above that, greedy seeds (most over-passes first) are improved by
+    dropping a seed or swapping two for one while the rest still fix
+    every arc, which need not reach the minimum.
+    """
+    n = diagram.arc_count
+    full = (1 << n) - 1
+    relations = [
+        (1 << c.over, 1 << c.under_in | 1 << c.under_out) for c in diagram.crossings
+    ]
+    ends = 0
+    for _, bits in relations:
+        ends |= bits
+    forced = [a for a in range(n) if not ends >> a & 1]
+    arcs = [a for a in range(n) if ends >> a & 1]
+    base = full & ~ends
+
+    def closes(seeds):
+        return _closure(relations, base | sum(1 << a for a in seeds)) == full
+
+    if len(arcs) <= MAX_EXHAUSTIVE_ARCS:
+        for k in range(len(diagram.components) - len(forced), len(arcs) + 1):
+            for seeds in combinations(arcs, k):
+                if closes(seeds):
+                    return sorted(forced + list(seeds))
+    over_degree = [0] * n
+    for c in diagram.crossings:
+        over_degree[c.over] += 1
+    seeds, known = [], base
+    for a in sorted(arcs, key=lambda a: (-over_degree[a], a)):
+        if not known >> a & 1:
+            seeds.append(a)
+            known = _closure(relations, known | 1 << a)
+    while True:
+        drops = ([s for s in seeds if s != d] for d in seeds)
+        swaps = (
+            [s for s in seeds if s not in pair] + [a]
+            for pair in combinations(seeds, 2)
+            for a in arcs
+            if a not in seeds
+        )
+        better = next((c for c in chain(drops, swaps) if closes(c)), None)
+        if better is None:
+            return sorted(forced + seeds)
+        seeds = better
+
+
+def propagation_plan(diagram):
+    """The order in which the seeds fix every arc: [(seed arc, steps)].
+
+    The seeds are seed_arcs(diagram), in order.  A seed's steps are the
+    crossings its value makes decidable once the seeds before it are
+    known.  A step is (kind, crossing, target, source, over): "forward"
+    sets under_out from under_in, "backward" sets under_in from
+    under_out, and "check" compares under_out with the forward value.
+    Every crossing gets exactly one step, and every arc is a seed or
+    the target of exactly one forward or backward step.  The plan
+    depends on the diagram alone, so LinkDiagram.plan builds it once.
+    """
+    n_arcs = diagram.arc_count
+    crossings = diagram.crossings
+    by_arc = [[] for _ in range(n_arcs)]
+    for i, c in enumerate(crossings):
+        for a in {c.under_in, c.over, c.under_out}:
+            by_arc[a].append(i)
+    known = [False] * n_arcs
+    planned = [False] * len(crossings)
+    plan = []
+    for seed in seed_arcs(diagram):
+        known[seed] = True
+        steps, stack = [], [seed]
+        while stack:
+            for i in by_arc[stack.pop()]:
+                c = crossings[i]
+                if planned[i] or not known[c.over]:
+                    continue
+                if known[c.under_in]:
+                    kind = "check" if known[c.under_out] else "forward"
+                    step = (kind, i, c.under_out, c.under_in, c.over)
+                elif known[c.under_out]:
+                    step = ("backward", i, c.under_in, c.under_out, c.over)
+                else:
+                    continue
+                planned[i] = True
+                steps.append(step)
+                if not known[step[2]]:
+                    known[step[2]] = True
+                    stack.append(step[2])
+        plan.append((seed, steps))
+    return plan
+
+
 # -- text file format -------------------------------------------------
+
+# tab and printable ASCII except quotes and backslash: on such a line
+# str.split() and shlex.split() give the same tokens
+_PLAIN_LINE = re.compile(r"[\t !#-&(-\[\]-~]*")
+
+
+def _tokens(line):
+    """shlex.split(line), without shlex where a plain split agrees."""
+    if _PLAIN_LINE.fullmatch(line):
+        return line.split()
+    return shlex.split(line)
 
 
 def parse_diagram(text, name=None):
@@ -220,7 +365,7 @@ def parse_diagram(text, name=None):
     pd_signs = None
     for lineno, line in lines:
         try:
-            parts = shlex.split(line)
+            parts = _tokens(line)
         except ValueError as e:
             raise InputError(f"line {lineno}: {e}")
         key = parts[0]

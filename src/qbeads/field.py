@@ -28,6 +28,7 @@ class PrimeField:
         if not is_prime(p):
             raise InputError(f"field order must be prime, got {p!r}")
         self.p = p
+        self._vector_tables = {}  # n -> VectorTables(self, n)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -76,6 +77,13 @@ class PrimeField:
         positions in this list as element ids.
         """
         return [tuple(v) for v in itertools.product(range(self.p), repeat=n)]
+
+    def vector_tables(self, n):
+        """The VectorTables of F_p^n, built on first use and kept, so
+        everything working over this field object shares one."""
+        if n not in self._vector_tables:
+            self._vector_tables[n] = VectorTables(self, n)
+        return self._vector_tables[n]
 
     # -- matrices -----------------------------------------------------
 

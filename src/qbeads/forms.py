@@ -39,8 +39,11 @@ colorings of K by F_p^n under that operation: the symplectic quandle
 of M_O when M_O is nondegenerate.
 """
 
+import os
+from functools import cached_property
+
 from .errors import AxiomError, InputError
-from .field import PrimeField, VectorTables
+from .field import PrimeField
 
 
 class BilinearForm:
@@ -49,6 +52,10 @@ class BilinearForm:
     Instances should be produced by validate_form, the named helpers
     (zero_form, constant_form), or parse_form, all of which run the
     axiom checks.
+
+    A form keeps the tables every bead count over it reads: its field's
+    VectorTables, which validate_form also checks the axioms with, and
+    the step tables, built on first use.
     """
 
     def __init__(self, quandle, field, n, blocks, name=""):
@@ -62,6 +69,18 @@ class BilinearForm:
             tuple(field.check_matrix(B, n) for B in row) for row in blocks
         )
         self.name = name
+        self._step_tables = {}  # (block id, sign) -> step table
+
+    @property
+    def vector_tables(self):
+        """The VectorTables of F_p^n that the step tables index."""
+        return self.field.vector_tables(self.n)
+
+    @cached_property
+    def block_ids(self):
+        """block_ids[x][y] numbers the distinct matrices in row-major order."""
+        ids = {}
+        return tuple(tuple(ids.setdefault(B, len(ids)) for B in row) for row in self.blocks)
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -90,8 +109,25 @@ class BilinearForm:
         Rows are shared (see VectorTables.bilinear_table), so the table
         is read-only.
         """
-        vector_tables = VectorTables(self.field, self.n)
-        return [[vector_tables.bilinear_table(B) for B in row] for row in self.blocks]
+        return [[self.vector_tables.bilinear_table(B) for B in row] for row in self.blocks]
+
+    def step_table(self, x, y, sign):
+        """t[in][over]: the out bead's index at a crossing of this sign
+        whose under-in and over arcs are colored x and y.
+
+        Built on first use and kept, one per distinct block and sign, so
+        at most 2m^2 per form.  Read-only, like eval_table.
+        """
+        key = (self.block_ids[x][y], sign)
+        table = self._step_tables.get(key)
+        if table is None:
+            t = self.vector_tables
+            vadd, smul, p = t.vadd, t.smul, t.p
+            table = self._step_tables[key] = [
+                [vadd[i][smul[(sign * b) % p][j]] for j, b in enumerate(row)]
+                for i, row in enumerate(t.bilinear_table(self.blocks[x][y]))
+            ]
+        return table
 
 
 def axiom_failures(kind, x, y, z, op, table, vector_tables):
@@ -149,7 +185,7 @@ def form_violations(quandle, blocks, field, n, cap=20):
     if len(blocks) != m or any(len(row) != m for row in blocks):
         raise InputError(f"expected {m}x{m} blocks, one per pair of quandle elements")
     blocks = tuple(tuple(field.check_matrix(B, n) for B in row) for row in blocks)
-    vector_tables = VectorTables(field, n)
+    vector_tables = field.vector_tables(n)
     vectors = vector_tables.vectors
     ev = field.bilinear_eval
 
@@ -307,8 +343,6 @@ def format_form(form):
 def load_form(path, quandle, name=None):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    import os
-
     inferred = name if name is not None else os.path.splitext(os.path.basename(path))[0]
     return parse_form(text, quandle, name=inferred)
 

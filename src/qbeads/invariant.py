@@ -136,15 +136,15 @@ def _distinct_colorings(diagram, form, colorings, engine):
     """
     if engine != "propagate":
         return colorings, range(len(colorings))
-    ids = {}
-    block_id = [[ids.setdefault(B, len(ids)) for B in row] for row in form.blocks]
+    block_id = form.block_ids
+    width = 1 + max(map(max, block_id))
     arcs = [(c.under_in, c.over, c.under_out) for c in diagram.crossings]
     position = {}
     representatives, index = [], []
     for f in colorings:
         # one int per crossing for its pair of block ids
         key = tuple(
-            [block_id[f[i]][f[o]] * len(ids) + block_id[f[u]][f[o]] for i, o, u in arcs]
+            [block_id[f[i]][f[o]] * width + block_id[f[u]][f[o]] for i, o, u in arcs]
         )
         if key not in position:
             position[key] = len(representatives)

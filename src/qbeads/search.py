@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InputError
-from .field import PrimeField, VectorTables
+from .field import PrimeField
 from .forms import BilinearForm, axiom_failures, form_violations
 
 MODES = ("all", "alternating-only", "constant-diagonal")
@@ -117,7 +117,7 @@ class _Searcher:
         self.n = n
         self.mode = mode
 
-        self.vector_tables = VectorTables(field, n)
+        self.vector_tables = field.vector_tables(n)
         self.all_mats = list(field.all_matrices(n))
         if mode == "alternating-only":
             # every slot takes alternating matrices only; build no other table

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from qbeads import catalog
+from qbeads import catalog, cli
+from qbeads.field import VectorTables
 from qbeads.cli import (
     main,
     render_batch,
@@ -153,6 +154,42 @@ def test_batch_full_catalog_matches_expected(capsys):
     assert code == 0
     assert "diff: none" in out
     assert out.splitlines()[0] == "u^16 + 4u^10: L2a1, L6a2, L7a6"
+
+
+def test_batch_builds_tables_once_per_form(monkeypatch, capsys):
+    """A batch counts every link on its one form's tables: one
+    VectorTables, and at most 2m^2 step tables built once each."""
+    vector_tables, bilinear, forms = [], [], []
+    init, table = VectorTables.__init__, VectorTables.bilinear_table
+    compute = cli.compute_invariant
+
+    def counted_init(self, field, n):
+        vector_tables.append(self)
+        init(self, field, n)
+
+    def counted_table(self, B):
+        bilinear.append(B)
+        return table(self, B)
+
+    def recorded(diagram, quandle, form, **kwargs):
+        forms.append(form)
+        return compute(diagram, quandle, form, **kwargs)
+
+    monkeypatch.setattr(VectorTables, "__init__", counted_init)
+    monkeypatch.setattr(VectorTables, "bilinear_table", counted_table)
+    monkeypatch.setattr(cli, "compute_invariant", recorded)
+    for name in ("swap3-partial", "swap3-full"):
+        del vector_tables[:], bilinear[:], forms[:]
+        code, _, _ = run(capsys, "batch", "--quandle", "swap3", "--form", name)
+        assert code == 0
+        form = forms[0]
+        assert len(forms) == len(catalog.list_links())
+        assert all(f is form for f in forms)
+        assert vector_tables == [form.vector_tables]
+        m = form.quandle.order
+        # m^2 bilinear tables validate the form, one more per step table
+        assert 0 < len(form._step_tables) <= 2 * m * m
+        assert len(bilinear) == m * m + len(form._step_tables)
 
 
 def test_batch_subset_and_json(capsys):

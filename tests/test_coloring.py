@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import qbeads.diagram
 from qbeads import catalog
 from qbeads.coloring import (
     BeadCounter,
@@ -11,9 +12,10 @@ from qbeads.coloring import (
     counting_invariant,
     enumerate_xcolorings,
 )
-from qbeads.diagram import Crossing, LinkDiagram, load_diagram
+from qbeads.diagram import Crossing, LinkDiagram, load_diagram, seed_arcs
 from qbeads.errors import InputError
 from qbeads.forms import constant_form, validate_form, zero_form
+from qbeads.invariant import compute_invariant
 from qbeads.quandle import Quandle, alexander_quandle
 
 DATA = Path(__file__).parent / "data"
@@ -73,15 +75,18 @@ def test_xcolorings_match_brute_force(swap3):
     quandles = [swap3, alexander_quandle(3, 2), alexander_quandle(5, 2)]
     for d in small_diagrams() + [HOPF, VHOPF]:
         for q in quandles:
-            brute = [
-                f
-                for f in itertools.product(range(q.order), repeat=d.arc_count)
-                if all(
-                    f[c.under_out] == q.op_signed(f[c.under_in], f[c.over], c.sign)
-                    for c in d.crossings
-                )
-            ]
-            assert enumerate_xcolorings(d, q) == brute, (d.name, q.name)
+            assert enumerate_xcolorings(d, q) == brute_force_colorings(d, q), (d.name, q.name)
+
+
+def brute_force_colorings(d, q):
+    return [
+        f
+        for f in itertools.product(range(q.order), repeat=d.arc_count)
+        if all(
+            f[c.under_out] == q.op_signed(f[c.under_in], f[c.over], c.sign)
+            for c in d.crossings
+        )
+    ]
 
 
 def test_engines_agree_at_p3(swap3):
@@ -196,3 +201,117 @@ def test_engine_names(swap3):
         bead_solutions(HOPF, swap3, form, (0, 0), engine="guess")
     with pytest.raises(InputError):
         BeadCounter(HOPF, swap3, form).solutions((0, 0), engine="guess")
+
+
+# -- the propagation plan ---------------------------------------------
+
+
+def plan_diagrams():
+    """All 18 catalog links, the tests/data diagrams, HOPF and VHOPF."""
+    links = [catalog.link_diagram(name) for name in catalog.list_links()]
+    data = [load_diagram(path) for path in sorted(DATA.glob("*.diagram"))]
+    return links + data + [HOPF, VHOPF]
+
+
+def torus_2(n):
+    """The closed 2-braid sigma_1^n: n arcs, arc i passes under arc i+1."""
+    crossings = [Crossing(1, i, (i + 1) % n, (i + 2) % n) for i in range(n)]
+    if n % 2:
+        components = [[(2 * i) % n for i in range(n)]]
+    else:
+        components = [list(range(0, n, 2)), list(range(1, n, 2))]
+    return LinkDiagram(f"T(2,{n})", n, crossings, components).validate()
+
+
+def check_plan(d):
+    """Walk the plan: every step reads only known arcs, derives an
+    unknown one or checks a known one, and in the end every crossing
+    has exactly one step and every arc is a seed or one step's target."""
+    known = set()
+    stepped = []
+    for seed, steps in d.plan:
+        assert seed not in known, d.name
+        known.add(seed)
+        for kind, i, target, source, over in steps:
+            c = d.crossings[i]
+            ends = (c.under_out, c.under_in) if kind == "backward" else (c.under_in, c.under_out)
+            assert (source, target, over) == (*ends, c.over), (d.name, i)
+            assert {source, over} <= known, (d.name, i)
+            assert (target in known) == (kind == "check"), (d.name, i)
+            known.add(target)
+            stepped.append(i)
+    assert sorted(stepped) == list(range(len(d.crossings))), d.name
+    assert known == set(range(d.arc_count)), d.name
+
+
+def fixes_every_arc(d, seeds):
+    known = set(seeds)
+    grew = True
+    while grew:
+        grew = False
+        for c in d.crossings:
+            for a, b in ((c.under_in, c.under_out), (c.under_out, c.under_in)):
+                if c.over in known and a in known and b not in known:
+                    known.add(b)
+                    grew = True
+    return len(known) == d.arc_count
+
+
+def brute_force_wirtinger_number(d):
+    return next(
+        k
+        for k in range(d.arc_count + 1)
+        if any(fixes_every_arc(d, s) for s in itertools.combinations(range(d.arc_count), k))
+    )
+
+
+def test_plan_steps_every_crossing_once_and_fixes_every_arc():
+    for d in plan_diagrams() + [torus_2(24), torus_2(25)]:
+        check_plan(d)
+
+
+def test_seeds_are_a_minimum_wirtinger_set():
+    for d in plan_diagrams():
+        seeds = seed_arcs(d)
+        assert seeds == sorted(seed for seed, _ in d.plan)
+        assert len(seeds) == brute_force_wirtinger_number(d), d.name
+
+
+def test_seeds_above_the_exhaustive_bound(monkeypatch, swap3):
+    # 24 and 25 arcs take the greedy path with local improvement; one
+    # seed fixes nothing here, and two neighbouring arcs fix every arc
+    for n, colorings in ((24, 9), (25, 3)):
+        d = torus_2(n)
+        assert len(seed_arcs(d)) == 2
+        assert counting_invariant(d, alexander_quandle(3, 2)) == colorings
+    # greedy alone needs 5 seeds on L6a4 and 4 on L6a2; dropping and
+    # swapping seeds reaches the minimum on every catalog link
+    monkeypatch.setattr(qbeads.diagram, "MAX_EXHAUSTIVE_ARCS", 0)
+    for name in catalog.list_links():
+        d = catalog.link_diagram(name)
+        check_plan(d)
+        assert len(seed_arcs(d)) == brute_force_wirtinger_number(d), name
+        assert enumerate_xcolorings(d, swap3) == brute_force_colorings(d, swap3), name
+
+
+def test_plan_is_built_once_per_diagram(monkeypatch, swap3):
+    built = []
+    original = qbeads.diagram.propagation_plan
+
+    def counted(d):
+        built.append(d.name)
+        return original(d)
+
+    monkeypatch.setattr(qbeads.diagram, "propagation_plan", counted)
+    d = catalog.link_diagram("L6a4")
+    for form in (
+        validate_form(swap3, PARTIAL, 2, 2),
+        validate_form(swap3, FULL, 2, 2),
+        constant_form(swap3, 3, 2, [[0, 1], [2, 0]]),
+    ):
+        for engine in ("propagate", "both"):
+            compute_invariant(d, swap3, form, engine=engine)
+        counter = BeadCounter(d, swap3, form)
+        for f in enumerate_xcolorings(d, swap3):
+            counter.count(f)
+    assert built == ["L6a4"]

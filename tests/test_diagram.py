@@ -1,10 +1,15 @@
+import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from qbeads import catalog
 from qbeads.diagram import (
+    _PLAIN_LINE,
     Crossing,
     LinkDiagram,
+    _tokens,
     crossing_relations,
     format_diagram,
     import_pd,
@@ -28,12 +33,53 @@ def test_fixture_files_validate():
 
 
 def test_parse_format_round_trip():
-    for name in ["trefoil", "hopf-r2", "unknot"]:
-        text = (DATA / f"{name}.diagram").read_text()
+    texts = [(DATA / f"{name}.diagram").read_text() for name in ["trefoil", "hopf-r2", "unknot"]]
+    texts += [
+        (catalog.catalog_root() / "links" / f"{name}.diagram").read_text()
+        for name in catalog.list_links()
+    ]
+    for text in texts:
         d = parse_diagram(text)
         again = parse_diagram(format_diagram(d))
         assert again == d
+        assert again.name == d.name
         assert again.meta == d.meta
+
+
+_SEPARATOR = st.text(" \t", min_size=1, max_size=3)
+_TOKEN = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["+", "-", "L7n2", "trefoil-r2", "a_b", "x#1", "[2]"]),
+)
+
+
+@given(
+    key=st.sampled_from(["link", "arcs", "x", "component"]),
+    tokens=st.lists(_TOKEN, max_size=5),
+    data=st.data(),
+)
+def test_plain_lines_split_like_shlex(key, tokens, data):
+    line = data.draw(st.text(" \t", max_size=2)) + key
+    for token in tokens:
+        line += data.draw(_SEPARATOR) + token
+    line += data.draw(st.text(" \t", max_size=2))
+    assert _PLAIN_LINE.fullmatch(line)
+    assert _tokens(line) == shlex.split(line)
+
+
+def test_quoted_and_unusual_lines_go_through_shlex():
+    for line in ['link "two words"', "link 'a b'", r"link a\ b", "link \x1f", "link \u00e9"]:
+        assert not _PLAIN_LINE.fullmatch(line)
+        assert _tokens(line) == shlex.split(line)
+    d = parse_diagram(
+        'link "two words"\narcs 2\nx + 1 2 1\nx + 2 1 2\ncomponent 1\ncomponent 2\n'
+    )
+    assert d.name == "two words"
+    pd = parse_diagram('link pdhopf\npd "X[1,4,2,3] X[2,3,1,4]" signs +-\n')
+    assert pd.name == "pdhopf"
+    assert [c.sign for c in pd.crossings] == [1, -1]
+    with pytest.raises(InputError, match="line 1: No closing quotation"):
+        parse_diagram('link "open\n')
 
 
 def test_validate_catches_structural_problems():

@@ -121,6 +121,24 @@ def test_bad_mode():
         run_search(trivial_quandle(1), 2, 1, mode="everything")
 
 
+def test_search_builds_one_vector_tables(monkeypatch):
+    """The forms a search emits build no tables of their own: they share
+    the searcher's VectorTables through its field."""
+    built = []
+    init = VectorTables.__init__
+
+    def counted(self, field, n):
+        built.append((field.p, n))
+        init(self, field, n)
+
+    monkeypatch.setattr(VectorTables, "__init__", counted)
+    res = run_search(Quandle.from_table(SWAP3), 2, 2, allow_large=True)
+    assert len(res.forms) == 7
+    assert built == [(2, 2)]
+    assert all(f.vector_tables is res.forms[0].vector_tables for f in res.forms)
+    assert built == [(2, 2)]
+
+
 def test_refused_search_builds_no_tables(monkeypatch):
     built = []
     original = VectorTables.bilinear_table
