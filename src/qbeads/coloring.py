@@ -23,10 +23,11 @@ straight-line derive and check steps each seed's value triggers.  Its
 seeds are a minimum Wirtinger set, the fewest arcs whose values fix all
 the others; their number is the diagram's Wirtinger number (Blair,
 Kjuchukova, Velazquez and Villanueva, "Wirtinger systems of generators
-of knot groups"; see diagram.seed_arcs).  A count enumerates the values
-of the seeds only.  _solve runs the plan over one (forward, inverse) table
-pair per crossing: quandle tables for X-colorings, the form's step
-tables for beads (the "propagate" engine).
+of knot groups"; see diagram.seed_arcs, which finds it up to 20
+candidate arcs).  A count enumerates the values of the seeds only.
+_solve runs the plan over one (forward, inverse) table pair per
+crossing: quandle tables for X-colorings, the form's step tables for
+beads (the "propagate" engine).
 
 The "oracle" engine enumerates assignments in arc-index order and checks
 each crossing once its last arc has a value; it derives nothing and uses

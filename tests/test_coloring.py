@@ -12,7 +12,7 @@ from qbeads.coloring import (
     counting_invariant,
     enumerate_xcolorings,
 )
-from qbeads.diagram import Crossing, LinkDiagram, load_diagram, seed_arcs
+from qbeads.diagram import Crossing, LinkDiagram, import_pd, load_diagram, seed_arcs
 from qbeads.errors import InputError
 from qbeads.forms import constant_form, validate_form, zero_form
 from qbeads.invariant import compute_invariant
@@ -292,6 +292,23 @@ def test_seeds_above_the_exhaustive_bound(monkeypatch, swap3):
         check_plan(d)
         assert len(seed_arcs(d)) == brute_force_wirtinger_number(d), name
         assert enumerate_xcolorings(d, swap3) == brute_force_colorings(d, swap3), name
+
+
+def test_exhaustive_search_finds_fewer_seeds_than_greedy(monkeypatch):
+    # a 13-crossing knot, the closure of the 4-strand braid
+    # 1 -3 -2 -3 -2 -2 1 -1 -1 2 1 -1 -1 (braid_closure in
+    # tools/gen_catalog.py): greedy seeds with drop and swap moves
+    # stop at 3, the subset search finds 2
+    d = import_pd(
+        "X[26,14,1,13] X[23,8,24,9] X[22,25,23,26] X[7,24,8,25] X[6,21,7,22] "
+        "X[20,5,21,6] X[12,20,13,19] X[11,18,12,19] X[17,10,18,11] X[9,5,10,4] "
+        "X[16,4,17,3] X[15,2,16,3] X[1,14,2,15]",
+        "+-----+--++--",
+    )
+    check_plan(d)
+    assert len(seed_arcs(d)) == brute_force_wirtinger_number(d) == 2
+    monkeypatch.setattr(qbeads.diagram, "MAX_EXHAUSTIVE_ARCS", 0)
+    assert len(seed_arcs(d)) == 3
 
 
 def test_plan_is_built_once_per_diagram(monkeypatch, swap3):

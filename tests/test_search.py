@@ -136,7 +136,6 @@ def test_search_builds_one_vector_tables(monkeypatch):
     assert len(res.forms) == 7
     assert built == [(2, 2)]
     assert all(f.vector_tables is res.forms[0].vector_tables for f in res.forms)
-    assert built == [(2, 2)]
 
 
 def test_refused_search_builds_no_tables(monkeypatch):
