@@ -8,6 +8,7 @@ Text output for every subcommand is a pure function of its JSON output
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -263,7 +264,10 @@ def cmd_catalog_list(args):
 # -- argument parsing -------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing does not
+    change it, and each call of main gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qbeads",
         description="Quandle counting invariants and bead-coloring enhancements.",

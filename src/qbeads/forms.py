@@ -18,9 +18,14 @@ are bilinear in (a, b); for fixed b, both sides of (iii) are bilinear
 in (a, c).  A bilinear identity holds for all vectors exactly when it
 holds on pairs of unit vectors, so axiom_failures checks (ii) with a
 and b running over unit vectors and c over all vectors, and (iii) with
-a and c over unit vectors and b over all vectors: m^3 * p^n * n^2
-cases per axiom instead of m^3 * p^3n.  Every failure it reports is
-also a failure of the full sweep over all vector triples.
+a and c over unit vectors and b over all vectors: p^n * n^2 cases per
+axiom instance instead of p^3n.  Every failure it reports is also a
+failure of the full sweep over all vector triples.  An instance reads
+only four blocks, so form_violations runs this unit-vector check once
+per distinct tuple of those four blocks and per axiom, not at all m^3
+element triples: by the orbit lemma below, at most r^3 tuples per
+axiom on a valid family with r orbits, and one on a connected quandle
+or for a constant family.
 
 Orbit lemma: a valid family is constant on the blocks (orbit of x,
 orbit of y), where the orbits are those of Inn(X), the quandle's
@@ -59,15 +64,12 @@ class BilinearForm:
     """
 
     def __init__(self, quandle, field, n, blocks, name=""):
+        # blocks is taken as checked: an m-by-m tuple grid of n-by-n
+        # tuple matrices over F_p, as form_violations checks them
         self.quandle = quandle
         self.field = field
         self.n = n
-        m = quandle.order
-        if len(blocks) != m or any(len(row) != m for row in blocks):
-            raise InputError(f"expected {m}x{m} blocks, one per pair of quandle elements")
-        self.blocks = tuple(
-            tuple(field.check_matrix(B, n) for B in row) for row in blocks
-        )
+        self.blocks = blocks
         self.name = name
         self._step_tables = {}  # (block id, sign) -> step table
 
@@ -176,10 +178,15 @@ def form_violations(quandle, blocks, field, n, cap=20):
     Axiom (i) is checked on every vector, (ii) and (iii) on the unit
     vectors that decide them (see the module docstring), so every
     string is one a sweep over all vector triples would also report.
-    Stops collecting detail after cap entries (default 20) and appends
-    a single summary line with the total count of failures found
-    instead.  Element ids are 0-based, vectors are written out
-    explicitly.
+    An instance (kind, x, y, z) reads four blocks, B[x][y], B[x][z],
+    B[y][z] and B[x>z][y>z] for (ii) or B[x>y][z] for (iii), so it is
+    decided once per distinct tuple of those blocks and its failures
+    are replayed at every instance with the same tuple: at most r^3
+    decisions per axiom on a valid family with r orbits, one on a
+    connected quandle.  Stops collecting detail after cap entries
+    (default 20) and appends a single summary line with the total
+    count of failures found instead.  Element ids are 0-based,
+    vectors are written out explicitly.
     """
     m = quandle.order
     if len(blocks) != m or any(len(row) != m for row in blocks):
@@ -192,31 +199,42 @@ def form_violations(quandle, blocks, field, n, cap=20):
     violations = []
     total = 0
 
-    def record(msg):
-        nonlocal total
-        total += 1
-        if len(violations) < cap:
-            violations.append(msg)
-
     for x in range(m):
         B = blocks[x][x]
         if not field.is_alternating(B):
             for a in vectors:
                 if ev(B, a, a) != 0:
-                    record(
-                        f"axiom (i) fails at x={x}, a={a}: [a,a] = {ev(B, a, a)}"
-                    )
+                    total += 1
+                    if len(violations) < cap:
+                        violations.append(
+                            f"axiom (i) fails at x={x}, a={a}: [a,a] = {ev(B, a, a)}"
+                        )
 
-    block_tables = [[vector_tables.bilinear_table(B) for B in row] for row in blocks]
-    table = lambda u, v: block_tables[u][v]
+    ids = {}
+    block_ids = [[ids.setdefault(B, len(ids)) for B in row] for row in blocks]
+    tables = [vector_tables.bilinear_table(B) for B in ids]
+    table = lambda u, v: tables[block_ids[u][v]]
+    op = quandle.op
+    decided = {}  # (kind, four block ids) -> (first cap failures, their total)
     for kind in ("ii", "iii"):
         for x in range(m):
             for y in range(m):
                 for z in range(m):
-                    for a, b, c, left, right in axiom_failures(
-                        kind, x, y, z, quandle.op, table, vector_tables
-                    ):
-                        record(
+                    out = block_ids[op(x, z)][op(y, z)] if kind == "ii" else block_ids[op(x, y)][z]
+                    key = (kind, block_ids[x][y], block_ids[x][z], block_ids[y][z], out)
+                    if key not in decided:
+                        kept, count = [], 0
+                        for failure in axiom_failures(kind, x, y, z, op, table, vector_tables):
+                            count += 1
+                            if count <= cap:
+                                kept.append(failure)
+                        decided[key] = kept, count
+                    kept, count = decided[key]
+                    total += count
+                    for a, b, c, left, right in kept:
+                        if len(violations) >= cap:
+                            break
+                        violations.append(
                             f"axiom ({kind}) fails at (x,y,z)=({x},{y},{z}), "
                             f"a={vectors[a]}, b={vectors[b]}, c={vectors[c]}: "
                             f"{left} != {right}"
@@ -237,6 +255,8 @@ def validate_form(quandle, blocks, p, n, name="", cap=20):
     violations = form_violations(quandle, blocks, field, n, cap=cap)
     if violations:
         raise AxiomError(f"form axioms fail ({len(violations)} reported)", violations)
+    # form_violations has checked every block; only the containers change
+    blocks = tuple(tuple(tuple(map(tuple, B)) for B in row) for row in blocks)
     return BilinearForm(quandle, field, n, blocks, name=name)
 
 

@@ -150,9 +150,9 @@ class _Searcher:
         assigned = [None] * n_slots
 
         def emit():
-            grid = [
-                [self.all_mats[assigned[k]] for k in row] for row in self.pair_slot
-            ]
+            grid = tuple(
+                tuple(self.all_mats[assigned[k]] for k in row) for row in self.pair_slot
+            )
             return BilinearForm(self.quandle, self.field, self.n, grid)
 
         def walk(k):

@@ -1,15 +1,19 @@
-"""Brute-force reference for the form axioms, used only by the tests.
+"""Reference checkers for the form axioms, used only by the tests.
 
 qbeads.forms.form_violations decides axioms (ii) and (iii) on unit
-vectors alone, relying on bilinearity.  This module keeps the direct
-sweep over every element triple and every vector triple (a, b, c),
-m^3 * p^3n cases per axiom, so tests can compare the fast checker's
-verdict and witnesses against it.
+vectors alone, relying on bilinearity, and decides each instance once
+per distinct tuple of the four blocks it reads.  This module keeps the
+two checks that stand behind it: the direct sweep over every element
+triple and every vector triple (a, b, c), m^3 * p^3n cases per axiom,
+and the unit-vector check run at every element triple, with no
+memo.  Tests compare the fast checker's verdict and witnesses against
+both.
 """
 
 import functools
 
 from qbeads.errors import InputError
+from qbeads.forms import axiom_failures
 
 
 def brute_force_violations(quandle, blocks, field, n):
@@ -73,4 +77,51 @@ def brute_force_violations(quandle, blocks, field, n):
                                     f"axiom (iii) fails at (x,y,z)=({x},{y},{z}), "
                                     f"a={a}, b={b}, c={c}: {left} != {right}"
                                 )
+    return violations
+
+
+def per_instance_violations(quandle, blocks, field, n, cap=20):
+    """form_violations without its memo: axiom_failures at every
+    (kind, x, y, z), in the same order, with the same cap and summary."""
+    m = quandle.order
+    if len(blocks) != m or any(len(row) != m for row in blocks):
+        raise InputError(f"expected {m}x{m} blocks, one per pair of quandle elements")
+    blocks = tuple(tuple(field.check_matrix(B, n) for B in row) for row in blocks)
+    vector_tables = field.vector_tables(n)
+    vectors = vector_tables.vectors
+    ev = field.bilinear_eval
+
+    violations = []
+    total = 0
+
+    def record(msg):
+        nonlocal total
+        total += 1
+        if len(violations) < cap:
+            violations.append(msg)
+
+    for x in range(m):
+        B = blocks[x][x]
+        if not field.is_alternating(B):
+            for a in vectors:
+                if ev(B, a, a) != 0:
+                    record(f"axiom (i) fails at x={x}, a={a}: [a,a] = {ev(B, a, a)}")
+
+    block_tables = [[vector_tables.bilinear_table(B) for B in row] for row in blocks]
+    table = lambda u, v: block_tables[u][v]
+    for kind in ("ii", "iii"):
+        for x in range(m):
+            for y in range(m):
+                for z in range(m):
+                    for a, b, c, left, right in axiom_failures(
+                        kind, x, y, z, quandle.op, table, vector_tables
+                    ):
+                        record(
+                            f"axiom ({kind}) fails at (x,y,z)=({x},{y},{z}), "
+                            f"a={vectors[a]}, b={vectors[b]}, c={vectors[c]}: "
+                            f"{left} != {right}"
+                        )
+
+    if total > len(violations):
+        violations.append(f"... and {total - len(violations)} more violations")
     return violations

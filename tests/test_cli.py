@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,9 +190,43 @@ def test_batch_builds_tables_once_per_form(monkeypatch, capsys):
         assert all(f is form for f in forms)
         assert vector_tables == [form.vector_tables]
         m = form.quandle.order
-        # m^2 bilinear tables validate the form, one more per step table
+        # validation builds one bilinear table per distinct block, and
+        # every step table one more
+        distinct = {B for row in form.blocks for B in row}
         assert 0 < len(form._step_tables) <= 2 * m * m
-        assert len(bilinear) == m * m + len(form._step_tables)
+        assert len(bilinear) == len(distinct) + len(form._step_tables)
+
+
+def without_elapsed(record):
+    if isinstance(record, dict):
+        return {k: without_elapsed(v) for k, v in record.items() if k != "elapsed"}
+    if isinstance(record, list):
+        return [without_elapsed(v) for v in record]
+    return record
+
+
+def test_calls_in_one_process_print_what_fresh_calls_print(capsys):
+    """main reuses one parser per process; nothing from one call, such
+    as --links or --format, carries into the next."""
+    calls = [
+        ["batch", "--quandle", "swap3", "--form", "swap3-partial", "--links", "L2a1",
+         "--format", "json"],
+        ["batch", "--quandle", "swap3", "--form", "swap3-partial"],
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv, (code, out, _) in zip(calls, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qbeads.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert code == fresh.returncode == 0
+        if "json" in argv:
+            assert without_elapsed(json.loads(out)) == without_elapsed(json.loads(fresh.stdout))
+        else:
+            assert out == fresh.stdout
+    assert json.loads(in_process[0][1])["links"] == ["L2a1"]
+    assert len(in_process[1][1].splitlines()) > 2
 
 
 def test_batch_subset_and_json(capsys):
