@@ -107,6 +107,23 @@ class PrimeField:
         for flat in itertools.product(range(self.p), repeat=n * n):
             yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
+    def alternating_matrices(self, n):
+        """Iterate over the p^(n(n-1)/2) alternating matrices in
+        all_matrices order.
+
+        The upper triangle is filled lexicographically in row-major
+        order; the diagonal is zero and the lower triangle its negative.
+        Each lower entry follows an upper entry it is fixed by, so this
+        is the order of all_matrices filtered by is_alternating.
+        """
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for values in itertools.product(range(self.p), repeat=len(upper)):
+            M = [[0] * n for _ in range(n)]
+            for (i, j), a in zip(upper, values):
+                M[i][j] = a
+                M[j][i] = -a % self.p
+            yield tuple(map(tuple, M))
+
     def bilinear_eval(self, B, u, v):
         """u^T B v mod p for row vectors u, v."""
         total = 0

@@ -44,6 +44,7 @@ colorings of K by F_p^n under that operation: the symplectic quandle
 of M_O when M_O is nondegenerate.
 """
 
+import itertools
 import os
 from functools import cached_property
 
@@ -132,21 +133,45 @@ class BilinearForm:
         return table
 
 
-def axiom_failures(kind, x, y, z, op, table, vector_tables):
-    """Yield each failure of axiom instance (kind, x, y, z) on unit vectors.
+AXIOM_KINDS = ("ii", "iii")
 
-    kind is "ii" or "iii"; op is the quandle operation, table(u, v) the
-    bilinear table of block (u, v), and vector_tables the VectorTables
-    those tables index.  A failure is (a, b, c, left, right) with a, b, c
-    vector indices; the instance holds for all vectors exactly when
-    nothing is yielded (see the module docstring).  Callers that only
-    need the verdict stop at the first failure.
+
+def axiom_reads(quandle, elements, grid):
+    """What each axiom (ii) and (iii) instance with x, y, z in elements
+    reads, listed in itertools.product(AXIOM_KINDS, elements, elements,
+    elements) order.
+
+    An instance's entry is its kind, then grid's entries at the four
+    element pairs whose blocks it reads, in the order axiom_failures
+    takes their tables: (x, y), (x, z), (y, z) and the out pair,
+    (x>z, y>z) for (ii) or (x>y, z) for (iii).  With grid the block
+    ids, the entry is the whole of what decides the instance.
     """
-    Txy, Txz, Tyz = table(x, y), table(x, z), table(y, z)
+    op = quandle.table
+    triples = [(x, y, z) for x in elements for y in elements for z in elements]
+    return [
+        ("ii", grid[x][y], grid[x][z], grid[y][z], grid[op[x][z]][op[y][z]])
+        for x, y, z in triples
+    ] + [
+        ("iii", grid[x][y], grid[x][z], grid[y][z], grid[op[x][y]][z])
+        for x, y, z in triples
+    ]
+
+
+def axiom_failures(kind, Txy, Txz, Tyz, Tout, vector_tables):
+    """Yield each failure of an axiom instance on unit vectors.
+
+    kind is "ii" or "iii", and Txy, Txz, Tyz, Tout are the bilinear
+    tables of the four blocks the instance reads (see axiom_reads),
+    indexing the vectors of vector_tables.  A failure is (a, b, c,
+    left, right) with a, b, c vector indices; the instance holds for
+    all vectors exactly when nothing is yielded (see the module
+    docstring).  Callers that only need the verdict stop at the first
+    failure.
+    """
     units = vector_tables.units
     nv = len(vector_tables.vectors)
     if kind == "ii":
-        Tout = table(op(x, z), op(y, z))
         vadd, smul = vector_tables.vadd, vector_tables.smul
         for a in units:
             row_xy, row_xz, add_a = Txy[a], Txz[a], vadd[a]
@@ -158,7 +183,6 @@ def axiom_failures(kind, x, y, z, op, table, vector_tables):
                     if left != right:
                         yield a, b, c, left, right
         return
-    Tout = table(op(x, y), z)
     p = vector_tables.p
     for a in units:
         row_xy, out_a, xz_a = Txy[a], Tout[a], Txz[a]
@@ -213,32 +237,26 @@ def form_violations(quandle, blocks, field, n, cap=20):
     ids = {}
     block_ids = [[ids.setdefault(B, len(ids)) for B in row] for row in blocks]
     tables = [vector_tables.bilinear_table(B) for B in ids]
-    table = lambda u, v: tables[block_ids[u][v]]
-    op = quandle.op
     decided = {}  # (kind, four block ids) -> (first cap failures, their total)
-    for kind in ("ii", "iii"):
-        for x in range(m):
-            for y in range(m):
-                for z in range(m):
-                    out = block_ids[op(x, z)][op(y, z)] if kind == "ii" else block_ids[op(x, y)][z]
-                    key = (kind, block_ids[x][y], block_ids[x][z], block_ids[y][z], out)
-                    if key not in decided:
-                        kept, count = [], 0
-                        for failure in axiom_failures(kind, x, y, z, op, table, vector_tables):
-                            count += 1
-                            if count <= cap:
-                                kept.append(failure)
-                        decided[key] = kept, count
-                    kept, count = decided[key]
-                    total += count
-                    for a, b, c, left, right in kept:
-                        if len(violations) >= cap:
-                            break
-                        violations.append(
-                            f"axiom ({kind}) fails at (x,y,z)=({x},{y},{z}), "
-                            f"a={vectors[a]}, b={vectors[b]}, c={vectors[c]}: "
-                            f"{left} != {right}"
-                        )
+    instances = itertools.product(AXIOM_KINDS, range(m), range(m), range(m))
+    for (kind, x, y, z), key in zip(instances, axiom_reads(quandle, range(m), block_ids)):
+        if key not in decided:
+            kept, count = [], 0
+            for failure in axiom_failures(kind, *(tables[i] for i in key[1:]), vector_tables):
+                count += 1
+                if count <= cap:
+                    kept.append(failure)
+            decided[key] = kept, count
+        kept, count = decided[key]
+        total += count
+        for a, b, c, left, right in kept:
+            if len(violations) >= cap:
+                break
+            violations.append(
+                f"axiom ({kind}) fails at (x,y,z)=({x},{y},{z}), "
+                f"a={vectors[a]}, b={vectors[b]}, c={vectors[c]}: "
+                f"{left} != {right}"
+            )
 
     if total > len(violations):
         violations.append(f"... and {total - len(violations)} more violations")
@@ -352,11 +370,13 @@ def format_form(form):
     """Render a BilinearForm in the 1-based text file format."""
     m = form.quandle.order
     out = [f"form {m} {form.n} {form.field.p}"]
-    for x in range(m):
-        for y in range(m):
-            out.append(f"B {x + 1} {y + 1}")
-            for row in form.blocks[x][y]:
-                out.append(" ".join(str(e) for e in row))
+    rows = {}  # block -> its row lines, formatted once per distinct block
+    for x, blocks in enumerate(form.blocks, start=1):
+        for y, B in enumerate(blocks, start=1):
+            out.append(f"B {x} {y}")
+            if B not in rows:
+                rows[B] = [" ".join(map(str, row)) for row in B]
+            out += rows[B]
     return "\n".join(out) + "\n"
 
 

@@ -12,13 +12,16 @@ constant-diagonal mode every such slot after slot 0 copies slot 0.
 
 Under orbit-constancy the axiom (ii)/(iii) instance at (x, y, z) reads
 the same blocks as the one at the orbits' least elements, so only the
-r^3 representative triples are checked, each once all the slots it
-reads are assigned, pruning the branch on the first failure.  That
-checker, forms.axiom_failures, is shared with form validation and runs
-over unit vectors only: both sides of (ii) are bilinear in (a, b) for
-fixed c, and both sides of (iii) in (a, c) for fixed b, so unit vectors
-decide each instance exactly.  Completed leaves are therefore valid
-forms, and no valid form is skipped.
+r^3 representative triples are checked, once all the slots they read
+are assigned, pruning the branch on the first failure.  A verdict
+depends only on the axiom and the four matrices read, so each instance
+is decided once per distinct tuple of four candidate matrices, and the
+verdicts are kept for one search only.  The checker,
+forms.axiom_failures, is shared with form validation and runs over unit
+vectors only: both sides of (ii) are bilinear in (a, b) for fixed c,
+and both sides of (iii) in (a, c) for fixed b, so unit vectors decide
+each instance exactly.  Completed leaves are therefore valid forms, and
+no valid form is skipped.
 
 Emission order is deterministic: lexicographic in the matrix of each
 element pair, in pair order, as if every pair had its own slot.  A pair
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InputError
 from .field import PrimeField
-from .forms import BilinearForm, axiom_failures, form_violations
+from .forms import BilinearForm, axiom_failures, axiom_reads, form_violations
 
 MODES = ("all", "alternating-only", "constant-diagonal")
 DEFAULT_SPACE_BOUND = 10**9
@@ -75,24 +78,19 @@ def _orbit_slots(quandle):
 
 
 def _instance_schedule(quandle, slots, pair_slot):
-    """Slot index -> the axiom instances first checkable there.
+    """Slot index -> the axiom checks first decidable there.
 
-    An instance is ("ii", x, y, z) or ("iii", x, y, z) with x, y, z the
-    least elements of their orbits; it is scheduled at the largest slot
-    among the blocks it reads, so every instance runs exactly once and
-    as early as possible.
+    A check is (kind, slots read): the slots of the four blocks that a
+    representative instance ("ii" or "iii", x, y, z least elements of
+    their orbits) reads, in axiom_failures order.  It is scheduled at
+    the largest of those slots, so it runs as early as possible, and
+    instances that read the same slots are kept once per slot.
     """
-    op = quandle.op
     reps = sorted({ox for ox, _ in slots})
-    schedule = [[] for _ in slots]
-    for x in reps:
-        for y in reps:
-            for z in reps:
-                reads_ii = [(x, y), (x, z), (y, z), (op(x, z), op(y, z))]
-                reads_iii = [(x, y), (x, z), (y, z), (op(x, y), z)]
-                schedule[max(pair_slot[u][v] for u, v in reads_ii)].append(("ii", x, y, z))
-                schedule[max(pair_slot[u][v] for u, v in reads_iii)].append(("iii", x, y, z))
-    return schedule
+    schedule = [{} for _ in slots]
+    for check in axiom_reads(quandle, reps, pair_slot):
+        schedule[max(check[1:])].setdefault(check, None)
+    return [list(checks) for checks in schedule]
 
 
 def _space_estimate(m, p, n, mode):
@@ -118,16 +116,19 @@ class _Searcher:
         self.mode = mode
 
         self.vector_tables = field.vector_tables(n)
-        self.all_mats = list(field.all_matrices(n))
         if mode == "alternating-only":
             # every slot takes alternating matrices only; build no other table
-            self.all_mats = [M for M in self.all_mats if field.is_alternating(M)]
+            self.all_mats = list(field.alternating_matrices(n))
+        else:
+            self.all_mats = list(field.all_matrices(n))
         self.alt_ids = [i for i, M in enumerate(self.all_mats) if field.is_alternating(M)]
         # one bilinear table per candidate matrix, shared across slots
         self.tables = [self.vector_tables.bilinear_table(M) for M in self.all_mats]
 
         self.slots, self.pair_slot = _orbit_slots(quandle)
         self.schedule = _instance_schedule(quandle, self.slots, self.pair_slot)
+        # (kind, candidate id at each slot read) -> verdict, for this search only
+        self.decided = {}
 
     def slot_candidates(self, k):
         ox, oy = self.slots[k]
@@ -137,13 +138,21 @@ class _Searcher:
             return self.alt_ids
         return list(range(len(self.all_mats)))
 
-    def check_instance(self, instance, assigned):
-        kind, x, y, z = instance
-        table = lambda u, v: self.tables[assigned[self.pair_slot[u][v]]]
-        failures = axiom_failures(
-            kind, x, y, z, self.quandle.op, table, self.vector_tables
-        )
-        return next(failures, None) is None
+    def holds(self, checks, assigned):
+        """Whether every check passes on the assigned candidates, each
+        decided once per distinct tuple of the four matrices it reads."""
+        decided, tables = self.decided, self.tables
+        for kind, xy, xz, yz, out in checks:
+            key = (kind, assigned[xy], assigned[xz], assigned[yz], assigned[out])
+            ok = decided.get(key)
+            if ok is None:
+                failures = axiom_failures(
+                    kind, *(tables[mat_id] for mat_id in key[1:]), self.vector_tables
+                )
+                ok = decided[key] = next(failures, None) is None
+            if not ok:
+                return False
+        return True
 
     def dfs(self, limit, deadline, status):
         n_slots = len(self.slots)
@@ -172,10 +181,7 @@ class _Searcher:
                     return
                 assigned[k] = mat_id
                 status.nodes += 1
-                ok = all(
-                    self.check_instance(inst, assigned) for inst in self.schedule[k]
-                )
-                if ok:
+                if self.holds(self.schedule[k], assigned):
                     yield from walk(k + 1)
                 assigned[k] = None
                 if not status.complete:
@@ -212,9 +218,8 @@ def search_forms(
     estimate = _space_estimate(quandle.order, p, n, mode)
     if status is None:
         status = SearchResult()
-    status.mode = mode
-    status.space_estimate = estimate
-    status.emitted = 0
+    # every run field starts afresh, so a reused status reports this run only
+    status.__init__(mode=mode, space_estimate=estimate)
     if estimate > space_bound and not allow_large:
         raise InputError(
             f"search space estimate {estimate:.2e} exceeds the bound "

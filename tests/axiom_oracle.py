@@ -108,13 +108,17 @@ def per_instance_violations(quandle, blocks, field, n, cap=20):
                     record(f"axiom (i) fails at x={x}, a={a}: [a,a] = {ev(B, a, a)}")
 
     block_tables = [[vector_tables.bilinear_table(B) for B in row] for row in blocks]
-    table = lambda u, v: block_tables[u][v]
     for kind in ("ii", "iii"):
         for x in range(m):
             for y in range(m):
                 for z in range(m):
+                    if kind == "ii":
+                        out = block_tables[quandle.op(x, z)][quandle.op(y, z)]
+                    else:
+                        out = block_tables[quandle.op(x, y)][z]
                     for a, b, c, left, right in axiom_failures(
-                        kind, x, y, z, quandle.op, table, vector_tables
+                        kind, block_tables[x][y], block_tables[x][z], block_tables[y][z],
+                        out, vector_tables,
                     ):
                         record(
                             f"axiom ({kind}) fails at (x,y,z)=({x},{y},{z}), "

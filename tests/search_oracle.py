@@ -55,6 +55,11 @@ def reference_search(quandle, p, n, mode="all"):
     def table(u, v):
         return tables[assigned[slot[(u, v)]]]
 
+    def holds(kind, x, y, z):
+        out = table(op(x, z), op(y, z)) if kind == "ii" else table(op(x, y), z)
+        failures = axiom_failures(kind, table(x, y), table(x, z), table(y, z), out, vector_tables)
+        return next(failures, None) is None
+
     assigned = [None] * len(pairs)
     found = []
 
@@ -67,10 +72,7 @@ def reference_search(quandle, p, n, mode="all"):
             return
         for mat_id in candidates(k):
             assigned[k] = mat_id
-            if all(
-                next(axiom_failures(kind, x, y, z, op, table, vector_tables), None) is None
-                for kind, x, y, z in schedule[k]
-            ):
+            if all(holds(*instance) for instance in schedule[k]):
                 walk(k + 1)
         assigned[k] = None
 

@@ -88,6 +88,18 @@ def test_all_matrices_count():
     assert len(set(mats)) == 16
 
 
+@pytest.mark.parametrize(
+    "p, n", [(p, n) for p in (2, 3, 5) for n in (0, 1, 2, 3)] + [(2, 4)]
+)
+def test_alternating_matrices_are_the_filtered_matrices(p, n):
+    # n = 4 is the first size at which a row-major and a column-major
+    # walk of the upper triangle differ
+    f = PrimeField(p)
+    expected = [M for M in f.all_matrices(n) if f.is_alternating(M)]
+    assert list(f.alternating_matrices(n)) == expected
+    assert len(expected) == p ** (n * (n - 1) // 2)
+
+
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 2), (5, 1)])
 def test_vector_tables(p, n):
     f = PrimeField(p)

@@ -129,6 +129,22 @@ def test_parse_format_round_trip(swap3):
     assert again.n == 2 and again.field.p == 2
 
 
+def test_format_form_text(swap3):
+    f = validate_form(swap3, PARTIAL, 2, 2)
+    assert format_form(f) == (
+        "form 3 2 2\n"
+        "B 1 1\n0 1\n1 0\nB 1 2\n0 1\n1 0\nB 1 3\n0 0\n0 0\n"
+        "B 2 1\n0 1\n1 0\nB 2 2\n0 1\n1 0\nB 2 3\n0 0\n0 0\n"
+        "B 3 1\n0 0\n0 0\nB 3 2\n0 0\n0 0\nB 3 3\n0 0\n0 0\n"
+    )
+    # n = 0: every block is the empty matrix, so only the headers remain
+    empty = validate_form(swap3, [[()] * 3 for _ in range(3)], 2, 0)
+    assert format_form(empty) == "form 3 0 2\n" + "".join(
+        f"B {x} {y}\n" for x in (1, 2, 3) for y in (1, 2, 3)
+    )
+    assert parse_form(format_form(empty), swap3).blocks == empty.blocks
+
+
 def test_parse_errors(swap3):
     with pytest.raises(InputError):
         parse_form("form 2 2 2\n", swap3)  # m mismatch

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from qbeads.errors import InputError
 from qbeads.field import PrimeField, VectorTables
 from qbeads.forms import form_violations, zero_form
-from qbeads.quandle import Quandle, alexander_quandle, trivial_quandle
+from qbeads import search
+from qbeads.quandle import Quandle, alexander_quandle, symplectic_quandle, trivial_quandle
 from qbeads.search import (
     DEFAULT_SPACE_BOUND,
     MODES,
@@ -216,3 +217,76 @@ def test_emitted_forms_are_orbit_constant(name, pn, mode, data):
             for y in range(q.order)
         )
     assert verify_search_output(res) == []
+
+
+def test_reused_status_reports_only_its_own_run():
+    """A SearchResult handed to a second search starts afresh: a full
+    search after a limit=2 one finds every form and counts only its own
+    nodes."""
+    q = Quandle.from_table(SWAP3)
+    status = SearchResult()
+    assert len(list(search_forms(q, 2, 2, limit=2, allow_large=True, status=status))) == 2
+    assert not status.complete
+    fresh = run_search(q, 2, 2, allow_large=True)
+    forms = list(search_forms(q, 2, 2, allow_large=True, status=status))
+    assert [f.blocks for f in forms] == [f.blocks for f in fresh.forms]
+    assert len(forms) == 7
+    assert status.complete
+    assert (status.nodes, status.emitted) == (fresh.nodes, 7)
+    assert status.forms == []  # search_forms streams; run_search collects
+
+
+# The five benchmark searches: quandle, p, n, mode, then the nodes, the
+# forms and the distinct (kind, four candidate matrices) tuples the
+# search reaches, each of which the search decides once.
+BENCHMARK_SEARCHES = [
+    ("swap3", 2, 2, "all", 166, 7, 126),
+    ("swap3", 3, 2, "alternating-only", 84, 17, 40),
+    ("swap3", 2, 3, "alternating-only", 1208, 85, 296),
+    ("alexander(4,3)", 2, 2, "all", 166, 7, 126),
+    ("symplectic(2,2)", 2, 2, "all", 166, 7, 126),
+]
+
+
+def _benchmark_quandle(name):
+    if name == "symplectic(2,2)":
+        return symplectic_quandle(2, 2, [[0, 1], [1, 0]])
+    return QUANDLES[name]
+
+
+@pytest.mark.parametrize("name,p,n,mode,nodes,count,decided", BENCHMARK_SEARCHES)
+def test_each_axiom_tuple_is_decided_once(monkeypatch, name, p, n, mode, nodes, count, decided):
+    """The search runs axiom_failures once per distinct (kind, four
+    tables) it reaches, afresh in every search, and its nodes and forms
+    stay those of deciding every instance anew."""
+    q = _benchmark_quandle(name)
+    calls = []
+    failures = search.axiom_failures
+
+    def counted(kind, *tables_and_vector_tables):
+        calls.append((kind, *map(id, tables_and_vector_tables[:4])))
+        return failures(kind, *tables_and_vector_tables)
+
+    monkeypatch.setattr(search, "axiom_failures", counted)
+    for _ in range(2):
+        del calls[:]
+        res = run_search(q, p, n, mode=mode, allow_large=True)
+        assert res.complete
+        assert (res.nodes, len(res.forms)) == (nodes, count)
+        assert len(calls) == len(set(calls)) == decided
+    assert verify_search_output(res) == []
+
+
+def test_checks_are_keyed_on_the_kind_and_all_four_matrices():
+    """Two checks are decided apart when only their out matrix, or only
+    their axiom, differs.  (In the orbit search the out slot always
+    equals the (x, y) slot for (ii) and the (x, z) slot for (iii), so
+    only a hand-made check list can tell the key apart from a shorter
+    one.)"""
+    searcher = search._Searcher(trivial_quandle(2), PrimeField(2), 1, "all")
+    assert searcher.all_mats == [((0,),), ((1,),)]
+    check = (0, 1, 2, 3)  # slots of B_xy, B_xz, B_yz and B_out
+    assert searcher.holds([("ii", *check)], [0, 0, 0, 0])
+    assert not searcher.holds([("ii", *check)], [0, 0, 0, 1])
+    assert searcher.holds([("iii", *check)], [0, 1, 0, 1])
+    assert not searcher.holds([("ii", *check)], [0, 1, 0, 1])
