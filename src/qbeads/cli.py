@@ -158,9 +158,7 @@ def cmd_invariant(args):
     diagram = _resolve_link(args.link)
     quandle = _resolve_quandle(args.quandle)
     form = _resolve_form(args.form, quandle)
-    result = compute_invariant(
-        diagram, quandle, form, engine=args.engine, jobs=args.jobs
-    )
+    result = compute_invariant(diagram, quandle, form, engine=args.engine)
     record = result.record()
     record["link"] = args.link if not os.path.isfile(args.link) else diagram.name
     _emit(args, record, render_invariant)
@@ -201,7 +199,7 @@ def cmd_batch(args):
     results = []
     for name in names:
         result = compute_invariant(
-            catalog.link_diagram(name), quandle, form, engine=args.engine, jobs=args.jobs
+            catalog.link_diagram(name), quandle, form, engine=args.engine
         )
         polynomials[name] = result.polynomial
         record = result.record()
@@ -305,7 +303,6 @@ def build_parser():
     p.add_argument("--quandle", required=True)
     p.add_argument("--form", required=True)
     p.add_argument("--engine", choices=ENGINES, default="propagate")
-    p.add_argument("--jobs", type=int, default=1)
     add_format(p)
     p.set_defaults(func=cmd_invariant)
 
@@ -314,7 +311,6 @@ def build_parser():
     p.add_argument("--form", required=True)
     p.add_argument("--links", default=None, help="comma-separated subset")
     p.add_argument("--engine", choices=ENGINES, default="propagate")
-    p.add_argument("--jobs", type=int, default=1)
     add_format(p)
     p.set_defaults(func=cmd_batch)
 
@@ -328,9 +324,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be positive", file=sys.stderr)
-        return 2
     if getattr(args, "budget", None) is not None and args.budget <= 0:
         print("error: --budget must be positive", file=sys.stderr)
         return 2

@@ -29,10 +29,33 @@ _solve runs the plan over one (forward, inverse) table pair per
 crossing: quandle tables for X-colorings, the form's step tables for
 beads (the "propagate" engine).
 
+A bare bead count runs its first two seeds only up to symmetry.  Let g
+be linear with g^T B g = B for every block B the coloring reads (the
+blocks at (color(under_in), color(over)) and (color(under_out),
+color(over)) of every crossing).  Then
+
+    g(a +/- [a,b] b) = ga +/- [ga,gb] gb,
+
+so g, applied to every arc, maps bead colorings over f onto bead
+colorings over f, and the number with seed values (v, w) equals the
+number with (gv, gw).  For any group H of such maps the count is
+
+    sum over H-orbit representatives v of |Hv| *
+        sum over Stab_H(v)-orbit representatives w of |Stab_H(v) w| *
+            count(first seed = v, second seed = w).
+
+H is the whole isometry group of those blocks when its search stays
+under forms.MAX_ISOMETRIES partial maps, else {1, -1}; any subgroup
+keeps the count exact, and over F_2 {1, -1} is trivial
+(BilinearForm.isometries and seed_orbits).  Listing solutions, or any
+limit other than 0, runs every seed value with weight 1, so the
+listing and its order do not depend on H.
+
 The "oracle" engine enumerates assignments in arc-index order and checks
 each crossing once its last arc has a value; it derives nothing and uses
-no plan and no inverse table.  It is kept as the independent reference:
-"both" runs the two engines and raises on any mismatch.
+no plan, no inverse table and no isometries.  It is kept as the
+independent reference: "both" runs the two engines and raises on any
+mismatch, so it checks the reduced count on every coloring.
 """
 
 from .errors import InputError, QBeadsError
@@ -58,7 +81,7 @@ def _check_coloring(diagram, quandle, coloring):
             )
 
 
-def _solve(plan, size, tables, limit):
+def _solve(plan, size, tables, limit, orbits=None):
     """Run a plan over values 0..size-1; return (count, solutions).
 
     tables[i] is the (forward, inverse) pair of crossing i, indexed
@@ -69,6 +92,12 @@ def _solve(plan, size, tables, limit):
     bead_solutions; enumerate_xcolorings sorts its result.  The arcs a
     seed's steps write are fixed, so its next value just overwrites
     them: nothing is undone.
+
+    orbits, when given, is (first, second) as BilinearForm.seed_orbits
+    returns it: the first seed runs over the (value, weight) pairs of
+    first, the second over those of second[first seed's value], and
+    each solution counts the product of its weights.  Without it every
+    value has weight 1.
     """
     stages = [
         (
@@ -82,18 +111,24 @@ def _solve(plan, size, tables, limit):
     ]
     # every arc is a seed or the target of one derive step
     values = [0] * sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
+    # each stage's (value, weight) pairs; None reads second
+    pairs = [[(v, 1) for v in range(size)]] * len(stages)
+    if orbits is not None:
+        first, second = orbits
+        pairs[:2] = [first, None]
+        first_seed = stages[0][0]
     count = 0
     sols = []
 
-    def run(depth):
+    def run(depth, weight):
         nonlocal count
         if depth == len(stages):
-            count += 1
+            count += weight
             if limit is None or len(sols) < limit:
                 sols.append(tuple(values))
             return
         seed, steps = stages[depth]
-        for v in range(size):
+        for v, k in pairs[depth] or second[values[first_seed]]:
             values[seed] = v
             for target, source, over, table, check in steps:
                 w = table[values[source]][values[over]]
@@ -102,9 +137,9 @@ def _solve(plan, size, tables, limit):
                 elif values[target] != w:
                     break
             else:
-                run(depth + 1)
+                run(depth + 1, weight * k)
 
-    run(0)
+    run(0, 1)
     return count, sols
 
 
@@ -214,15 +249,31 @@ class BeadCounter:
         return count, sols
 
     def _count_propagate(self, coloring, limit):
-        """Run the compiled plan over this coloring's step tables."""
+        """Run the compiled plan over this coloring's step tables.
+
+        A bare count (limit 0) runs the first two seeds over the
+        weighted orbits of the isometries of the blocks the coloring
+        reads; a listing runs every value, so it lists every solution.
+        """
+        form, crossings = self.form, self.diagram.crossings
         tables = [
             (
-                self.form.step_table(coloring[c.under_in], coloring[c.over], c.sign),
-                self.form.step_table(coloring[c.under_out], coloring[c.over], -c.sign),
+                form.step_table(coloring[c.under_in], coloring[c.over], c.sign),
+                form.step_table(coloring[c.under_out], coloring[c.over], -c.sign),
             )
-            for c in self.diagram.crossings
+            for c in crossings
         ]
-        return _solve(self.plan, len(self.vectors), tables, limit)
+        orbits = None
+        if limit == 0:
+            ids = form.block_ids
+            orbits = form.seed_orbits(
+                frozenset(
+                    ids[coloring[a]][coloring[c.over]]
+                    for c in crossings
+                    for a in (c.under_in, c.under_out)
+                )
+            )
+        return _solve(self.plan, len(self.vectors), tables, limit, orbits)
 
 
 def count_beads(diagram, quandle, form, coloring, engine="propagate"):

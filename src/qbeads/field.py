@@ -42,29 +42,15 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     # -- vectors ------------------------------------------------------
-
-    def zero_vector(self, n):
-        return (0,) * n
 
     def vec_add(self, u, v):
         if len(u) != len(v):
             raise InputError(f"vector length mismatch: {len(u)} vs {len(v)}")
         return tuple((a + b) % self.p for a, b in zip(u, v))
-
-    def vec_sub(self, u, v):
-        if len(u) != len(v):
-            raise InputError(f"vector length mismatch: {len(u)} vs {len(v)}")
-        return tuple((a - b) % self.p for a, b in zip(u, v))
 
     def scalar_mul(self, s, v):
         return tuple((s * a) % self.p for a in v)
@@ -224,3 +210,52 @@ class VectorTables:
             self.dot[self.index[tuple(sum(a * b for a, b in zip(u, col)) % p for col in columns)]]
             for u in self.vectors
         ]
+
+    def isometries(self, tables, cap):
+        """Every invertible linear map g with [gu, gv] = [u, v] under
+        each bilinear table in tables, or None once more than cap
+        partial maps have been accepted.
+
+        A map is a permutation of vector indices, g[i] the index of g
+        applied to vectors[i].  The search chooses the images of e_1,
+        ..., e_n in turn: a candidate must lie outside the span of the
+        images chosen so far and meet every table's Gram entries
+        against them and itself.  The span is kept as the images of
+        the vectors whose later coordinates are zero, in all_vectors
+        order, so the span after the last column is the permutation.
+        """
+        p, vadd, smul = self.p, self.vadd, self.smul
+        basis = sorted(self.units, reverse=True)  # e_1, ..., e_n
+        grams = [(t, [[t[i][j] for j in basis] for i in basis]) for t in tables]
+        images = []
+        group = []
+        accepted = 0
+
+        def extend(span):
+            nonlocal accepted
+            k = len(images)
+            if k == len(basis):
+                group.append(span)
+                return True
+            taken = set(span)
+            for c in range(len(self.vectors)):
+                if c in taken or any(
+                    t[c][c] != gram[k][k]
+                    or any(
+                        t[c][d] != gram[k][j] or t[d][c] != gram[j][k]
+                        for j, d in enumerate(images)
+                    )
+                    for t, gram in grams
+                ):
+                    continue
+                accepted += 1
+                if accepted > cap:
+                    return False
+                multiples = [smul[s][c] for s in range(p)]
+                images.append(c)
+                if not extend([vadd[v][w] for v in span for w in multiples]):
+                    return False
+                images.pop()
+            return True
+
+        return group if extend([0]) else None

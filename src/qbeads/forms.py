@@ -51,6 +51,10 @@ from functools import cached_property
 from .errors import AxiomError, InputError
 from .field import PrimeField
 
+# the most partial maps an isometry search accepts before
+# BilinearForm.isometries settles for {1, -1}
+MAX_ISOMETRIES = 4096
+
 
 class BilinearForm:
     """A validated family of n-by-n matrices over F_p indexed by X x X.
@@ -61,7 +65,8 @@ class BilinearForm:
 
     A form keeps the tables every bead count over it reads: its field's
     VectorTables, which validate_form also checks the axioms with, and
-    the step tables, built on first use.
+    the bilinear tables, step tables and seed orbits, built on first
+    use.
     """
 
     def __init__(self, quandle, field, n, blocks, name=""):
@@ -73,6 +78,7 @@ class BilinearForm:
         self.blocks = blocks
         self.name = name
         self._step_tables = {}  # (block id, sign) -> step table
+        self._seed_orbits = {}  # frozenset of block ids -> seed_orbits
 
     @property
     def vector_tables(self):
@@ -84,6 +90,13 @@ class BilinearForm:
         """block_ids[x][y] numbers the distinct matrices in row-major order."""
         ids = {}
         return tuple(tuple(ids.setdefault(B, len(ids)) for B in row) for row in self.blocks)
+
+    @cached_property
+    def bilinear_tables(self):
+        """bilinear_tables[i] is the bilinear table of the block with id
+        i (see VectorTables.bilinear_table); read-only."""
+        distinct = dict.fromkeys(B for row in self.blocks for B in row)
+        return tuple(map(self.vector_tables.bilinear_table, distinct))
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -128,9 +141,62 @@ class BilinearForm:
             vadd, smul, p = t.vadd, t.smul, t.p
             table = self._step_tables[key] = [
                 [vadd[i][smul[(sign * b) % p][j]] for j, b in enumerate(row)]
-                for i, row in enumerate(t.bilinear_table(self.blocks[x][y]))
+                for i, row in enumerate(self.bilinear_tables[key[0]])
             ]
         return table
+
+    def isometries(self, ids):
+        """A group H of isometries of every block whose id is in ids,
+        as permutations of vector indices (see VectorTables.isometries).
+
+        H is the whole isometry group when its search accepts at most
+        MAX_ISOMETRIES partial maps, and {1, -1} otherwise, which
+        preserves every bilinear form.  Either is exact for seed_orbits.
+        """
+        t = self.vector_tables
+        group = t.isometries([self.bilinear_tables[i] for i in ids], MAX_ISOMETRIES)
+        if group is None:
+            identity, negation = list(range(len(t.vectors))), t.smul[t.p - 1]
+            group = [identity] if negation == identity else [identity, negation]
+        return group
+
+    def seed_orbits(self, ids):
+        """(first, second): the weighted values of the first two seeds
+        of a bead count over a coloring that reads the blocks in ids.
+
+        first lists (v, |Hv|) for the least vector index v of each
+        H-orbit, H = isometries(ids); second[v] lists (w, |Stab_H(v) w|)
+        the same way for the stabiliser of v.  Built on first use and
+        kept, one per distinct ids.  Every trivial stabiliser shares one
+        list, so a small H keeps O(p^n) pairs, not O(p^2n).
+        """
+        orbits = self._seed_orbits.get(ids)
+        if orbits is None:
+            group = self.isometries(ids)
+            size = len(self.vector_tables.vectors)
+            every = [(w, 1) for w in range(size)]
+
+            def weighted(subgroup):
+                return _orbits(subgroup, size) if len(subgroup) > 1 else every
+
+            first = weighted(group)
+            second = {v: weighted([g for g in group if g[v] == v]) for v, _ in first}
+            orbits = self._seed_orbits[ids] = first, second
+        return orbits
+
+
+def _orbits(group, size):
+    """[(least element, size)] of each orbit of a permutation group on
+    range(size), in ascending order of the least element."""
+    seen = [False] * size
+    orbits = []
+    for v in range(size):
+        if not seen[v]:
+            orbit = {g[v] for g in group}
+            for w in orbit:
+                seen[w] = True
+            orbits.append((v, len(orbit)))
+    return orbits
 
 
 AXIOM_KINDS = ("ii", "iii")

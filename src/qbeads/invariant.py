@@ -17,10 +17,19 @@ orbits, and every arc of a link component lies in one orbit, so there
 is at most one count per component-orbit tuple.  The oracle and both
 engines still count every coloring, so the engines are compared on
 each one.
+
+Each of those counts runs the first two seeds up to the isometries of
+the blocks the coloring reads: a linear g with g^T B g = B for each of
+them maps bead colorings to bead colorings, so the first seed runs
+over orbit representatives v weighted by |Hv| and the second over
+Stab_H(v)-orbit representatives w weighted by |Stab_H(v) w| (see the
+coloring module).  H is the full isometry group up to a fixed search
+size and {1, -1} above it, and is built once per form and set of
+blocks read.  So counts stay exact, and the polynomial and the
+per-coloring counts are those of a full enumeration.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 from .coloring import ENGINES, BeadCounter, enumerate_xcolorings
@@ -121,12 +130,6 @@ class InvariantResult:
         }
 
 
-def _count_chunk(args):
-    diagram, quandle, form, colorings, engine = args
-    counter = BeadCounter(diagram, quandle, form)
-    return [counter.count(c, engine=engine) for c in colorings]
-
-
 def _distinct_colorings(diagram, form, colorings, engine):
     """(representatives, index): the colorings to count, and for each
     coloring the position of the representative whose count it shares.
@@ -153,38 +156,19 @@ def _distinct_colorings(diagram, form, colorings, engine):
     return representatives, index
 
 
-def compute_invariant(diagram, quandle, form, engine="propagate", jobs=1):
+def compute_invariant(diagram, quandle, form, engine="propagate"):
     """Count bead colorings over every X-coloring of the diagram.
 
     Colorings that share a count are counted once (see the module
-    docstring).  jobs > 1 splits the colorings left to count across
-    processes; the result is identical for any jobs value because
-    counts are merged by position.
+    docstring).
     """
     if engine not in ENGINES:
         raise InputError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    if jobs < 1:
-        raise InputError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
     colorings = enumerate_xcolorings(diagram, quandle)
     todo, index = _distinct_colorings(diagram, form, colorings, engine)
-    if jobs == 1 or len(todo) < 2:
-        counter = BeadCounter(diagram, quandle, form)
-        distinct = [counter.count(c, engine=engine) for c in todo]
-    else:
-        jobs = min(jobs, len(todo))
-        chunks = [todo[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _count_chunk,
-                    [(diagram, quandle, form, chunk, engine) for chunk in chunks],
-                )
-            )
-        distinct = [0] * len(todo)
-        for i, chunk_counts in enumerate(results):
-            for j, value in enumerate(chunk_counts):
-                distinct[i + j * jobs] = value
+    counter = BeadCounter(diagram, quandle, form)
+    distinct = [counter.count(c, engine=engine) for c in todo]
     counts = [distinct[k] for k in index]
     poly = InvariantPolynomial()
     for k in counts:

@@ -35,7 +35,7 @@ def _batch(form_name):
         quandle, form = _load(form_name)
         start = time.monotonic()
         results = {
-            name: compute_invariant(catalog.load(name).diagram, quandle, form, jobs=1)
+            name: compute_invariant(catalog.load(name).diagram, quandle, form)
             for name in catalog.list_links()
         }
         _BATCH[form_name] = (results, time.monotonic() - start)

@@ -130,25 +130,6 @@ def test_invariant_form_file_needs_quandle(tmp_path, capsys):
     assert (code, out) == (0, "u^16 + 4u^10\n")
 
 
-def test_invariant_jobs_deterministic(capsys):
-    args = ["invariant", "--link", "L6a4", "--quandle", "swap3",
-            "--form", "swap3-partial", "--format", "json"]
-    _, out1, _ = run(capsys, *args, "--jobs", "1")
-    _, out4, _ = run(capsys, *args, "--jobs", "4")
-    r1, r4 = json.loads(out1), json.loads(out4)
-    assert r1["terms"] == r4["terms"] == [[64, 19], [40, 8]]
-    assert r1["counting"] == r4["counting"] == 27
-
-
-def test_invariant_bad_jobs(capsys):
-    code, _, err = run(
-        capsys, "invariant", "--link", "L2a1", "--quandle", "swap3",
-        "--form", "swap3-partial", "--jobs", "0",
-    )
-    assert code == 2
-    assert "jobs" in err
-
-
 # -- batch ---------------------------------------------------------------
 
 
@@ -191,10 +172,10 @@ def test_batch_builds_tables_once_per_form(monkeypatch, capsys):
         assert vector_tables == [form.vector_tables]
         m = form.quandle.order
         # validation builds one bilinear table per distinct block, and
-        # every step table one more
+        # the form one more, which its step tables and isometries share
         distinct = {B for row in form.blocks for B in row}
         assert 0 < len(form._step_tables) <= 2 * m * m
-        assert len(bilinear) == len(distinct) + len(form._step_tables)
+        assert len(bilinear) == 2 * len(distinct)
 
 
 def without_elapsed(record):

@@ -89,19 +89,6 @@ def test_compute_invariant_record():
     assert rec["elapsed"] >= 0
 
 
-def test_parallel_jobs_are_deterministic():
-    q = load_quandle("swap3")
-    for form in (load_form("swap3-full"), constant_form(q, 3, 2, [[0, 1], [2, 0]])):
-        for name in ["L6a4", "L7a1", "L7n2"]:
-            d = load_entry(name).diagram
-            solo = compute_invariant(d, q, form, jobs=1)
-            for jobs in (2, 4):
-                multi = compute_invariant(d, q, form, jobs=jobs)
-                assert solo.polynomial == multi.polynomial
-                assert solo.counts == multi.counts
-                assert solo.colorings == multi.colorings
-
-
 def test_counting_equals_evaluation_at_one():
     q = load_quandle("swap3")
     form = load_form("swap3-partial")
