@@ -184,8 +184,10 @@ def cmd_batch(args):
     quandle = _resolve_quandle(args.quandle)
     form = _resolve_form(args.form, quandle)
     names = catalog.list_links()
-    if args.links:
+    if args.links is not None:
         wanted = [s.strip() for s in args.links.split(",") if s.strip()]
+        if not wanted:
+            raise InputError(f"--links {args.links!r} names no link")
         unknown = [w for w in wanted if w not in names]
         if unknown:
             raise InputError(f"unknown catalog links: {', '.join(unknown)}")

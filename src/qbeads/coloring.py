@@ -51,8 +51,25 @@ keeps the count exact, and over F_2 {1, -1} is trivial
 limit other than 0, runs every seed value with weight 1, so the
 listing and its order do not depend on H.
 
-The "oracle" engine enumerates assignments in arc-index order and checks
-each crossing once its last arc has a value; it derives nothing and uses
+X-colorings reduce the same way under Inn(X), the group generated by
+the right translations x -> x > y.  Each of its elements g is an
+automorphism of X, so g o f is an X-coloring whenever f is, and the
+X-colorings with seed values (v, w, ...) correspond one to one with
+those with (gv, gw, ...).  enumerate_weighted_xcolorings runs the
+first two seeds over the weighted orbits of H = Inn(X) on X
+(Quandle.inner_orbits) and lists each leaf f with weight |Hv| *
+|Stab_H(v) w|; for any function of colorings that every g leaves
+unchanged, its sum over all X-colorings is the weighted sum over the
+leaves.  A valid form is constant on (orbit of x, orbit of y) and g
+keeps every orbit, so the blocks g o f reads are those f reads, and
+the bead count, like every count above, is such a function.  H is
+the whole of Inn(X) while its closure stays within quandle.MAX_INNER
+products and {id} above, which is always exact.
+enumerate_xcolorings still lists every coloring, in sorted order.
+
+The "oracle" engine assigns every value to one arc after another, in
+an order taken from the crossings alone (sweep_order), and checks each
+crossing once its three arcs have values; it derives nothing and uses
 no plan, no inverse table and no isometries.  It is kept as the
 independent reference: "both" runs the two engines and raises on any
 mismatch, so it checks the reduced count on every coloring.
@@ -93,11 +110,11 @@ def _solve(plan, size, tables, limit, orbits=None):
     seed's steps write are fixed, so its next value just overwrites
     them: nothing is undone.
 
-    orbits, when given, is (first, second) as BilinearForm.seed_orbits
+    orbits, when given, is (first, second) as quandle.weighted_orbits
     returns it: the first seed runs over the (value, weight) pairs of
-    first, the second over those of second[first seed's value], and
-    each solution counts the product of its weights.  Without it every
-    value has weight 1.
+    first, the second over those of second[first seed's value], each
+    solution counts the product of its weights and is listed as
+    (values, weight).  Without it every value has weight 1.
     """
     stages = [
         (
@@ -125,7 +142,7 @@ def _solve(plan, size, tables, limit, orbits=None):
         if depth == len(stages):
             count += weight
             if limit is None or len(sols) < limit:
-                sols.append(tuple(values))
+                sols.append(tuple(values) if orbits is None else (tuple(values), weight))
             return
         seed, steps = stages[depth]
         for v, k in pairs[depth] or second[values[first_seed]]:
@@ -143,20 +160,42 @@ def _solve(plan, size, tables, limit, orbits=None):
     return count, sols
 
 
+def _quandle_tables(diagram, quandle):
+    """Each crossing's (forward, inverse) pair of quandle tables, as
+    the crossing sign demands."""
+    q, inv = quandle.table, quandle.inv_table
+    return [(q, inv) if c.sign > 0 else (inv, q) for c in diagram.crossings]
+
+
 def enumerate_xcolorings(diagram, quandle):
     """All X-colorings, as tuples indexed by arc, in sorted order.
 
     Runs the diagram's plan over the quandle's operation table
     and its inverse, forward and backward as the crossing sign demands.
     """
-    q, inv = quandle.table, quandle.inv_table
-    tables = [(q, inv) if c.sign > 0 else (inv, q) for c in diagram.crossings]
+    tables = _quandle_tables(diagram, quandle)
     return sorted(_solve(diagram.plan, quandle.order, tables, None)[1])
 
 
+def enumerate_weighted_xcolorings(diagram, quandle):
+    """X-colorings up to Inn(X): a list of (coloring, weight).
+
+    The first two seeds run over quandle.inner_orbits (see the module
+    docstring), so every X-coloring is g o f for some listed f and g
+    in Quandle.inner_automorphisms, and for any function of colorings
+    that g o f does not change, its sum over all X-colorings is the sum
+    over the list of weight times its value.  In particular the weights
+    add up to the number of X-colorings.  Listed in the plan's order.
+    """
+    tables = _quandle_tables(diagram, quandle)
+    return _solve(diagram.plan, quandle.order, tables, None, quandle.inner_orbits)[1]
+
+
 def counting_invariant(diagram, quandle):
-    """Number of X-colorings of the diagram."""
-    return len(enumerate_xcolorings(diagram, quandle))
+    """Number of X-colorings of the diagram: the weights of
+    enumerate_weighted_xcolorings added up, without listing them."""
+    tables = _quandle_tables(diagram, quandle)
+    return _solve(diagram.plan, quandle.order, tables, 0, quandle.inner_orbits)[0]
 
 
 class BeadCounter:
@@ -210,43 +249,47 @@ class BeadCounter:
         return [tuple(self.vectors[i] for i in sol) for sol in sols]
 
     def _count_oracle(self, coloring, limit):
-        """Enumerate assignments in lexicographic arc order; check each
+        """Assign every value to each arc in sweep_order; check each
         crossing once all three of its arcs are assigned, dropping the
         prefix at the first failed check.  Nothing is propagated.
+        Solutions are sorted by their values in arc order, then cut to
+        limit.
 
         This is the reference the compiled plan is checked against
         (engine="both"): it uses only the forward step tables and no
-        plan, seed order or inverse table."""
-        n_arcs = self.diagram.arc_count
-        checks = [[] for _ in range(n_arcs)]
+        plan, seed order, inverse table or isometry."""
+        order = sweep_order(self.diagram)
+        position = {a: depth for depth, a in enumerate(order)}
+        checks = [[] for _ in order]
         for c in self.diagram.crossings:
             x, y = coloring[c.under_in], coloring[c.over]
             table = self.form.step_table(x, y, c.sign)
-            checks[max(c.under_in, c.over, c.under_out)].append(
-                (c.under_in, c.over, c.under_out, table)
-            )
+            last = max(position[c.under_in], position[c.over], position[c.under_out])
+            checks[last].append((c.under_in, c.over, c.under_out, table))
         count = 0
         sols = []
-        assignment = [0] * n_arcs
+        assignment = [0] * len(order)
         nv = len(self.vectors)
 
         def sweep(depth):
             nonlocal count
-            if depth == n_arcs:
+            if depth == len(order):
                 count += 1
-                if limit is None or len(sols) < limit:
+                if limit != 0:
                     sols.append(tuple(assignment))
                 return
+            arc, arc_checks = order[depth], checks[depth]
             for v in range(nv):
-                assignment[depth] = v
-                if all(
-                    assignment[uo] == t[assignment[ui]][assignment[ov]]
-                    for ui, ov, uo, t in checks[depth]
-                ):
+                assignment[arc] = v
+                for ui, ov, uo, t in arc_checks:
+                    if assignment[uo] != t[assignment[ui]][assignment[ov]]:
+                        break
+                else:
                     sweep(depth + 1)
 
         sweep(0)
-        return count, sols
+        sols.sort()
+        return count, sols if limit is None else sols[:limit]
 
     def _count_propagate(self, coloring, limit):
         """Run the compiled plan over this coloring's step tables.
@@ -274,6 +317,34 @@ class BeadCounter:
                 )
             )
         return _solve(self.plan, len(self.vectors), tables, limit, orbits)
+
+
+def sweep_order(diagram):
+    """The arcs in the order the oracle assigns them, from the crossings
+    alone: greedily the arc that completes the most crossings, then the
+    one that meets the most assigned arcs at its crossings, then the
+    least.  Early checks cut most prefixes, where index order may leave
+    every check to the last few arcs."""
+    arcs_at = [[] for _ in range(diagram.arc_count)]
+    for c in diagram.crossings:
+        arcs = {c.under_in, c.over, c.under_out}
+        for a in arcs:
+            arcs_at[a].append(arcs)
+    assigned = set()
+    order = []
+
+    def score(a):
+        unset = [len(arcs - assigned) for arcs in arcs_at[a]]
+        met = sum(map(len, arcs_at[a])) - sum(unset)
+        return unset.count(1), met, -a
+
+    remaining = set(range(diagram.arc_count))
+    while remaining:
+        a = max(remaining, key=score)
+        remaining.remove(a)
+        assigned.add(a)
+        order.append(a)
+    return order
 
 
 def count_beads(diagram, quandle, form, coloring, engine="propagate"):

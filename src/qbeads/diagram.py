@@ -131,9 +131,15 @@ def validate_diagram(diagram):
                 problems.append(f"arc {a} appears in components {seen[a]} and {ci}")
             else:
                 seen[a] = ci
-    for a in range(n):
-        if a not in seen:
-            problems.append(f"arc {a} belongs to no component")
+    if len(seen) < n:
+        # seen holds only arcs in range, so the first len(seen) + 3 ids
+        # hold the first three missing ones; n itself may be huge
+        missing = [a for a in range(min(n, len(seen) + 3)) if a not in seen]
+        listed = ", ".join(map(str, missing)) + (", ..." if n - len(seen) > 3 else "")
+        problems.append(
+            f"{n - len(seen)} of the {n} arcs belong to no component "
+            f"(the components list {len(seen)}): arcs {listed}"
+        )
     if problems:
         return problems
 

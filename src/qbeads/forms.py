@@ -50,6 +50,7 @@ from functools import cached_property
 
 from .errors import AxiomError, InputError
 from .field import PrimeField
+from .quandle import weighted_orbits
 
 # the most partial maps an isometry search accepts before
 # BilinearForm.isometries settles for {1, -1}
@@ -166,37 +167,14 @@ class BilinearForm:
 
         first lists (v, |Hv|) for the least vector index v of each
         H-orbit, H = isometries(ids); second[v] lists (w, |Stab_H(v) w|)
-        the same way for the stabiliser of v.  Built on first use and
-        kept, one per distinct ids.  Every trivial stabiliser shares one
-        list, so a small H keeps O(p^n) pairs, not O(p^2n).
+        the same way for the stabiliser of v (quandle.weighted_orbits).
+        Built on first use and kept, one per distinct ids.
         """
         orbits = self._seed_orbits.get(ids)
         if orbits is None:
-            group = self.isometries(ids)
             size = len(self.vector_tables.vectors)
-            every = [(w, 1) for w in range(size)]
-
-            def weighted(subgroup):
-                return _orbits(subgroup, size) if len(subgroup) > 1 else every
-
-            first = weighted(group)
-            second = {v: weighted([g for g in group if g[v] == v]) for v, _ in first}
-            orbits = self._seed_orbits[ids] = first, second
+            orbits = self._seed_orbits[ids] = weighted_orbits(self.isometries(ids), size)
         return orbits
-
-
-def _orbits(group, size):
-    """[(least element, size)] of each orbit of a permutation group on
-    range(size), in ascending order of the least element."""
-    seen = [False] * size
-    orbits = []
-    for v in range(size):
-        if not seen[v]:
-            orbit = {g[v] for g in group}
-            for w in orbit:
-                seen[w] = True
-            orbits.append((v, len(orbit)))
-    return orbits
 
 
 AXIOM_KINDS = ("ii", "iii")

@@ -14,9 +14,25 @@ compute_invariant keys each coloring by the ids of those two distinct
 matrices at every crossing and counts beads once per key, which is
 exact for any form.  For a valid form the blocks are constant on
 orbits, and every arc of a link component lies in one orbit, so there
-is at most one count per component-orbit tuple.  The oracle and both
-engines still count every coloring, so the engines are compared on
-each one.
+is at most one count per component-orbit tuple.
+
+Nor does it list every coloring.  An element g of Inn(X) is an
+automorphism that keeps every orbit, so g o f is an X-coloring with
+the same block key as f, for every form that validate_form or the
+search accepts.  So the set of colorings with a given key is
+Inn(X)-invariant, and compute_invariant runs the X-coloring plan with
+its first two seeds over weighted orbit representatives of H = Inn(X)
+(coloring.enumerate_weighted_xcolorings): a leaf whose first two
+seeds are v and w stands for |Hv| * |Stab_H(v) w| colorings, and the
+weights of a key's leaves add up to its number of colorings.  Each key
+is counted once and adds its count to the polynomial with that total
+as multiplicity.  H is Inn(X) while its closure stays within
+quandle.MAX_INNER products and {id} above, which is exact too.
+InvariantResult.colorings and .counts list every coloring and its
+count, in sorted order, computed on first read from
+enumerate_xcolorings and the per-key counts.  The oracle and both
+engines still enumerate and count every coloring, so the engines are
+compared on each one.
 
 Each of those counts runs the first two seeds up to the isometries of
 the blocks the coloring reads: a linear g with g^T B g = B for each of
@@ -31,8 +47,10 @@ per-coloring counts are those of a full enumeration.
 
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
+from typing import Callable
 
-from .coloring import ENGINES, BeadCounter, enumerate_xcolorings
+from .coloring import ENGINES, BeadCounter, enumerate_weighted_xcolorings, enumerate_xcolorings
 from .errors import InputError
 
 
@@ -53,8 +71,8 @@ class InvariantPolynomial:
         if multiplicity:
             self.terms[exponent] = self.terms.get(exponent, 0) + multiplicity
 
-    def add_exponent(self, exponent):
-        self._add(exponent, 1)
+    def add_exponent(self, exponent, multiplicity=1):
+        self._add(exponent, multiplicity)
 
     @classmethod
     def from_term_list(cls, pairs):
@@ -108,14 +126,31 @@ def compare(p1, p2):
 
 @dataclass
 class InvariantResult:
+    """A computed invariant.  colorings (every X-coloring, in sorted
+    order) and counts (the bead count of each) are computed on the
+    first read of either, by listing, so a caller that reads neither
+    pays only for the polynomial."""
+
     link: str
     quandle: str
     form: str
     engine: str
     polynomial: InvariantPolynomial
-    colorings: list = dataclass_field(repr=False, default_factory=list)
-    counts: list = dataclass_field(repr=False, default_factory=list)
+    # () -> (colorings, counts)
+    listing: Callable = dataclass_field(repr=False, compare=False)
     elapsed: float = 0.0
+
+    @cached_property
+    def _listed(self):
+        return self.listing()
+
+    @property
+    def colorings(self):
+        return self._listed[0]
+
+    @property
+    def counts(self):
+        return self._listed[1]
 
     def record(self):
         """JSON-ready summary (per-coloring detail intentionally omitted)."""
@@ -130,57 +165,61 @@ class InvariantResult:
         }
 
 
-def _distinct_colorings(diagram, form, colorings, engine):
-    """(representatives, index): the colorings to count, and for each
-    coloring the position of the representative whose count it shares.
-
-    Under the propagate engine colorings with equal block keys (see the
-    module docstring) share one count; every other engine counts each.
-    """
-    if engine != "propagate":
-        return colorings, range(len(colorings))
+def _block_key(diagram, form):
+    """key(f): what the propagate engine reads of a coloring f, one int
+    per crossing for the ids of its two blocks (see the module
+    docstring)."""
     block_id = form.block_ids
     width = 1 + max(map(max, block_id))
     arcs = [(c.under_in, c.over, c.under_out) for c in diagram.crossings]
-    position = {}
-    representatives, index = [], []
-    for f in colorings:
-        # one int per crossing for its pair of block ids
-        key = tuple(
-            [block_id[f[i]][f[o]] * width + block_id[f[u]][f[o]] for i, o, u in arcs]
-        )
-        if key not in position:
-            position[key] = len(representatives)
-            representatives.append(f)
-        index.append(position[key])
-    return representatives, index
+
+    def key(f):
+        return tuple([block_id[f[i]][f[o]] * width + block_id[f[u]][f[o]] for i, o, u in arcs])
+
+    return key
 
 
 def compute_invariant(diagram, quandle, form, engine="propagate"):
     """Count bead colorings over every X-coloring of the diagram.
 
-    Colorings that share a count are counted once (see the module
-    docstring).
+    The propagate engine counts once per block key over the X-colorings
+    up to Inn(X), each weighted by its class size; the oracle and both
+    engines count every coloring (see the module docstring).
     """
     if engine not in ENGINES:
         raise InputError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     start = time.monotonic()
-    colorings = enumerate_xcolorings(diagram, quandle)
-    todo, index = _distinct_colorings(diagram, form, colorings, engine)
     counter = BeadCounter(diagram, quandle, form)
-    distinct = [counter.count(c, engine=engine) for c in todo]
-    counts = [distinct[k] for k in index]
     poly = InvariantPolynomial()
-    for k in counts:
-        poly.add_exponent(k)
-    elapsed = time.monotonic() - start
+    if engine == "propagate":
+        key = _block_key(diagram, form)
+        classes = {}  # block key -> [a coloring with it, total weight]
+        for f, weight in enumerate_weighted_xcolorings(diagram, quandle):
+            classes.setdefault(key(f), [f, 0])[1] += weight
+        counts = {}
+        for k, (f, weight) in classes.items():
+            counts[k] = counter.count(f)
+            poly.add_exponent(counts[k], weight)
+
+        def listing():
+            colorings = enumerate_xcolorings(diagram, quandle)
+            return colorings, [counts[key(f)] for f in colorings]
+
+    else:
+        colorings = enumerate_xcolorings(diagram, quandle)
+        per_coloring = [counter.count(f, engine=engine) for f in colorings]
+        for k in per_coloring:
+            poly.add_exponent(k)
+
+        def listing():
+            return colorings, per_coloring
+
     return InvariantResult(
         link=diagram.name,
         quandle=quandle.name,
         form=form.name,
         engine=engine,
         polynomial=poly,
-        colorings=colorings,
-        counts=counts,
-        elapsed=elapsed,
+        elapsed=time.monotonic() - start,
+        listing=listing,
     )

@@ -10,9 +10,15 @@ is 1-based (see parse_quandle / format_quandle).
 """
 
 import itertools
+from functools import cached_property
 
 from .errors import AxiomError, InputError
 from .field import PrimeField
+
+# the most products of a group element and a right translation
+# Quandle.inner_automorphisms computes before it settles for the
+# identity alone
+MAX_INNER = 4096
 
 
 def check_table_shape(table):
@@ -147,9 +153,69 @@ class Quandle:
                     parent[max(a, b)] = min(a, b)
         return tuple(root(x) for x in range(self.order))
 
+    @cached_property
+    def inner_automorphisms(self):
+        """Inn(X), the group generated by the right translations
+        x -> x ▷ y, as permutation tuples with the identity first.
+
+        Built on first use and kept.  The closure multiplies each
+        element by each distinct translation, so it stops at MAX_INNER
+        products and returns the identity alone instead: a subgroup,
+        so still exact wherever the group only weights orbits.
+        """
+        identity = tuple(range(self.order))
+        translations = set(zip(*self.table))
+        group = [identity]
+        seen = {identity}
+        for g in group:
+            if len(group) * len(translations) > MAX_INNER:
+                return [identity]
+            for t in translations:
+                h = tuple(map(t.__getitem__, g))
+                if h not in seen:
+                    seen.add(h)
+                    group.append(h)
+        return group
+
+    @cached_property
+    def inner_orbits(self):
+        """weighted_orbits of inner_automorphisms on the elements,
+        built on first use and kept."""
+        return weighted_orbits(self.inner_automorphisms, self.order)
+
     def is_involutory(self):
         """True when every right translation is its own inverse (a kei)."""
         return self.table == self.inv_table
+
+
+def weighted_orbits(group, size):
+    """(first, second) for a permutation group on range(size).
+
+    first lists (v, |Gv|) for the least element v of each orbit of G,
+    in ascending order; second[v] lists (w, |Stab_G(v) w|) the same way
+    for the stabiliser of each such v.  A sum over range(size) x
+    range(size) of a G-invariant function of (v, w) is the sum over
+    these pairs of their weights times its value, which is how a count
+    runs its first two seeds up to G.  Every trivial stabiliser shares
+    one list, so a small G keeps O(size) pairs, not O(size^2).
+    """
+    every = [(w, 1) for w in range(size)]
+
+    def orbits(subgroup):
+        if len(subgroup) == 1:
+            return every
+        seen = [False] * size
+        found = []
+        for v in range(size):
+            if not seen[v]:
+                orbit = {g[v] for g in subgroup}
+                for w in orbit:
+                    seen[w] = True
+                found.append((v, len(orbit)))
+        return found
+
+    first = orbits(group)
+    return first, {v: orbits([g for g in group if g[v] == v]) for v, _ in first}
 
 
 # -- standard constructions -------------------------------------------

@@ -229,6 +229,31 @@ def test_batch_unknown_subset(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("links", [",", " "])
+def test_batch_empty_subset(capsys, links):
+    code, out, err = run(
+        capsys, "batch", "--quandle", "swap3", "--form", "swap3-partial",
+        "--links", links,
+    )
+    assert code == 2
+    assert out == ""
+    assert "names no link" in err
+
+
+def test_invariant_rejects_a_huge_arc_count(tmp_path, capsys):
+    # one arc listed of 10^11: one bounded error, not one per missing arc
+    path = tmp_path / "huge.diagram"
+    path.write_text("link a\narcs 99999999999\ncomponent 1\n")
+    code, out, err = run(
+        capsys, "invariant", "--link", str(path), "--quandle", "swap3",
+        "--form", "swap3-full",
+    )
+    assert code == 2
+    assert out == ""
+    assert "99999999998 of the 99999999999 arcs belong to no component" in err
+    assert len(err) < 300
+
+
 def test_batch_detects_mismatch(tmp_path, monkeypatch, capsys):
     shutil.copytree(catalog.catalog_root(), tmp_path / "cat")
     expected = tmp_path / "cat" / "expected" / "swap3-partial.json"

@@ -11,6 +11,7 @@ from qbeads.coloring import (
     count_beads,
     counting_invariant,
     enumerate_xcolorings,
+    sweep_order,
 )
 from qbeads.diagram import Crossing, LinkDiagram, import_pd, load_diagram, seed_arcs
 from qbeads.errors import InputError
@@ -101,6 +102,26 @@ def test_engines_agree_at_p3(swap3):
                 assert counter.solutions(f, engine="oracle") == sorted(
                     counter.solutions(f, engine="propagate")
                 ), (d.name, q.name, f)
+
+
+def test_sweep_order_closes_crossings_early():
+    for d in small_diagrams():
+        assert sorted(sweep_order(d)) == list(range(d.arc_count)), d.name
+    # L7n1: in index order the first crossing closes at the fifth arc,
+    # arc 4; the sweep closes the crossing (0, 5, 1) with its third
+    d = catalog.link_diagram("L7n1")
+    assert sweep_order(d)[:3] == [0, 1, 5]
+    assert min(max(c.under_in, c.over, c.under_out) for c in d.crossings) == 4
+
+
+def test_oracle_listing_is_sorted_then_cut(swap3):
+    form = constant_form(swap3, 3, 2, [[0, 1], [2, 0]])
+    d = catalog.link_diagram("L7n1")
+    counter = BeadCounter(d, swap3, form)
+    for f in enumerate_xcolorings(d, swap3)[:3]:
+        full = counter.solutions(f, engine="oracle")
+        assert full == sorted(full) == sorted(counter.solutions(f))
+        assert counter.solutions(f, engine="oracle", limit=4) == full[:4]
 
 
 def test_bead_counts_per_coloring(swap3):

@@ -106,6 +106,21 @@ def test_validate_catches_structural_problems():
     assert validate_diagram(bad)
 
 
+def test_arcs_outside_every_component_are_one_problem():
+    bad = LinkDiagram("b", 6, [], [[0], [2]])
+    assert validate_diagram(bad) == [
+        "4 of the 6 arcs belong to no component (the components list 2): arcs 1, 3, 4, ..."
+    ]
+    bad = LinkDiagram("b", 3, [], [[0]])
+    assert validate_diagram(bad) == [
+        "2 of the 3 arcs belong to no component (the components list 1): arcs 1, 2"
+    ]
+    # an arc count of 10^11 is reported without listing what is missing
+    with pytest.raises(InputError, match="99999999998 of the 99999999999 arcs") as e:
+        parse_diagram("link a\narcs 99999999999\ncomponent 1\n")
+    assert len(str(e.value)) < 200
+
+
 def test_crossing_relations_shape():
     rels = crossing_relations(HOPF)
     assert len(rels) == 2
