@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .diagram import load_diagram
 from .errors import InputError
-from .forms import load_form as _load_form_file
+from .forms import parse_form
 from .invariant import InvariantPolynomial
 from .quandle import load_quandle as _load_quandle_file
 
@@ -69,7 +69,8 @@ def load_quandle(name):
     return _load_quandle_file(path, name=name)
 
 
-def load_form(name):
+def _read_form(name):
+    """(text, quandle id) of a catalog form file, read once."""
     path = catalog_root() / "forms" / f"{name}.form"
     if not path.is_file():
         raise InputError(
@@ -79,21 +80,19 @@ def load_form(name):
     m = re.search(r"^#\s*quandle\s*:\s*(\S+)", text, re.MULTILINE)
     if not m:
         raise InputError(f"form file {path} lacks a '# quandle: <id>' comment")
-    quandle = load_quandle(m.group(1))
-    return _load_form_file(path, quandle, name=name)
+    return text, m.group(1)
+
+
+def load_form(name):
+    """A catalog form, validated against the catalog quandle its
+    header names; that quandle's name is its id."""
+    text, quandle_id = _read_form(name)
+    return parse_form(text, load_quandle(quandle_id), name=name)
 
 
 def form_quandle_id(name):
     """The catalog quandle id a catalog form was validated against."""
-    path = catalog_root() / "forms" / f"{name}.form"
-    if not path.is_file():
-        raise InputError(f"unknown catalog form {name!r}")
-    m = re.search(
-        r"^#\s*quandle\s*:\s*(\S+)", path.read_text(encoding="utf-8"), re.MULTILINE
-    )
-    if not m:
-        raise InputError(f"form file {path} lacks a '# quandle: <id>' comment")
-    return m.group(1)
+    return _read_form(name)[1]
 
 
 def expected_table(form_name):

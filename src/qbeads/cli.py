@@ -17,7 +17,7 @@ import time
 from . import catalog
 from .coloring import ENGINES
 from .errors import AxiomError, InputError, QBeadsError
-from .forms import format_form, load_form, parse_form
+from .forms import format_form, load_form
 from .diagram import load_diagram
 from .invariant import InvariantPolynomial, compute_invariant
 from .quandle import load_quandle, parse_quandle
@@ -41,7 +41,7 @@ def _resolve_form(token, quandle=None):
     form = catalog.load_form(token)
     if quandle is not None and form.quandle != quandle:
         raise InputError(
-            f"catalog form {token!r} belongs to a different quandle"
+            f"catalog form {token!r} belongs to quandle {form.quandle.name!r}"
         )
     return form
 
@@ -91,16 +91,7 @@ def cmd_quandle_check(args):
 def cmd_form_check(args):
     quandle = _resolve_quandle(args.quandle)
     try:
-        if os.path.isfile(args.form):
-            with open(args.form, encoding="utf-8") as fh:
-                parse_form(fh.read(), quandle)
-        else:
-            form = catalog.load_form(args.form)
-            if form.quandle != quandle:
-                raise InputError(
-                    f"catalog form {args.form!r} belongs to quandle "
-                    f"{catalog.form_quandle_id(args.form)!r}"
-                )
+        _resolve_form(args.form, quandle)
         violations = []
     except AxiomError as e:
         violations = e.violations

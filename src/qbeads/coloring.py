@@ -9,12 +9,24 @@ every arc so that at each positive crossing
 
     bead(under_out) = bead(under_in) + [bead(under_in), bead(over)] * bead(over)
 
-with the form evaluated at (color(under_in), color(over)); at a
-negative crossing the correction term is subtracted instead.  Either
-way the out bead is a bijective function of the in bead, and the
-inverse map evaluates the form at (color(under_out), color(over)):
+with the form evaluated at (x, y) = (color(under_in), color(over)); at a
+negative crossing the correction term is subtracted instead.  These are
+the translations of the bead quandle X x F_p^n, where
+(x, a) > (y, b) = (x > y, a + [a,b]_{x,y} b), and the negative step
+a -> a - [a,b]_{x,y} b is its inverse translation by (y, b).  That
+holds because [a,b]_{x,y} [b,b]_{x,y} = 0 on a valid form: axiom (ii)
+at z = y and c = b, with [b,b]_{y,y} = 0 by (i) and y > y = y, reads
 
-    bead(under_in) = bead(under_out) -/+ [bead(under_out), bead(over)] * bead(over)
+    [a,b]_{x,y} = [a,b]_{x>y,y} + [a,b]_{x,y} [b,b]_{x>y,y},
+
+and the form is constant on orbits (the orbit lemma in the forms
+module), so the block at (x>y, y) is the block at (x, y).  Hence
+a' = a +/- [a,b] b has [a',b] = [a,b], and a = a' -/+ [a',b] b: each
+step is a bijection of the in bead, undone by the step of the opposite
+sign through the same block.  under_out lies in the orbit of under_in,
+so every step at a crossing reads one block,
+B[color(under_in)][color(over)], which is exact for every form that
+validate_form or the search returns.
 
 Both counts run one plan per diagram, LinkDiagram.plan.  Which
 crossings can be derived or checked depends only on which arcs are
@@ -31,8 +43,7 @@ beads (the "propagate" engine).
 
 A bare bead count runs its first two seeds only up to symmetry.  Let g
 be linear with g^T B g = B for every block B the coloring reads (the
-blocks at (color(under_in), color(over)) and (color(under_out),
-color(over)) of every crossing).  Then
+block at (color(under_in), color(over)) of every crossing).  Then
 
     g(a +/- [a,b] b) = ga +/- [ga,gb] gb,
 
@@ -213,39 +224,36 @@ class BeadCounter:
         self.vectors = form.vector_tables.vectors
         self.plan = diagram.plan
 
-    def _check(self, coloring, engine):
+    def _run(self, coloring, engine, limit):
+        """(count, solutions) of one engine, or of both once they agree.
+
+        Under "both" a listing compares every solution, and the
+        oracle's sorted list is then cut to limit; a bare count
+        (limit 0) compares the counts.
+        """
         if engine not in ENGINES:
             raise InputError(f"unknown engine {engine!r}, expected one of {ENGINES}")
         _check_coloring(self.diagram, self.quandle, coloring)
+        if engine == "oracle":
+            return self._count_oracle(coloring, limit)
+        if engine == "propagate":
+            return self._count_propagate(coloring, limit)
+        every = 0 if limit == 0 else None
+        count, sols = self._count_oracle(coloring, every)
+        count_p, sols_p = self._count_propagate(coloring, every)
+        if count != count_p or sols != sorted(sols_p):
+            raise QBeadsError(
+                f"engine disagreement: oracle={count} propagate={count_p} "
+                f"for coloring {coloring}"
+            )
+        return count, sols[:limit]
 
     def count(self, coloring, engine="propagate"):
-        self._check(coloring, engine)
-        if engine == "both":
-            a = self._count_oracle(coloring, 0)
-            b = self._count_propagate(coloring, 0)
-            if a[0] != b[0]:
-                raise QBeadsError(
-                    f"engine disagreement: oracle={a[0]} propagate={b[0]} "
-                    f"for coloring {coloring}"
-                )
-            return a[0]
-        if engine == "oracle":
-            return self._count_oracle(coloring, 0)[0]
-        return self._count_propagate(coloring, 0)[0]
+        return self._run(coloring, engine, 0)[0]
 
     def solutions(self, coloring, engine="propagate", limit=None):
         """Bead colorings as tuples of vectors, one per arc."""
-        self._check(coloring, engine)
-        if engine == "both":
-            _, sols_o = self._count_oracle(coloring, None)
-            _, sols_p = self._count_propagate(coloring, None)
-            if sorted(sols_o) != sorted(sols_p):
-                raise QBeadsError("engine disagreement on solution sets")
-            sols = sols_o if limit is None else sols_o[:limit]
-        elif engine == "oracle":
-            _, sols = self._count_oracle(coloring, limit)
-        else:
-            _, sols = self._count_propagate(coloring, limit)
+        _, sols = self._run(coloring, engine, limit)
         return [tuple(self.vectors[i] for i in sol) for sol in sols]
 
     def _count_oracle(self, coloring, limit):
@@ -298,24 +306,13 @@ class BeadCounter:
         weighted orbits of the isometries of the blocks the coloring
         reads; a listing runs every value, so it lists every solution.
         """
-        form, crossings = self.form, self.diagram.crossings
-        tables = [
-            (
-                form.step_table(coloring[c.under_in], coloring[c.over], c.sign),
-                form.step_table(coloring[c.under_out], coloring[c.over], -c.sign),
-            )
-            for c in crossings
-        ]
+        form = self.form
+        reads = [(coloring[c.under_in], coloring[c.over], c.sign) for c in self.diagram.crossings]
+        tables = [(form.step_table(x, y, s), form.step_table(x, y, -s)) for x, y, s in reads]
         orbits = None
         if limit == 0:
             ids = form.block_ids
-            orbits = form.seed_orbits(
-                frozenset(
-                    ids[coloring[a]][coloring[c.over]]
-                    for c in crossings
-                    for a in (c.under_in, c.under_out)
-                )
-            )
+            orbits = form.seed_orbits(frozenset(ids[x][y] for x, y, _ in reads))
         return _solve(self.plan, len(self.vectors), tables, limit, orbits)
 
 

@@ -192,11 +192,6 @@ def validate_diagram(diagram):
     return problems
 
 
-def crossing_relations(diagram):
-    """The coloring relations, one (under_in, over, under_out, sign) per crossing."""
-    return [(c.under_in, c.over, c.under_out, c.sign) for c in diagram.crossings]
-
-
 # -- propagation plan -------------------------------------------------
 
 # seed_arcs searches subsets smaller than its greedy seeds up to this

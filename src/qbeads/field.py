@@ -9,6 +9,12 @@ import itertools
 
 from .errors import InputError
 
+# the largest field order and the most vectors of F_p^n accepted: the
+# primality check trial-divides up to sqrt(p), and VectorTables holds
+# two (p^n)^2 tables, which took 2.1 s and 32 MB at p^n = 1024 (CPython
+# 3.11 on a shared 2-core x86 host)
+MAX_VECTORS = 1024
+
 
 def is_prime(p):
     if not isinstance(p, int) or p < 2:
@@ -21,10 +27,19 @@ def is_prime(p):
     return True
 
 
+def check_vector_count(p, n):
+    """Refuse F_p^n, n >= 0, when it has more than MAX_VECTORS vectors."""
+    # 2^n > MAX_VECTORS from its bit length on, so p**n stays small
+    if n >= MAX_VECTORS.bit_length() or p**n > MAX_VECTORS:
+        raise InputError(f"F_{p}^{n} has more than {MAX_VECTORS} vectors, the most supported")
+
+
 class PrimeField:
     """The field F_p together with vector/matrix helpers of any dimension."""
 
     def __init__(self, p):
+        if isinstance(p, int) and p > MAX_VECTORS:
+            raise InputError(f"field order {p} exceeds the largest supported, {MAX_VECTORS}")
         if not is_prime(p):
             raise InputError(f"field order must be prime, got {p!r}")
         self.p = p
@@ -38,12 +53,6 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
 
     # -- vectors ------------------------------------------------------
 
@@ -66,8 +75,10 @@ class PrimeField:
 
     def vector_tables(self, n):
         """The VectorTables of F_p^n, built on first use and kept, so
-        everything working over this field object shares one."""
+        everything working over this field object shares one.  Refuses
+        F_p^n with more than MAX_VECTORS vectors before building it."""
         if n not in self._vector_tables:
+            check_vector_count(self.p, n)
             self._vector_tables[n] = VectorTables(self, n)
         return self._vector_tables[n]
 

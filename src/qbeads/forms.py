@@ -114,10 +114,6 @@ class BilinearForm:
             and other.quandle == self.quandle
         )
 
-    def eval(self, x, y, u, v):
-        """[u, v]_{x,y} in F_p."""
-        return self.field.bilinear_eval(self.blocks[x][y], u, v)
-
     def eval_table(self):
         """Nested lookup table t[x][y][i][j] over vector indices.
 

@@ -8,13 +8,12 @@ invariant.  Rendering is canonical: terms in descending exponent,
 multiplicity 1 left implicit, so for example ``u^16 + 4u^10``.
 
 The propagate engine reads a coloring f only through the step tables
-of its crossings, and the table at a crossing is fixed by its sign and
-the blocks B[f(under_in)][f(over)] and B[f(under_out)][f(over)].  So
-compute_invariant keys each coloring by the ids of those two distinct
-matrices at every crossing and counts beads once per key, which is
-exact for any form.  For a valid form the blocks are constant on
-orbits, and every arc of a link component lies in one orbit, so there
-is at most one count per component-orbit tuple.
+of its crossings, and both tables at a crossing are fixed by its sign
+and the block B[f(under_in)][f(over)] (see the coloring module).  So
+compute_invariant keys each coloring by the id of that block at every
+crossing and counts beads once per key.  For a valid form the blocks
+are constant on orbits, and every arc of a link component lies in one
+orbit, so there is at most one count per component-orbit tuple.
 
 Nor does it list every coloring.  An element g of Inn(X) is an
 automorphism that keeps every orbit, so g o f is an X-coloring with
@@ -24,15 +23,18 @@ Inn(X)-invariant, and compute_invariant runs the X-coloring plan with
 its first two seeds over weighted orbit representatives of H = Inn(X)
 (coloring.enumerate_weighted_xcolorings): a leaf whose first two
 seeds are v and w stands for |Hv| * |Stab_H(v) w| colorings, and the
-weights of a key's leaves add up to its number of colorings.  Each key
-is counted once and adds its count to the polynomial with that total
-as multiplicity.  H is Inn(X) while its closure stays within
-quandle.MAX_INNER products and {id} above, which is exact too.
+weights of a key's leaves add up to its number of colorings.  H is
+Inn(X) while its closure stays within quandle.MAX_INNER products and
+{id} above, which is exact too.
+
+The oracle and both engines take instead every coloring of
+enumerate_xcolorings with weight 1, keyed by the coloring itself, so
+the engines are compared on each one.  From there one loop serves all
+three: it adds up the weights per key, counts each key once and adds
+its count to the polynomial with that total as multiplicity.
 InvariantResult.colorings and .counts list every coloring and its
 count, in sorted order, computed on first read from
-enumerate_xcolorings and the per-key counts.  The oracle and both
-engines still enumerate and count every coloring, so the engines are
-compared on each one.
+enumerate_xcolorings and the per-key counts.
 
 Each of those counts runs the first two seeds up to the isometries of
 the blocks the coloring reads: a linear g with g^T B g = B for each of
@@ -57,13 +59,10 @@ from .errors import InputError
 class InvariantPolynomial:
     """A multiset of exponents: {exponent: multiplicity}."""
 
-    def __init__(self, terms=None):
+    def __init__(self):
         self.terms = {}
-        if terms:
-            for exponent, multiplicity in dict(terms).items():
-                self._add(exponent, multiplicity)
 
-    def _add(self, exponent, multiplicity=1):
+    def add_exponent(self, exponent, multiplicity=1):
         if not isinstance(exponent, int) or exponent < 0:
             raise InputError(f"exponent must be a nonnegative int, got {exponent!r}")
         if not isinstance(multiplicity, int) or multiplicity < 0:
@@ -71,15 +70,12 @@ class InvariantPolynomial:
         if multiplicity:
             self.terms[exponent] = self.terms.get(exponent, 0) + multiplicity
 
-    def add_exponent(self, exponent, multiplicity=1):
-        self._add(exponent, multiplicity)
-
     @classmethod
     def from_term_list(cls, pairs):
         """Build from [[exponent, multiplicity], ...]."""
         poly = cls()
         for exponent, multiplicity in pairs:
-            poly._add(exponent, multiplicity)
+            poly.add_exponent(exponent, multiplicity)
         return poly
 
     def term_list(self):
@@ -166,15 +162,14 @@ class InvariantResult:
 
 
 def _block_key(diagram, form):
-    """key(f): what the propagate engine reads of a coloring f, one int
-    per crossing for the ids of its two blocks (see the module
-    docstring)."""
+    """key(f): what the propagate engine reads of a coloring f, the id
+    of the block B[f(under_in)][f(over)] at each crossing (see the
+    module docstring)."""
     block_id = form.block_ids
-    width = 1 + max(map(max, block_id))
-    arcs = [(c.under_in, c.over, c.under_out) for c in diagram.crossings]
+    arcs = [(c.under_in, c.over) for c in diagram.crossings]
 
     def key(f):
-        return tuple([block_id[f[i]][f[o]] * width + block_id[f[u]][f[o]] for i, o, u in arcs])
+        return tuple([block_id[f[i]][f[o]] for i, o in arcs])
 
     return key
 
@@ -190,29 +185,24 @@ def compute_invariant(diagram, quandle, form, engine="propagate"):
         raise InputError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     start = time.monotonic()
     counter = BeadCounter(diagram, quandle, form)
-    poly = InvariantPolynomial()
     if engine == "propagate":
+        leaves = enumerate_weighted_xcolorings(diagram, quandle)
         key = _block_key(diagram, form)
-        classes = {}  # block key -> [a coloring with it, total weight]
-        for f, weight in enumerate_weighted_xcolorings(diagram, quandle):
-            classes.setdefault(key(f), [f, 0])[1] += weight
-        counts = {}
-        for k, (f, weight) in classes.items():
-            counts[k] = counter.count(f)
-            poly.add_exponent(counts[k], weight)
-
-        def listing():
-            colorings = enumerate_xcolorings(diagram, quandle)
-            return colorings, [counts[key(f)] for f in colorings]
-
     else:
-        colorings = enumerate_xcolorings(diagram, quandle)
-        per_coloring = [counter.count(f, engine=engine) for f in colorings]
-        for k in per_coloring:
-            poly.add_exponent(k)
+        leaves = [(f, 1) for f in enumerate_xcolorings(diagram, quandle)]
+        key = tuple  # a coloring is a tuple, so this returns it as is
+    classes = {}  # key -> [a coloring with it, total weight]
+    for f, weight in leaves:
+        classes.setdefault(key(f), [f, 0])[1] += weight
+    poly = InvariantPolynomial()
+    counts = {}
+    for k, (f, weight) in classes.items():
+        counts[k] = counter.count(f, engine=engine)
+        poly.add_exponent(counts[k], weight)
 
-        def listing():
-            return colorings, per_coloring
+    def listing():
+        colorings = enumerate_xcolorings(diagram, quandle)
+        return colorings, [counts[key(f)] for f in colorings]
 
     return InvariantResult(
         link=diagram.name,

@@ -183,10 +183,6 @@ class Quandle:
         built on first use and kept."""
         return weighted_orbits(self.inner_automorphisms, self.order)
 
-    def is_involutory(self):
-        """True when every right translation is its own inverse (a kei)."""
-        return self.table == self.inv_table
-
 
 def weighted_orbits(group, size):
     """(first, second) for a permutation group on range(size).

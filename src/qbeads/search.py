@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InputError
-from .field import PrimeField
+from .field import PrimeField, check_vector_count
 from .forms import BilinearForm, axiom_failures, axiom_reads, form_violations
 
 MODES = ("all", "alternating-only", "constant-diagonal")
@@ -213,6 +213,8 @@ def search_forms(
     field = PrimeField(p)
     if n < 0:
         raise InputError(f"matrix dimension must be >= 0, got {n}")
+    # before the estimate, whose float formatting overflows far past it
+    check_vector_count(p, n)
     if limit is not None and limit < 0:
         raise InputError(f"limit must be >= 0, got {limit}")
     estimate = _space_estimate(quandle.order, p, n, mode)

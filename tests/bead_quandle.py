@@ -17,15 +17,17 @@ def vectors(p, n):
     return list(itertools.product(range(p), repeat=n))
 
 
+def pairing(a, B, b, p):
+    """[a, b] = a^T B b mod p."""
+    n = len(a)
+    return sum(a[i] * B[i][j] * b[j] for i in range(n) for j in range(n)) % p
+
+
 def bead_table(quandle_table, blocks, p, n):
     """The operation table of X x F_p^n, where (x, a) is the element
     x * p^n + (position of a in vectors(p, n))."""
     vecs = vectors(p, n)
     index = {v: i for i, v in enumerate(vecs)}
-
-    def pairing(a, B, b):
-        return sum(a[i] * B[i][j] * b[j] for i in range(n) for j in range(n)) % p
-
     table = []
     for x, row in enumerate(quandle_table):
         for a in vecs:
@@ -33,7 +35,7 @@ def bead_table(quandle_table, blocks, p, n):
             for y, xy in enumerate(row):
                 B = blocks[x][y]
                 for b in vecs:
-                    s = pairing(a, B, b)
+                    s = pairing(a, B, b, p)
                     out.append(xy * len(vecs) + index[tuple((ai + s * bi) % p for ai, bi in zip(a, b))])
             table.append(out)
     return table

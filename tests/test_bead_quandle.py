@@ -12,7 +12,7 @@ from qbeads.invariant import InvariantPolynomial, compute_invariant
 from qbeads.quandle import Quandle, quandle_violations, trivial_quandle
 from qbeads.search import run_search
 
-from bead_quandle import bead_table, fibre_counts
+from bead_quandle import bead_table, fibre_counts, pairing, vectors
 from test_inner import conj_s3, diagrams
 
 
@@ -65,6 +65,49 @@ def test_searched_forms_and_their_mutants(build, p, n, step):
     families += [g for f in forms for g in itertools.islice(mutants(f.blocks, p), 0, None, step)]
     valid = assert_bead_quandle_iff_valid(q, families, p, n)
     assert valid >= len(forms) and valid < len(families)
+
+
+def assert_negative_step_is_the_inverse_translation(quandle, blocks, p, n):
+    """The inverse translation of X x F_p^n by (y, b) sends (x, a) to
+    (x <| y, a - [a,b]_{x,y} b), x <| y the inverse translation of X:
+    the negative bead step reads the same block as the positive one."""
+    vecs = vectors(p, n)
+    index = {v: i for i, v in enumerate(vecs)}
+    inv = Quandle.from_table(bead_table(quandle.table, blocks, p, n)).inv_table
+    for x, y in itertools.product(range(quandle.order), repeat=2):
+        for (i, a), (j, b) in itertools.product(enumerate(vecs), repeat=2):
+            s = pairing(a, blocks[x][y], b, p)
+            stepped = tuple((ai - s * bi) % p for ai, bi in zip(a, b))
+            expected = quandle.inv_table[x][y] * len(vecs) + index[stepped]
+            assert inv[x * len(vecs) + i][y * len(vecs) + j] == expected, (blocks, x, y, a, b)
+
+
+def test_negative_step_is_the_inverse_translation():
+    # the valid families of the two tests above, and searched forms at
+    # p = 3, where a - s b and a + s b differ
+    q = trivial_quandle(2)
+    alternating = [[[0, 0], [0, 0]], [[0, 1], [1, 0]]]
+    matrices = [[[a, b], [c, d]] for a, b, c, d in itertools.product(range(2), repeat=4)]
+    field = PrimeField(2)
+    checked = 0
+    for d0, d1 in itertools.product(alternating, repeat=2):
+        for b01, b10 in itertools.product(matrices, repeat=2):
+            blocks = [[d0, b01], [b10, d1]]
+            if not form_violations(q, blocks, field, 2):
+                assert_negative_step_is_the_inverse_translation(q, blocks, 2, 2)
+                checked += 1
+    swap3 = catalog.load_quandle("swap3")
+    for quandle, p, step in (
+        (swap3, 2, 1),
+        (conj_s3(), 2, 1),
+        (swap3, 3, 1),
+        (q, 3, 1),
+        (conj_s3(), 3, 10),
+    ):
+        for form in run_search(quandle, p, 2, allow_large=True).forms[::step]:
+            assert_negative_step_is_the_inverse_translation(quandle, form.blocks, p, 2)
+            checked += 1
+    assert checked == 7 + 7 + 33 + 17 + 17 + 13
 
 
 def small_diagrams():

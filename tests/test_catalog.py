@@ -19,7 +19,7 @@ def test_listings():
 def test_quandle_fixture():
     q = catalog.load_quandle("swap3")
     assert q.order == 3
-    assert q.is_involutory()
+    assert q.table == q.inv_table
     assert q.table == ((0, 0, 1), (1, 1, 0), (2, 2, 2))
 
 

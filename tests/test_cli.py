@@ -83,6 +83,44 @@ def test_form_check_quandle_mismatch(tmp_path, capsys):
     q.write_text("quandle 2\n1 1\n2 2\n")
     code, _, err = run(capsys, "form-check", str(q), "swap3-partial")
     assert code == 2
+    assert err == "error: catalog form 'swap3-partial' belongs to quandle 'swap3'\n"
+    # invariant and batch resolve the form the same way
+    for sub in ("invariant", "batch"):
+        argv = [sub, "--quandle", str(q), "--form", "swap3-partial"]
+        argv += ["--link", "L2a1"] if sub == "invariant" else []
+        assert run(capsys, *argv)[::2] == (2, err)
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        (f"form 1 1 {2**61 - 1}\nB 1 1\n0\n", "exceeds the largest supported, 1024"),
+        ("form 1 2 1009\nB 1 1\n0 0\n0 0\n", "F_1009^2 has more than 1024 vectors"),
+    ],
+    ids=["19-digit-p", "p^n-1009^2"],
+)
+def test_oversized_fields_are_refused(tmp_path, capsys, form, message):
+    q = tmp_path / "one.quandle"
+    q.write_text("quandle 1\n1\n")
+    f = tmp_path / "big.form"
+    f.write_text(form)
+    for argv in (
+        ["form-check", str(q), str(f)],
+        ["invariant", "--link", "L2a1", "--quandle", str(q), "--form", str(f)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+def test_form_search_refuses_oversized_fields(capsys):
+    # F_2^40 used to overflow the space estimate's float formatting
+    for p, n in ((2**61 - 1, 1), (2, 40), (1009, 2)):
+        code, out, err = run(
+            capsys, "form-search", "swap3", "--p", str(p), "--n", str(n), "--allow-large"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "1024" in err
 
 
 # -- invariant ----------------------------------------------------------

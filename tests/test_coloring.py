@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import qbeads.diagram
+import qbeads.invariant
 from qbeads import catalog
 from qbeads.coloring import (
     BeadCounter,
@@ -14,7 +15,7 @@ from qbeads.coloring import (
     sweep_order,
 )
 from qbeads.diagram import Crossing, LinkDiagram, import_pd, load_diagram, seed_arcs
-from qbeads.errors import InputError
+from qbeads.errors import InputError, QBeadsError
 from qbeads.forms import constant_form, validate_form, zero_form
 from qbeads.invariant import compute_invariant
 from qbeads.quandle import Quandle, alexander_quandle
@@ -178,6 +179,48 @@ def test_engines_agree_on_fixture_diagrams(swap3):
                 )
 
 
+def test_unknown_engine_is_refused_before_enumerating(swap3, monkeypatch):
+    form = validate_form(swap3, PARTIAL, 2, 2)
+
+    def enumerated(*args):
+        raise AssertionError("enumerated colorings for an unknown engine")
+
+    for name in ("enumerate_xcolorings", "enumerate_weighted_xcolorings"):
+        monkeypatch.setattr(qbeads.invariant, name, enumerated)
+    with pytest.raises(InputError, match="unknown engine"):
+        compute_invariant(HOPF, swap3, form, engine="fast")
+    counter = BeadCounter(HOPF, swap3, form)
+    with pytest.raises(InputError, match="unknown engine"):
+        counter.count((2, 2), engine="fast")
+    with pytest.raises(InputError, match="unknown engine"):
+        counter.solutions((2, 2), engine="fast")
+
+
+def test_both_raises_when_the_engines_disagree(swap3, monkeypatch):
+    form = validate_form(swap3, PARTIAL, 2, 2)
+    counter = BeadCounter(HOPF, swap3, form)
+    propagate = BeadCounter._count_propagate
+    assert counter.count((2, 2), engine="both") == 16
+    assert len(counter.solutions((2, 2), engine="both")) == 16
+
+    def one_more(self, coloring, limit):
+        count, sols = propagate(self, coloring, limit)
+        return count + 1, sols
+
+    def one_fewer_listed(self, coloring, limit):
+        count, sols = propagate(self, coloring, limit)
+        return count, sols[1:]
+
+    message = r"engine disagreement: oracle=16 propagate=1[67] for coloring \(2, 2\)"
+    monkeypatch.setattr(BeadCounter, "_count_propagate", one_more)
+    with pytest.raises(QBeadsError, match=message):
+        counter.count((2, 2), engine="both")
+    monkeypatch.setattr(BeadCounter, "_count_propagate", one_fewer_listed)
+    assert counter.count((2, 2), engine="both") == 16
+    with pytest.raises(QBeadsError, match=message):
+        counter.solutions((2, 2), engine="both", limit=3)
+
+
 def test_solution_listing_and_limit(swap3):
     form = validate_form(swap3, PARTIAL, 2, 2)
     sols = bead_solutions(HOPF, swap3, form, (2, 2))
@@ -194,7 +237,8 @@ def test_solutions_satisfy_the_step_equations(swap3):
     for sol in bead_solutions(HOPF, swap3, form, coloring, engine="both"):
         for c in HOPF.crossings:
             a, b = sol[c.under_in], sol[c.over]
-            lam = form.eval(coloring[c.under_in], coloring[c.over], a, b)
+            block = form.blocks[coloring[c.under_in]][coloring[c.over]]
+            lam = form.field.bilinear_eval(block, a, b)
             stepped = form.field.vec_add(a, form.field.scalar_mul(lam, b))
             assert sol[c.under_out] == stepped
 

@@ -10,7 +10,6 @@ from qbeads.diagram import (
     Crossing,
     LinkDiagram,
     _tokens,
-    crossing_relations,
     format_diagram,
     import_pd,
     load_diagram,
@@ -119,11 +118,6 @@ def test_arcs_outside_every_component_are_one_problem():
     with pytest.raises(InputError, match="99999999998 of the 99999999999 arcs") as e:
         parse_diagram("link a\narcs 99999999999\ncomponent 1\n")
     assert len(str(e.value)) < 200
-
-
-def test_crossing_relations_shape():
-    rels = crossing_relations(HOPF)
-    assert len(rels) == 2
 
 
 def test_parse_rejects_malformed_input():

@@ -2,7 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qbeads.errors import InputError
-from qbeads.field import PrimeField, VectorTables, is_prime
+import qbeads.field
+from qbeads.field import MAX_VECTORS, PrimeField, VectorTables, is_prime
+
+# a 19-digit prime: trial division would take about 10^9 steps
+MERSENNE_61 = 2**61 - 1
 
 
 def test_primality_gate():
@@ -16,11 +20,32 @@ def test_primality_gate():
         PrimeField(1)
 
 
-@given(st.integers(-50, 50), st.integers(-50, 50))
-def test_scalar_ops_mod_5(a, b):
-    f = PrimeField(5)
-    assert f.add(a, b) == (a + b) % 5
-    assert f.mul(a, b) == (a * b) % 5
+def test_size_guard():
+    # every size the catalog, the benchmark and the ladder use passes
+    assert MAX_VECTORS >= 81
+    assert len(PrimeField(3).vector_tables(4).vectors) == 81
+    with pytest.raises(InputError, match="exceeds the largest supported"):
+        PrimeField(MERSENNE_61)
+    with pytest.raises(InputError, match="more than 1024 vectors"):
+        PrimeField(1009).vector_tables(2)
+    with pytest.raises(InputError, match="more than 1024 vectors"):
+        PrimeField(2).vector_tables(11)
+    # refused without computing 2^(10^18)
+    with pytest.raises(InputError, match="more than 1024 vectors"):
+        PrimeField(2).vector_tables(10**18)
+
+
+def test_size_guard_boundary(monkeypatch):
+    monkeypatch.setattr(qbeads.field, "MAX_VECTORS", 9)
+    assert PrimeField(7).p == 7
+    assert len(PrimeField(3).vector_tables(2).vectors) == 9
+    assert len(PrimeField(2).vector_tables(3).vectors) == 8
+    with pytest.raises(InputError):
+        PrimeField(11)
+    with pytest.raises(InputError):
+        PrimeField(2).vector_tables(4)
+    with pytest.raises(InputError):
+        PrimeField(5).vector_tables(2)
 
 
 def test_all_vectors_is_lexicographic():

@@ -44,15 +44,16 @@ def test_zero_and_constant(swap3):
 
 def test_eval_and_table(swap3):
     f = validate_form(swap3, PARTIAL, 2, 2)
-    assert f.eval(0, 1, (1, 0), (0, 1)) == 1
-    assert f.eval(2, 2, (1, 0), (0, 1)) == 0
+    ev = f.field.bilinear_eval
+    assert ev(f.blocks[0][1], (1, 0), (0, 1)) == 1
+    assert ev(f.blocks[2][2], (1, 0), (0, 1)) == 0
     t = f.eval_table()
     vs = f.field.all_vectors(2)
     for x in range(3):
         for y in range(3):
             for i, u in enumerate(vs):
                 for j, v in enumerate(vs):
-                    assert t[x][y][i][j] == f.eval(x, y, u, v)
+                    assert t[x][y][i][j] == ev(f.blocks[x][y], u, v)
 
 
 def test_single_entry_mutations_are_caught(swap3):
@@ -116,9 +117,9 @@ def test_translation_identity(x, y, ui, vi):
     f = validate_form(q, FULL, 2, 2)
     vs = f.field.all_vectors(2)
     a, b = vs[ui], vs[vi]
-    lam = f.eval(x, y, a, b)
+    lam = f.field.bilinear_eval(f.blocks[x][y], a, b)
     a2 = f.field.vec_add(a, f.field.scalar_mul(lam, b))
-    assert f.eval(q.op(x, y), y, a2, b) == lam
+    assert f.field.bilinear_eval(f.blocks[q.op(x, y)][y], a2, b) == lam
 
 
 def test_parse_format_round_trip(swap3):
@@ -164,3 +165,13 @@ def test_form_requires_matching_quandle(swap3):
     assert isinstance(f, BilinearForm)
     with pytest.raises(InputError):
         parse_form(format_form(f), trivial_quandle(2))
+
+
+def test_parse_form_refuses_oversized_fields():
+    q = trivial_quandle(1)
+    # a 19-digit prime is refused before its primality is checked
+    with pytest.raises(InputError, match="exceeds the largest supported"):
+        parse_form(f"form 1 1 {2**61 - 1}\nB 1 1\n0\n", q)
+    # a small prime with 1009^2 vectors is refused before any table
+    with pytest.raises(InputError, match="more than 1024 vectors"):
+        parse_form("form 1 2 1009\nB 1 1\n0 0\n0 0\n", q)
