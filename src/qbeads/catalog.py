@@ -83,11 +83,14 @@ def _read_form(name):
     return text, m.group(1)
 
 
-def load_form(name):
+def load_form(name, quandle=None):
     """A catalog form, validated against the catalog quandle its
-    header names; that quandle's name is its id."""
+    header names, whose name is its id.  quandle is used when it is
+    that one, as the caller loaded it already; else it is loaded."""
     text, quandle_id = _read_form(name)
-    return parse_form(text, load_quandle(quandle_id), name=name)
+    if quandle is None or quandle.name != quandle_id:
+        quandle = load_quandle(quandle_id)
+    return parse_form(text, quandle, name=name)
 
 
 def form_quandle_id(name):

@@ -31,17 +31,15 @@ def _resolve_quandle(token):
     return catalog.load_quandle(token)
 
 
-def _resolve_form(token, quandle=None):
-    if os.path.isfile(token):
-        if quandle is None:
-            raise InputError(
-                "a form given as a file path needs --quandle to validate against"
-            )
-        return load_form(token, quandle)
-    form = catalog.load_form(token)
-    if quandle is not None and form.quandle != quandle:
+def _resolve_form(args, quandle):
+    """args.form validated against quandle, resolved from args.quandle;
+    a catalog form gets the quandle only if it came from the catalog."""
+    if os.path.isfile(args.form):
+        return load_form(args.form, quandle)
+    form = catalog.load_form(args.form, None if os.path.isfile(args.quandle) else quandle)
+    if form.quandle != quandle:
         raise InputError(
-            f"catalog form {token!r} belongs to quandle {form.quandle.name!r}"
+            f"catalog form {args.form!r} belongs to quandle {form.quandle.name!r}"
         )
     return form
 
@@ -91,7 +89,7 @@ def cmd_quandle_check(args):
 def cmd_form_check(args):
     quandle = _resolve_quandle(args.quandle)
     try:
-        _resolve_form(args.form, quandle)
+        _resolve_form(args, quandle)
         violations = []
     except AxiomError as e:
         violations = e.violations
@@ -148,7 +146,7 @@ def render_invariant(record):
 def cmd_invariant(args):
     diagram = _resolve_link(args.link)
     quandle = _resolve_quandle(args.quandle)
-    form = _resolve_form(args.form, quandle)
+    form = _resolve_form(args, quandle)
     result = compute_invariant(diagram, quandle, form, engine=args.engine)
     record = result.record()
     record["link"] = args.link if not os.path.isfile(args.link) else diagram.name
@@ -173,7 +171,7 @@ def render_batch(record):
 
 def cmd_batch(args):
     quandle = _resolve_quandle(args.quandle)
-    form = _resolve_form(args.form, quandle)
+    form = _resolve_form(args, quandle)
     names = catalog.list_links()
     if args.links is not None:
         wanted = [s.strip() for s in args.links.split(",") if s.strip()]

@@ -55,12 +55,12 @@ number with (gv, gw).  For any group H of such maps the count is
         sum over Stab_H(v)-orbit representatives w of |Stab_H(v) w| *
             count(first seed = v, second seed = w).
 
-H is the whole isometry group of those blocks when its search stays
-under forms.MAX_ISOMETRIES partial maps, else {1, -1}; any subgroup
-keeps the count exact, and over F_2 {1, -1} is trivial
-(BilinearForm.isometries and seed_orbits).  Listing solutions, or any
-limit other than 0, runs every seed value with weight 1, so the
-listing and its order do not depend on H.
+H is the isometry group of those blocks, from its generators
+(BilinearForm.isometries and seed_orbits), or the subgroup that the
+generators found within forms.MAX_ISOMETRIES partial maps generate;
+either keeps the count exact.  Listing solutions, or any limit other
+than 0, runs every seed value with weight 1, so the listing and its
+order do not depend on H.
 
 X-colorings reduce the same way under Inn(X), the group generated by
 the right translations x -> x > y.  Each of its elements g is an
@@ -73,9 +73,7 @@ first two seeds over the weighted orbits of H = Inn(X) on X
 unchanged, its sum over all X-colorings is the weighted sum over the
 leaves.  A valid form is constant on (orbit of x, orbit of y) and g
 keeps every orbit, so the blocks g o f reads are those f reads, and
-the bead count, like every count above, is such a function.  H is
-the whole of Inn(X) while its closure stays within quandle.MAX_INNER
-products and {id} above, which is always exact.
+the bead count, like every count above, is such a function.
 enumerate_xcolorings still lists every coloring, in sorted order.
 
 The "oracle" engine assigns every value to one arc after another, in
@@ -193,10 +191,10 @@ def enumerate_weighted_xcolorings(diagram, quandle):
 
     The first two seeds run over quandle.inner_orbits (see the module
     docstring), so every X-coloring is g o f for some listed f and g
-    in Quandle.inner_automorphisms, and for any function of colorings
-    that g o f does not change, its sum over all X-colorings is the sum
-    over the list of weight times its value.  In particular the weights
-    add up to the number of X-colorings.  Listed in the plan's order.
+    in Inn(X), and for any function of colorings that g o f does not
+    change, its sum over all X-colorings is the sum over the list of
+    weight times its value.  In particular the weights add up to the
+    number of X-colorings.  Listed in the plan's order.
     """
     tables = _quandle_tables(diagram, quandle)
     return _solve(diagram.plan, quandle.order, tables, None, quandle.inner_orbits)[1]

@@ -34,6 +34,28 @@ def check_vector_count(p, n):
         raise InputError(f"F_{p}^{n} has more than {MAX_VECTORS} vectors, the most supported")
 
 
+def search_orbits(points, step):
+    """The orbits through points of the group that some permutations
+    generate, each as a list led by its first point in points order.
+
+    step(x) lists the images of x under each generator.  The inverse of
+    a permutation of a finite set is one of its powers, so the closure
+    of a point under the generators alone is its orbit.  (Kept here,
+    below quandle and forms, which both import this module.)
+    """
+    seen = set()
+    for x in points:
+        if x not in seen:
+            seen.add(x)
+            orbit = [x]
+            for y in orbit:
+                for z in step(y):
+                    if z not in seen:
+                        seen.add(z)
+                        orbit.append(z)
+            yield orbit
+
+
 class PrimeField:
     """The field F_p together with vector/matrix helpers of any dimension."""
 
@@ -223,50 +245,74 @@ class VectorTables:
         ]
 
     def isometries(self, tables, cap):
-        """Every invertible linear map g with [gu, gv] = [u, v] under
-        each bilinear table in tables, or None once more than cap
-        partial maps have been accepted.
+        """Generators of the group H of invertible linear maps g with
+        [gu, gv] = [u, v] under each bilinear table in tables, as
+        permutations of vector indices: g[i] is the index of g applied
+        to vectors[i].
 
-        A map is a permutation of vector indices, g[i] the index of g
-        applied to vectors[i].  The search chooses the images of e_1,
-        ..., e_n in turn: a candidate must lie outside the span of the
-        images chosen so far and meet every table's Gram entries
-        against them and itself.  The span is kept as the images of
-        the vectors whose later coordinates are zero, in all_vectors
-        order, so the span after the last column is the permutation.
+        They form a stabiliser chain (Sims 1970).  For k = n, ..., 1,
+        and for each image c of e_k outside e_k's orbit under the maps
+        found so far, the search adds one map that fixes e_1, ...,
+        e_{k-1} and sends e_k to c, if there is one; then the maps
+        found generate the pointwise stabiliser of e_1, ..., e_{k-1}.
+        A map is found by backtracking over the images of the basis:
+        the image of e_j lies outside the span of the images before it,
+        meets every table's Gram entries against them and itself, and
+        lies in each table's left and right radicals exactly when e_j
+        does.  The span is kept as the images of the vectors whose
+        later coordinates are zero, in all_vectors order, so the span
+        after the last column is the permutation.  Once more than cap
+        partial maps have been accepted the search returns the maps
+        found so far, which generate a subgroup of H.
         """
         p, vadd, smul = self.p, self.vadd, self.smul
         basis = sorted(self.units, reverse=True)  # e_1, ..., e_n
         grams = [(t, [[t[i][j] for j in basis] for i in basis]) for t in tables]
-        images = []
-        group = []
+        columns = [list(map(any, zip(*t))) for t in tables]
+        profile = [
+            tuple((t[c][c], any(t[c]), column[c]) for t, column in zip(tables, columns))
+            for c in range(len(self.vectors))
+        ]
+        # options[j]: the images of e_j that the profile allows
+        options = [[c for c, f in enumerate(profile) if f == profile[e]] for e in basis]
         accepted = 0
 
-        def extend(span):
+        def first_map(images, span, candidates=None):
+            """The first isometry that sends e_1, ..., e_j to images and
+            e_{j+1} into candidates (options[j] if None), or None."""
             nonlocal accepted
-            k = len(images)
-            if k == len(basis):
-                group.append(span)
-                return True
+            j = len(images)
+            if j == len(basis):
+                return span
             taken = set(span)
-            for c in range(len(self.vectors)):
+            for c in options[j] if candidates is None else candidates:
                 if c in taken or any(
-                    t[c][c] != gram[k][k]
-                    or any(
-                        t[c][d] != gram[k][j] or t[d][c] != gram[j][k]
-                        for j, d in enumerate(images)
-                    )
+                    t[c][d] != gram[j][i] or t[d][c] != gram[i][j]
                     for t, gram in grams
+                    for i, d in enumerate(images)
                 ):
                     continue
                 accepted += 1
                 if accepted > cap:
-                    return False
-                multiples = [smul[s][c] for s in range(p)]
-                images.append(c)
-                if not extend([vadd[v][w] for v in span for w in multiples]):
-                    return False
-                images.pop()
-            return True
+                    return None
+                g = first_map(images + [c], [vadd[v][smul[s][c]] for v in span for s in range(p)])
+                if g is not None or accepted > cap:
+                    return g
+            return None
 
-        return group if extend([0]) else None
+        generators = []
+        for k in reversed(range(len(basis))):
+            # the span of basis[:k]: the indices divisible by p^(n-k)
+            span = list(range(0, len(self.vectors), p ** (len(basis) - k)))
+            orbit = {basis[k]}
+            for c in options[k]:
+                if c not in orbit:
+                    g = first_map(basis[:k], span, [c])
+                    if accepted > cap:
+                        return generators
+                    if g is not None:
+                        generators.append(g)
+                        orbit = set(
+                            next(search_orbits([basis[k]], lambda x: [h[x] for h in generators]))
+                        )
+        return generators

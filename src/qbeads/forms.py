@@ -52,8 +52,8 @@ from .errors import AxiomError, InputError
 from .field import PrimeField
 from .quandle import weighted_orbits
 
-# the most partial maps an isometry search accepts before
-# BilinearForm.isometries settles for {1, -1}
+# the most partial maps an isometry search accepts; past it
+# BilinearForm.isometries returns the generators found so far
 MAX_ISOMETRIES = 4096
 
 
@@ -143,28 +143,22 @@ class BilinearForm:
         return table
 
     def isometries(self, ids):
-        """A group H of isometries of every block whose id is in ids,
-        as permutations of vector indices (see VectorTables.isometries).
-
-        H is the whole isometry group when its search accepts at most
-        MAX_ISOMETRIES partial maps, and {1, -1} otherwise, which
-        preserves every bilinear form.  Either is exact for seed_orbits.
-        """
-        t = self.vector_tables
-        group = t.isometries([self.bilinear_tables[i] for i in ids], MAX_ISOMETRIES)
-        if group is None:
-            identity, negation = list(range(len(t.vectors))), t.smul[t.p - 1]
-            group = [identity] if negation == identity else [identity, negation]
-        return group
+        """Generators of the isometry group H of every block whose id
+        is in ids, or of a subgroup past MAX_ISOMETRIES partial maps,
+        which seed_orbits weights just as exactly; as permutations of
+        vector indices (see VectorTables.isometries)."""
+        tables = [self.bilinear_tables[i] for i in ids]
+        return self.vector_tables.isometries(tables, MAX_ISOMETRIES)
 
     def seed_orbits(self, ids):
         """(first, second): the weighted values of the first two seeds
         of a bead count over a coloring that reads the blocks in ids.
 
         first lists (v, |Hv|) for the least vector index v of each
-        H-orbit, H = isometries(ids); second[v] lists (w, |Stab_H(v) w|)
-        the same way for the stabiliser of v (quandle.weighted_orbits).
-        Built on first use and kept, one per distinct ids.
+        H-orbit, H the group isometries(ids) generates; second[v] lists
+        (w, |Stab_H(v) w|) the same way for the stabiliser of v
+        (quandle.weighted_orbits).  Built on first use and kept, one
+        per distinct ids.
         """
         orbits = self._seed_orbits.get(ids)
         if orbits is None:

@@ -23,9 +23,7 @@ Inn(X)-invariant, and compute_invariant runs the X-coloring plan with
 its first two seeds over weighted orbit representatives of H = Inn(X)
 (coloring.enumerate_weighted_xcolorings): a leaf whose first two
 seeds are v and w stands for |Hv| * |Stab_H(v) w| colorings, and the
-weights of a key's leaves add up to its number of colorings.  H is
-Inn(X) while its closure stays within quandle.MAX_INNER products and
-{id} above, which is exact too.
+weights of a key's leaves add up to its number of colorings.
 
 The oracle and both engines take instead every coloring of
 enumerate_xcolorings with weight 1, keyed by the coloring itself, so
@@ -41,9 +39,8 @@ the blocks the coloring reads: a linear g with g^T B g = B for each of
 them maps bead colorings to bead colorings, so the first seed runs
 over orbit representatives v weighted by |Hv| and the second over
 Stab_H(v)-orbit representatives w weighted by |Stab_H(v) w| (see the
-coloring module).  H is the full isometry group up to a fixed search
-size and {1, -1} above it, and is built once per form and set of
-blocks read.  So counts stay exact, and the polynomial and the
+coloring module).  H is built from generators once per form and set
+of blocks read.  So counts stay exact, and the polynomial and the
 per-coloring counts are those of a full enumeration.
 """
 

@@ -13,12 +13,7 @@ import itertools
 from functools import cached_property
 
 from .errors import AxiomError, InputError
-from .field import PrimeField
-
-# the most products of a group element and a right translation
-# Quandle.inner_automorphisms computes before it settles for the
-# identity alone
-MAX_INNER = 4096
+from .field import PrimeField, search_orbits
 
 
 def check_table_shape(table):
@@ -133,85 +128,53 @@ class Quandle:
     def orbits(self):
         """Each element's orbit under Inn(X), labelled by its least element.
 
-        A union-find over x ~ x ▷ y.  The right translations generate
-        Inn(X), and on a finite set the orbits of a group are those of
-        its generators, so the inverse translations add nothing.  The
-        orbits are the quandle's connected components.
+        The right translations generate Inn(X), and row x of the table
+        lists the images of x under them.  The orbits are the quandle's
+        connected components.
         """
-        parent = list(range(self.order))
-
-        def root(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x, row in enumerate(self.table):
-            for xy in row:
-                a, b = root(x), root(xy)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        return tuple(root(x) for x in range(self.order))
-
-    @cached_property
-    def inner_automorphisms(self):
-        """Inn(X), the group generated by the right translations
-        x -> x ▷ y, as permutation tuples with the identity first.
-
-        Built on first use and kept.  The closure multiplies each
-        element by each distinct translation, so it stops at MAX_INNER
-        products and returns the identity alone instead: a subgroup,
-        so still exact wherever the group only weights orbits.
-        """
-        identity = tuple(range(self.order))
-        translations = set(zip(*self.table))
-        group = [identity]
-        seen = {identity}
-        for g in group:
-            if len(group) * len(translations) > MAX_INNER:
-                return [identity]
-            for t in translations:
-                h = tuple(map(t.__getitem__, g))
-                if h not in seen:
-                    seen.add(h)
-                    group.append(h)
-        return group
+        orbits = search_orbits(self.elements, self.table.__getitem__)
+        label = {x: orbit[0] for orbit in orbits for x in orbit}
+        return tuple(map(label.__getitem__, self.elements))
 
     @cached_property
     def inner_orbits(self):
-        """weighted_orbits of inner_automorphisms on the elements,
-        built on first use and kept."""
-        return weighted_orbits(self.inner_automorphisms, self.order)
+        """weighted_orbits of Inn(X) on the elements from its generators,
+        the distinct right translations x -> x ▷ y, so at most m^3 steps
+        like quandle_violations; built on first use and kept."""
+        return weighted_orbits(list(set(zip(*self.table))), self.order)
 
 
-def weighted_orbits(group, size):
-    """(first, second) for a permutation group on range(size).
+def weighted_orbits(generators, size):
+    """(first, second) for the group G that some permutations of
+    range(size) generate, without listing G.
 
     first lists (v, |Gv|) for the least element v of each orbit of G,
     in ascending order; second[v] lists (w, |Stab_G(v) w|) the same way
     for the stabiliser of each such v.  A sum over range(size) x
     range(size) of a G-invariant function of (v, w) is the sum over
     these pairs of their weights times its value, which is how a count
-    runs its first two seeds up to G.  Every trivial stabiliser shares
-    one list, so a small G keeps O(size) pairs, not O(size^2).
+    runs its first two seeds up to G.
+
+    first comes from the orbits of the generators on range(size), and
+    second[v] from their orbits on pairs: the pairs in the orbit of
+    (v, w) that start with v are {v} x Stab_G(v) w, so |Stab_G(v) w| is
+    the pair orbit's size over |Gv|.  That visits size^2 pairs once per
+    generator.  Every trivial stabiliser shares one list, so a small G
+    keeps O(size) pairs, not O(size^2).
     """
     every = [(w, 1) for w in range(size)]
-
-    def orbits(subgroup):
-        if len(subgroup) == 1:
-            return every
-        seen = [False] * size
-        found = []
-        for v in range(size):
-            if not seen[v]:
-                orbit = {g[v] for g in subgroup}
-                for w in orbit:
-                    seen[w] = True
-                found.append((v, len(orbit)))
-        return found
-
-    first = orbits(group)
-    return first, {v: orbits([g for g in group if g[v] == v]) for v, _ in first}
+    if not generators:
+        return every, dict.fromkeys(range(size), every)
+    orbits = search_orbits(range(size), lambda x: [g[x] for g in generators])
+    first = [(orbit[0], len(orbit)) for orbit in orbits]
+    second = {}
+    for v, k in first:
+        pairs = search_orbits(
+            [(v, w) for w in range(size)], lambda vw: [(g[vw[0]], g[vw[1]]) for g in generators]
+        )
+        found = [(orbit[0][1], len(orbit) // k) for orbit in pairs]
+        second[v] = every if len(found) == size else found
+    return first, second
 
 
 # -- standard constructions -------------------------------------------

@@ -91,6 +91,33 @@ def test_form_check_quandle_mismatch(tmp_path, capsys):
         assert run(capsys, *argv)[::2] == (2, err)
 
 
+def test_catalog_quandle_is_loaded_once(monkeypatch, tmp_path, capsys):
+    """A catalog form is validated against the catalog quandle that
+    --quandle loaded; a quandle file is never taken for it, even under
+    the catalog id's name."""
+    loads = []
+    original = catalog._load_quandle_file
+
+    def counted(*args, **kwargs):
+        loads.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "_load_quandle_file", counted)
+    for argv in (
+        ["batch", "--quandle", "swap3", "--form", "swap3-full", "--links", "L2a1"],
+        ["invariant", "--link", "L2a1", "--quandle", "swap3", "--form", "swap3-full"],
+        ["form-check", "swap3", "swap3-full"],
+    ):
+        del loads[:]
+        assert run(capsys, *argv)[0] == 0
+        assert len(loads) == 1, argv
+    q = tmp_path / "swap3.quandle"
+    q.write_text("quandle 3\n1 1 1\n2 2 2\n3 3 3\n")
+    code, _, err = run(capsys, "batch", "--quandle", str(q), "--form", "swap3-full")
+    assert code == 2
+    assert err == "error: catalog form 'swap3-full' belongs to quandle 'swap3'\n"
+
+
 @pytest.mark.parametrize(
     "form, message",
     [

@@ -1,12 +1,12 @@
 """X-colorings up to Inn(X): the group, the weights and the polynomial."""
 
 import itertools
+import math
 from pathlib import Path
 
 import pytest
 
 import qbeads.invariant
-import qbeads.quandle
 from qbeads import catalog
 from qbeads.coloring import (
     BeadCounter,
@@ -20,7 +20,8 @@ from qbeads.invariant import InvariantPolynomial, compute_invariant
 from qbeads.quandle import alexander_quandle, conjugation_quandle, trivial_quandle
 from qbeads.search import run_search
 
-from test_quandle import sym3
+from group_listing import closure, listed_weighted_orbits
+from test_quandle import GROUPS, sym3
 
 DATA = Path(__file__).parent / "data"
 LADDER = Path(__file__).parent.parent / "perfbench" / "data" / "diagrams"
@@ -54,11 +55,16 @@ def compose(g, h):
     return tuple(g[x] for x in h)
 
 
+def inner_automorphisms(q):
+    """Inn(X), listed: the closure of the right translations."""
+    return closure(set(zip(*q.table)), q.order)
+
+
 @pytest.mark.parametrize("name", QUANDLES)
 def test_inner_automorphism_group(name):
     build, order = QUANDLES[name]
     q = build()
-    group = q.inner_automorphisms
+    group = inner_automorphisms(q)
     assert len(group) == len(set(group)) == order
     assert group[0] == tuple(q.elements)
     orbits = q.orbits()
@@ -73,12 +79,26 @@ def test_inner_automorphism_group(name):
     assert all(compose(g, h) in members for g in group for h in group)
 
 
+def test_orbits_from_generators_are_those_of_the_listed_group():
+    # the quandles above, every Alexander quandle on Z_n with n <= 11,
+    # the conjugation quandles of the test groups and trivial quandles
+    quandles = [build() for build, _ in QUANDLES.values()]
+    quandles += [
+        alexander_quandle(n, t) for n in range(1, 12) for t in range(1, n) if math.gcd(t, n) == 1
+    ]
+    quandles += [conjugation_quandle(table) for table in GROUPS]
+    quandles += [trivial_quandle(m) for m in range(1, 5)]
+    for q in quandles:
+        group = inner_automorphisms(q)
+        assert q.inner_orbits == listed_weighted_orbits(group, q.order), q.name
+        assert q.orbits() == tuple(min(g[x] for g in group) for x in q.elements), q.name
+
+
 def test_inner_group_is_built_on_first_use():
     q = conj_s3()
-    assert "inner_automorphisms" not in vars(q)
     assert "inner_orbits" not in vars(q)
     first, second = q.inner_orbits
-    assert "inner_automorphisms" in vars(q)
+    assert "inner_orbits" in vars(q)
     # conj(S3) has three orbits: the identity, the transpositions and
     # the 3-cycles
     assert sorted(w for _, w in first) == [1, 2, 3]
@@ -89,6 +109,7 @@ def test_inner_group_is_built_on_first_use():
 @pytest.mark.parametrize("name", QUANDLES)
 def test_weights_add_up_to_the_colorings(name):
     q = QUANDLES[name][0]()
+    group = inner_automorphisms(q)
     for d in diagrams():
         colorings = enumerate_xcolorings(d, q)
         leaves = enumerate_weighted_xcolorings(d, q)
@@ -98,7 +119,7 @@ def test_weights_add_up_to_the_colorings(name):
         class_of = {}
         for f in colorings:
             if f not in class_of:
-                members = frozenset(compose(g, f) for g in q.inner_automorphisms)
+                members = frozenset(compose(g, f) for g in group)
                 class_of.update(dict.fromkeys(members, members))
         weight = dict.fromkeys(class_of.values(), 0)
         for f, w in leaves:
@@ -165,19 +186,6 @@ def test_polynomial_under_every_searched_form_on_conj_s3():
         for d in diagrams():
             got = compute_invariant(d, form.quandle, form).polynomial
             assert got == reference_polynomial(d, form), (d.name, form.blocks)
-
-
-def test_above_the_cap_the_group_is_the_identity(monkeypatch):
-    monkeypatch.setattr(qbeads.quandle, "MAX_INNER", 5)
-    q = conj_s3()
-    assert q.inner_automorphisms == [tuple(q.elements)]
-    form = constant_form(q, 2, 2, [[0, 1], [1, 0]])
-    for d in diagrams(ladder=False):
-        leaves = enumerate_weighted_xcolorings(d, q)
-        assert all(w == 1 for _, w in leaves)
-        assert sorted(f for f, _ in leaves) == enumerate_xcolorings(d, q)
-        got = compute_invariant(d, q, form).polynomial
-        assert got == reference_polynomial(d, form), d.name
 
 
 def test_listing_is_computed_on_first_read(monkeypatch):

@@ -1,5 +1,6 @@
 """Bead counts up to the isometries of the blocks a coloring reads."""
 
+import importlib.util
 import itertools
 from pathlib import Path
 
@@ -9,15 +10,17 @@ import qbeads.field
 import qbeads.forms
 from qbeads import catalog
 from qbeads.coloring import BeadCounter, _solve, bead_solutions, enumerate_xcolorings
-from qbeads.diagram import load_diagram
+from qbeads.diagram import import_pd, load_diagram
 from qbeads.field import PrimeField
 from qbeads.forms import constant_form, zero_form
 from qbeads.invariant import compute_invariant
-from qbeads.quandle import conjugation_quandle
+from qbeads.quandle import conjugation_quandle, weighted_orbits
 
+from group_listing import closure, listed_weighted_orbits
 from test_quandle import sym3
 
 DATA = Path(__file__).parent / "data"
+TOOLS = Path(__file__).parent.parent / "tools"
 
 
 def diagrams():
@@ -103,7 +106,7 @@ def brute_force_isometries(field, n, blocks):
             for u in range(len(vectors))
             for v in range(len(vectors))
         ):
-            found.append(image)
+            found.append(tuple(image))
     return found
 
 
@@ -124,9 +127,11 @@ def test_isometry_group(p, n, blocks, order):
     field = PrimeField(p)
     t = field.vector_tables(n)
     tables = [t.bilinear_table(B) for B in blocks]
-    group = t.isometries(tables, qbeads.forms.MAX_ISOMETRIES)
-    assert len(group) == order
     size = len(t.vectors)
+    generators = t.isometries(tables, qbeads.forms.MAX_ISOMETRIES)
+    group = closure(generators, size)
+    assert len(group) == order
+    assert weighted_orbits(generators, size) == listed_weighted_orbits(group, size)
     for g in group:
         assert sorted(g) == list(range(size))
         for u, v in itertools.product(range(size), repeat=2):
@@ -145,9 +150,9 @@ def test_group_of_a_key_is_the_isometries_of_its_blocks(name, orders):
     size = len(t.vectors)
     ids = sorted({i for row in form.block_ids for i in row})
     keys = [frozenset(key) for r in (1, 2) for key in itertools.combinations(ids, r)]
-    assert [len(form.isometries(key)) for key in keys] == orders
-    for key in keys:
-        group = form.isometries(key)
+    groups = [closure(form.isometries(key), size) for key in keys]
+    assert [len(group) for group in groups] == orders
+    for key, group in zip(keys, groups):
         tables = [form.bilinear_tables[i] for i in key]
         for g in group:
             for u, v in itertools.product(range(size), repeat=2):
@@ -159,6 +164,18 @@ def test_group_of_a_key_is_the_isometries_of_its_blocks(name, orders):
                 for B, j in zip(row, row_ids) if j in key
             }
             assert sorted(group) == sorted(brute_force_isometries(form.field, form.n, blocks))
+
+
+@pytest.mark.parametrize("name", FORMS)
+def test_seed_orbits_are_those_of_the_listed_group(name):
+    # every set of the form's blocks, the empty set included
+    form = FORMS[name]()
+    size = len(form.vector_tables.vectors)
+    ids = sorted({i for row in form.block_ids for i in row})
+    for r in range(len(ids) + 1):
+        for key in map(frozenset, itertools.combinations(ids, r)):
+            group = closure(form.isometries(key), size)
+            assert form.seed_orbits(key) == listed_weighted_orbits(group, size), key
 
 
 def test_seed_orbits_partition_the_vectors():
@@ -173,18 +190,36 @@ def test_seed_orbits_partition_the_vectors():
                 assert sum(w for _, w in second[v]) == size
 
 
-def test_group_above_the_cap_falls_back_to_plus_minus_one(monkeypatch):
-    # the zero block at p=2, n=4 is preserved by all of GL_4(F_2), 20160
-    # maps, and -1 = 1 over F_2
+def test_search_past_the_cap_generates_a_subgroup(monkeypatch):
+    # the zero block at p=2, n=4 is preserved by all of GL_4(F_2), whose
+    # 20160 maps the generators reach well within the cap
     form = zero_form(swap3(), 2, 4)
-    assert form.isometries(frozenset([0])) == [list(range(16))]
+    assert len(closure(form.isometries(frozenset([0])), 16)) == 20160
     assert_counts_exact(swap3(), form, diagrams(), oracle_arcs=3)
-    # below the cap the whole of SL_2(F_5) counts; above it {1, -1} does
-    monkeypatch.setattr(qbeads.forms, "MAX_ISOMETRIES", 5)
+    # within the cap the generators reach the whole of SL_2(F_5); past
+    # two partial maps the search stops after its first generator, a
+    # transvection fixing e_1, of order 5
     form = FORMS["swap3-F25"]()
-    group = form.isometries(frozenset([0]))
-    assert group == [list(range(25)), form.vector_tables.smul[4]]
+    assert len(closure(form.isometries(frozenset([0])), 25)) == 120
+    monkeypatch.setattr(qbeads.forms, "MAX_ISOMETRIES", 2)
+    form = FORMS["swap3-F25"]()
+    assert len(closure(form.isometries(frozenset([0])), 25)) == 5
     assert_counts_exact(swap3(), form, diagrams(), oracle_arcs=4)
+
+
+def test_seed_orbits_of_sp4_f3_come_from_generators():
+    # Sp_4(F_3), 51 840 maps, is transitive on the 80 nonzero vectors,
+    # so two weighted first seeds stand for all 81
+    B = [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]]
+    form = constant_form(swap3(), 3, 4, B)
+    first, _ = form.seed_orbits(frozenset([0]))
+    assert first == [(0, 1), (1, 80)]
+    spec = importlib.util.spec_from_file_location("gen_catalog", TOOLS / "gen_catalog.py")
+    gen_catalog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_catalog)
+    pd, signs = gen_catalog.braid_closure(4, [1, -2, 3, -2] * 5).pd_string()
+    d = import_pd(pd, signs=signs)
+    assert compute_invariant(d, form.quandle, form).polynomial.render() == "5u^2241"
 
 
 def test_groups_are_built_lazily_once_per_key(monkeypatch):
