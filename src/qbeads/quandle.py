@@ -9,7 +9,8 @@ Elements are 0-based ints everywhere in the API.  The text file format
 is 1-based (see parse_quandle / format_quandle).
 """
 
-import itertools
+import collections
+import operator
 from functools import cached_property
 
 from .errors import AxiomError, InputError
@@ -156,25 +157,82 @@ def weighted_orbits(generators, size):
     runs its first two seeds up to G.
 
     first comes from the orbits of the generators on range(size), and
-    second[v] from their orbits on pairs: the pairs in the orbit of
-    (v, w) that start with v are {v} x Stab_G(v) w, so |Stab_G(v) w| is
-    the pair orbit's size over |Gv|.  That visits size^2 pairs once per
-    generator.  Every trivial stabiliser shares one list, so a small G
-    keeps O(size) pairs, not O(size^2).
+    second[v] from their orbits on the pairs (u, x) with u in Gv: the
+    pair orbit through (v, w) meets row v in {v} x Stab_G(v) w.  The
+    pairs are labelled one row of size pairs at a time, label w standing
+    for (v, w) (see _stabiliser_orbits), so each v costs |Gv| passes
+    over a row per generator, not size^2 pair steps per generator.
+    Every trivial stabiliser shares one list, so a small G keeps
+    O(size) pairs, not O(size^2).
     """
     every = [(w, 1) for w in range(size)]
-    if not generators:
+    # on one point every group is trivial (and an itemgetter of one
+    # index would return an item, not a tuple)
+    if not generators or size < 2:
         return every, dict.fromkeys(range(size), every)
     orbits = search_orbits(range(size), lambda x: [g[x] for g in generators])
     first = [(orbit[0], len(orbit)) for orbit in orbits]
+    # each generator g with the map that carries a row through it: pair
+    # (u, x) goes to (g u, g x), so row g u is row u read at g^-1
+    moves = [
+        (g, operator.itemgetter(*sorted(range(size), key=g.__getitem__))) for g in generators
+    ]
     second = {}
-    for v, k in first:
-        pairs = search_orbits(
-            [(v, w) for w in range(size)], lambda vw: [(g[vw[0]], g[vw[1]]) for g in generators]
-        )
-        found = [(orbit[0][1], len(orbit) // k) for orbit in pairs]
+    for v, _ in first:
+        found = _stabiliser_orbits(v, moves, size)
         second[v] = every if len(found) == size else found
     return first, second
+
+
+def _stabiliser_orbits(v, moves, size):
+    """[(w, |Stab_G(v) w|)] for the least w of each orbit of Stab_G(v),
+    G generated by the g of moves, each paired with the map that
+    carries a row through it (see weighted_orbits).
+
+    Row u lists a label for each pair (u, x).  Row v is range(size),
+    and a row first reached from row u by a generator is row u carried
+    through it, in one pass.  Where a row reached again disagrees with
+    the row carried to it, the labels the two pair up lie in one orbit
+    and are merged.  Every generator edge between the rows of Gv is
+    then either carried or merged, so the merged labels are the orbits
+    of Stab_G(v).
+    """
+    parent = list(range(size))  # union-find over the labels; a root is its class's least
+
+    def find(w):
+        while parent[w] != w:
+            parent[w] = w = parent[parent[w]]
+        return w
+
+    # label[w] is the root of w's class and merges counts the rounds of
+    # merging so far; a row is kept with the count it was labelled at
+    # and relabelled only when read after a later round
+    label, merges = list(range(size)), 0
+    rows = {v: (tuple(label), 0)}
+    reached = [v]
+
+    def read(u):
+        row, at = rows[u]
+        if at != merges:
+            row = tuple(map(label.__getitem__, row))
+            rows[u] = row, merges
+        return row
+
+    for u in reached:
+        for g, carry in moves:
+            carried = carry(read(u))
+            if g[u] not in rows:
+                rows[g[u]] = carried, merges
+                reached.append(g[u])
+                continue
+            known = read(g[u])
+            if known != carried:
+                for a, b in set(zip(known, carried)):
+                    a, b = find(a), find(b)
+                    parent[max(a, b)] = min(a, b)
+                label, merges = list(map(find, range(size))), merges + 1
+    sizes = collections.Counter(label)
+    return [(w, sizes[w]) for w in range(size) if label[w] == w]
 
 
 # -- standard constructions -------------------------------------------
@@ -281,15 +339,12 @@ def symplectic_quandle(p, n, S, name=None):
         raise InputError("S is not alternating (need zero diagonal and S^T = -S)")
     if not field.is_nondegenerate(S):
         raise InputError("S is degenerate")
-    vectors = field.all_vectors(n)
-    index = {v: i for i, v in enumerate(vectors)}
-    table = []
-    for x in vectors:
-        row = []
-        for y in vectors:
-            s = field.bilinear_eval(S, x, y)
-            row.append(index[field.vec_add(x, field.scalar_mul(s, y))])
-        table.append(row)
+    tables = field.vector_tables(n)
+    vadd, smul = tables.vadd, tables.smul
+    table = [
+        [vadd[x][smul[s][y]] for y, s in enumerate(row)]
+        for x, row in enumerate(tables.bilinear_table(S))
+    ]
     return Quandle.from_table(table, name=name or f"symplectic({p},{n})")
 
 

@@ -121,13 +121,16 @@ def test_alternating_matrices_are_the_filtered_matrices(p, n):
     assert len(expected) == p ** (n * (n - 1) // 2)
 
 
-@pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+@pytest.mark.parametrize(
+    "p, n", [(2, 0), (2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 1), (7, 2)]
+)
 def test_vector_tables(p, n):
     f = PrimeField(p)
     t = VectorTables(f, n)
     vs = t.vectors
     assert vs == f.all_vectors(n)
-    assert all(t.index[v] == i for i, v in enumerate(vs))
+    # index i has the base-p digits of i, the first coordinate most significant
+    assert all(sum(a * p ** (n - 1 - k) for k, a in enumerate(v)) == i for i, v in enumerate(vs))
     for i, u in enumerate(vs):
         for j, v in enumerate(vs):
             assert vs[t.vadd[i][j]] == f.vec_add(u, v)
@@ -141,7 +144,9 @@ def test_vector_tables(p, n):
 
 @given(st.data())
 def test_bilinear_table_matches_eval(data):
-    p, n = data.draw(st.sampled_from([(2, 0), (2, 1), (2, 3), (3, 1), (3, 2), (5, 2)]))
+    p, n = data.draw(
+        st.sampled_from([(2, 0), (2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)])
+    )
     f = PrimeField(p)
     B = data.draw(
         st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=n, max_size=n)

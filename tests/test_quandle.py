@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qbeads.errors import AxiomError, InputError
+from qbeads.field import PrimeField
 from qbeads.quandle import (
     Quandle,
     alexander_quandle,
@@ -172,6 +173,21 @@ def test_symplectic_quandle():
         symplectic_quandle(2, 3, [[0] * 3] * 3)  # odd dimension
     with pytest.raises(InputError):
         symplectic_quandle(2, 2, [[0, 0], [0, 0]])  # degenerate
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (2, 4)])
+def test_symplectic_quandle_is_the_tuple_definition(p, n):
+    # the standard symplectic form: e_{2i} . e_{2i+1} = 1 = -(e_{2i+1} . e_{2i})
+    S = [[0] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        S[i][i + 1], S[i + 1][i] = 1, p - 1
+    f = PrimeField(p)
+    vs = f.all_vectors(n)
+    expected = tuple(
+        tuple(vs.index(f.vec_add(x, f.scalar_mul(f.bilinear_eval(S, x, y), y))) for y in vs)
+        for x in vs
+    )
+    assert symplectic_quandle(p, n, S).table == expected
 
 
 def _closure_orbits(q):

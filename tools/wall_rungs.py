@@ -13,6 +13,12 @@ which builds the isometries and their weighted orbits, the same way
 for a degenerate alternating block at p = 2, n = 10: four copies of
 [[0,1],[1,0]] on the diagonal, rank 8, on the one-element quandle.
 
+The tables section times VectorTables(PrimeField(p), n), and then one
+bilinear_table on those tables, for the n-by-n matrix with entries
+(n*i + j + 1) mod p, at p^n = 16, 81, 121 and 1024 (p = 2, 3, 11, 2).
+Each is the median of REPEAT builds in this one process, so it does
+not show peak memory.
+
 Run from the repository root:
 
     python3 tools/wall_rungs.py --label change --out BENCH_walls.json
@@ -36,9 +42,11 @@ sys.path.insert(0, str(ROOT / "tools"))
 from gen_catalog import braid_closure  # noqa: E402
 from qbeads import catalog, compute_invariant, constant_form, trivial_quandle  # noqa: E402
 from qbeads.diagram import import_pd  # noqa: E402
+from qbeads.field import PrimeField, VectorTables  # noqa: E402
 
 WORD = [1, -2, 3, -2] * 5
 REPEAT = 3
+TABLE_SIZES = [(2, 4), (3, 4), (11, 2), (2, 10)]  # (p, n) for p^n = 16, 81, 121, 1024
 
 
 def timed(build, run):
@@ -49,7 +57,7 @@ def timed(build, run):
         arg = build()
         start = time.perf_counter()
         result = run(arg)
-        runs.append(round(time.perf_counter() - start, 4))
+        runs.append(round(time.perf_counter() - start, 6))
     return sorted(runs)[REPEAT // 2], runs, result
 
 
@@ -116,6 +124,27 @@ def run_hard_case():
     return case
 
 
+def run_tables():
+    cells = []
+    for p, n in TABLE_SIZES:
+        field = PrimeField(p)
+        B = [[(n * i + j + 1) % p for j in range(n)] for i in range(n)]
+        cell = {"p^n": p**n, "p": p, "n": n}
+        cell["seconds"], cell["runs"], tables = timed(
+            lambda: field, lambda field: VectorTables(field, n)
+        )
+        cell["bilinear_seconds"], cell["bilinear_runs"], _ = timed(
+            lambda: tables, lambda tables: tables.bilinear_table(B)
+        )
+        cells.append(cell)
+        print(
+            f"tables at p^n={p**n}: {cell['seconds'] * 1000:.2f} ms, "
+            f"one bilinear table {cell['bilinear_seconds'] * 1000:.3f} ms",
+            file=sys.stderr,
+        )
+    return cells
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
@@ -126,6 +155,7 @@ def main():
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "rungs": run_rungs(),
         "hard_case": run_hard_case(),
+        "tables": run_tables(),
     }
     out = Path(args.out)
     runs = json.loads(out.read_text()) if out.is_file() else {}
