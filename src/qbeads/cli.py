@@ -315,9 +315,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is not None and args.budget <= 0:
-        print("error: --budget must be positive", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except InputError as e:

@@ -37,9 +37,27 @@ the others; their number is the diagram's Wirtinger number (Blair,
 Kjuchukova, Velazquez and Villanueva, "Wirtinger systems of generators
 of knot groups"; see diagram.seed_arcs, which finds it up to 20
 candidate arcs).  A count enumerates the values of the seeds only.
-_solve runs the plan over one (forward, inverse) table pair per
-crossing: quandle tables for X-colorings, the form's step tables for
-beads (the "propagate" engine).
+A run reads one (forward, inverse) table pair per crossing: quandle
+tables for X-colorings, the form's step tables for beads (the
+"propagate" engine).
+
+A plan runs in one of two tiers.  _solve interprets it, one recursion
+level per seed and a loop over the seed's steps for every value.
+Every run charges its work to the diagram, one unit per seed value
+tried with its steps.  Once a diagram's work passes COMPILE_AFTER,
+_run_plan compiles the plan into one generated function of nested for
+loops with a line per step (compile_plan, a partial evaluation of
+_solve on that plan) and keeps it as LinkDiagram.kernel; the run that
+passed the bound starts again on it, and every later run on the
+diagram calls it.  A kernel returns what _solve returns: the same
+count, the same solutions in the same order, the same weights under
+the same limit.  COMPILE_AFTER is the time of one compile over
+_solve's time per unit, so a plan that stays cold, as in a batch over
+freshly loaded catalog diagrams, never pays for a compile, and a hot
+one pays about as much for it as it has spent interpreting.  A plan of
+more than MAX_KERNEL_SEEDS seeds stays with _solve, as a kernel would
+nest more blocks than CPython compiles.  _solve stays for cold plans
+and as the reference that the kernels are tested against.
 
 A bare bead count runs its first two seeds only up to symmetry.  Let g
 be linear with g^T B g = B for every block B the coloring reads (the
@@ -89,6 +107,17 @@ from .forms import BilinearForm
 
 ENGINES = ("oracle", "propagate", "both")
 
+# _run_plan compiles a diagram's plan once _solve has done this many
+# units of work on it (see _solve).  One compile_plan of a catalog or
+# benchmark plan took 360-530 us in the median, and _solve took
+# 0.85-1.04 us per unit over the invariant ladder's items, a ratio of
+# 420-510 (CPython 3.11, shared 2-core x86_64 host)
+COMPILE_AFTER = 500
+
+# CPython refuses more than 20 statically nested blocks, and a kernel
+# nests one for loop per seed
+MAX_KERNEL_SEEDS = 20
+
 
 def _check_coloring(diagram, quandle, coloring):
     if len(coloring) != diagram.arc_count:
@@ -107,8 +136,12 @@ def _check_coloring(diagram, quandle, coloring):
             )
 
 
-def _solve(plan, size, tables, limit, orbits=None):
-    """Run a plan over values 0..size-1; return (count, solutions).
+class _OverBudget(Exception):
+    """_solve's work passed its budget."""
+
+
+def _solve(plan, size, tables, limit, orbits=None, budget=float("inf")):
+    """Run a plan over values 0..size-1; return (count, solutions, work).
 
     tables[i] is the (forward, inverse) pair of crossing i, indexed
     [source][over].  Solutions come in lexicographic order of the seed
@@ -124,6 +157,10 @@ def _solve(plan, size, tables, limit, orbits=None):
     first, the second over those of second[first seed's value], each
     solution counts the product of its weights and is listed as
     (values, weight).  Without it every value has weight 1.
+
+    work counts the seed values tried, each with its steps, charged
+    once per stage visit: the measure COMPILE_AFTER is set in.  Once it
+    passes budget the run stops and raises _OverBudget.
     """
     stages = [
         (
@@ -143,18 +180,22 @@ def _solve(plan, size, tables, limit, orbits=None):
         first, second = orbits
         pairs[:2] = [first, None]
         first_seed = stages[0][0]
-    count = 0
+    count = work = 0
     sols = []
 
     def run(depth, weight):
-        nonlocal count
+        nonlocal count, work
         if depth == len(stages):
             count += weight
             if limit is None or len(sols) < limit:
                 sols.append(tuple(values) if orbits is None else (tuple(values), weight))
             return
         seed, steps = stages[depth]
-        for v, k in pairs[depth] or second[values[first_seed]]:
+        tried = pairs[depth] or second[values[first_seed]]
+        work += len(tried)
+        if work > budget:
+            raise _OverBudget
+        for v, k in tried:
             values[seed] = v
             for target, source, over, table, check in steps:
                 w = table[values[source]][values[over]]
@@ -166,7 +207,97 @@ def _solve(plan, size, tables, limit, orbits=None):
                 run(depth + 1, weight * k)
 
     run(0, 1)
-    return count, sols
+    return count, sols, work
+
+
+def kernel_source(plan):
+    """The source of compile_plan's kernel for a plan.
+
+    Each seed gets one for loop, nested in plan order, and each step
+    one line: an assignment for a derive step, an if and continue for a
+    check.  Arcs are locals a<arc> and each crossing's table is bound
+    once, as t<crossing>.  Only the first two seeds carry weights.  The
+    text is built from int() of the plan's numbers and fixed names
+    alone, so nothing in a diagram can add to it.
+    """
+    arcs = sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
+    lines = ["def kernel(size, tables, limit, orbits):"]
+    lines += [
+        f"    t{int(i)} = tables[{int(i)}][{int(kind == 'backward')}]"
+        for _, steps in plan
+        for kind, i, *_ in steps
+    ]
+    lines += [
+        "    every = range(size)",
+        "    if orbits is None:",
+        "        first = [(v, 1) for v in every]",
+        "        second = [first] * size",
+        "    else:",
+        "        first, second = orbits",
+        "    count = 0",
+        "    sols = []",
+    ]
+    for depth, (seed, steps) in enumerate(plan):
+        pad = "    " * (depth + 1)
+        if depth == 0:
+            lines.append(f"{pad}for a{int(seed)}, k0 in first:")
+        elif depth == 1:
+            lines.append(f"{pad}for a{int(seed)}, k1 in second[a{int(plan[0][0])}]:")
+        else:
+            lines.append(f"{pad}for a{int(seed)} in every:")
+        pad += "    "
+        for kind, i, target, source, over in steps:
+            value = f"t{int(i)}[a{int(source)}][a{int(over)}]"
+            if kind == "check":
+                lines += [f"{pad}if a{int(target)} != {value}:", f"{pad}    continue"]
+            else:
+                lines.append(f"{pad}a{int(target)} = {value}")
+        if depth == 1:
+            lines.append(f"{pad}w = k0 * k1")
+    pad = "    " * (len(plan) + 1)
+    weight = ("1", "k0", "w")[min(len(plan), 2)]
+    solution = "(" + "".join(f"a{a}," for a in range(arcs)) + ")"
+    lines += [
+        f"{pad}count += {weight}",
+        f"{pad}if limit is None or len(sols) < limit:",
+        f"{pad}    sols.append({solution} if orbits is None else ({solution}, {weight}))",
+        "    return count, sols",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def compile_plan(plan):
+    """The plan as one generated function, kernel(size, tables, limit,
+    orbits), which returns what _solve returns for the same arguments,
+    less the work (see kernel_source)."""
+    namespace = {}
+    exec(compile(kernel_source(plan), "<plan kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _run_plan(diagram, size, tables, limit, orbits=None):
+    """(count, solutions) of diagram.plan, as _solve finds them.
+
+    Runs diagram.kernel once there is one.  Until then runs _solve and
+    charges its work to diagram.plan_work.  The run in which that work
+    passes COMPILE_AFTER stops there, compiles the plan into
+    diagram.kernel and starts again on it, so it wastes at most about
+    one compile's worth of interpreting.  A plan of more than
+    MAX_KERNEL_SEEDS seeds is never compiled.
+    """
+    plan = diagram.plan
+    if diagram.kernel is None:
+        budget = float("inf")
+        if len(plan) <= MAX_KERNEL_SEEDS:
+            budget = COMPILE_AFTER - diagram.plan_work
+        try:
+            count, sols, work = _solve(plan, size, tables, limit, orbits, budget)
+        except _OverBudget:
+            diagram.kernel = compile_plan(plan)
+        else:
+            diagram.plan_work += work
+            return count, sols
+    return diagram.kernel(size, tables, limit, orbits)
 
 
 def _quandle_tables(diagram, quandle):
@@ -183,7 +314,7 @@ def enumerate_xcolorings(diagram, quandle):
     and its inverse, forward and backward as the crossing sign demands.
     """
     tables = _quandle_tables(diagram, quandle)
-    return sorted(_solve(diagram.plan, quandle.order, tables, None)[1])
+    return sorted(_run_plan(diagram, quandle.order, tables, None)[1])
 
 
 def enumerate_weighted_xcolorings(diagram, quandle):
@@ -197,14 +328,14 @@ def enumerate_weighted_xcolorings(diagram, quandle):
     number of X-colorings.  Listed in the plan's order.
     """
     tables = _quandle_tables(diagram, quandle)
-    return _solve(diagram.plan, quandle.order, tables, None, quandle.inner_orbits)[1]
+    return _run_plan(diagram, quandle.order, tables, None, quandle.inner_orbits)[1]
 
 
 def counting_invariant(diagram, quandle):
     """Number of X-colorings of the diagram: the weights of
     enumerate_weighted_xcolorings added up, without listing them."""
     tables = _quandle_tables(diagram, quandle)
-    return _solve(diagram.plan, quandle.order, tables, 0, quandle.inner_orbits)[0]
+    return _run_plan(diagram, quandle.order, tables, 0, quandle.inner_orbits)[0]
 
 
 class BeadCounter:
@@ -220,7 +351,6 @@ class BeadCounter:
         self.quandle = quandle
         self.form = form
         self.vectors = form.vector_tables.vectors
-        self.plan = diagram.plan
 
     def _run(self, coloring, engine, limit):
         """(count, solutions) of one engine, or of both once they agree.
@@ -261,7 +391,7 @@ class BeadCounter:
         Solutions are sorted by their values in arc order, then cut to
         limit.
 
-        This is the reference the compiled plan is checked against
+        This is the reference the plan is checked against
         (engine="both"): it uses only the forward step tables and no
         plan, seed order, inverse table or isometry."""
         order = sweep_order(self.diagram)
@@ -298,7 +428,7 @@ class BeadCounter:
         return count, sols if limit is None else sols[:limit]
 
     def _count_propagate(self, coloring, limit):
-        """Run the compiled plan over this coloring's step tables.
+        """Run the diagram's plan over this coloring's step tables.
 
         A bare count (limit 0) runs the first two seeds over the
         weighted orbits of the isometries of the blocks the coloring
@@ -311,7 +441,7 @@ class BeadCounter:
         if limit == 0:
             ids = form.block_ids
             orbits = form.seed_orbits(frozenset(ids[x][y] for x, y, _ in reads))
-        return _solve(self.plan, len(self.vectors), tables, limit, orbits)
+        return _run_plan(self.diagram, len(self.vectors), tables, limit, orbits)
 
 
 def sweep_order(diagram):

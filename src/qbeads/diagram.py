@@ -55,6 +55,10 @@ class LinkDiagram:
         )
         self.components = tuple(tuple(comp) for comp in components)
         self.meta = dict(meta or {})
+        # the work coloring._run_plan has interpreted on plan, and the
+        # plan compiled by coloring.compile_plan once that work is large
+        self.plan_work = 0
+        self.kernel = None
 
     def __repr__(self):
         return (

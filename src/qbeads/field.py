@@ -211,12 +211,13 @@ class VectorTables:
 
     The index of a vector has its coordinates as base-p digits, the
     first most significant, so index c*p^k + x of F_p^(k+1) is c
-    followed by vectors[x] of F_p^k.  The tables are built one
-    coordinate at a time from those of F_p^k, each row a few slices,
-    concatenations and map passes over rows already built, with no
-    tuple arithmetic.  Every entry is a reference to one shared list of
-    the ints below max(p, p^n), never a freshly computed int, so the
-    (p^n)^2 entries of vadd and dot cost a pointer each.
+    followed by vectors[x] of F_p^k.  The tables of F_p^1 are the sums
+    and products mod p, and those of F_p^(k+1) are built from those of
+    F_p^k, each row a few slices, concatenations and map passes over
+    rows already built, with no tuple arithmetic and no Python-level
+    loop over p^2 entries.  Every entry is a reference to one shared
+    list of the ints below max(p, p^n), never a freshly computed int,
+    so the (p^n)^2 entries of vadd and dot cost a pointer each.
     """
 
     def __init__(self, field, n):
@@ -224,10 +225,19 @@ class VectorTables:
         self.vectors = field.all_vectors(n)
         ints = list(range(max(p, p**n)))
         sums = [ints[e:p] + ints[:e] for e in range(p)]  # sums[e][d] = (e + d) mod p
-        products = [[ints[c * b % p] for b in range(p)] for c in range(p)]
+        # products[c][b] = c*b mod p: row c is row c-1 plus b, read from sums
+        products = [ints[:1] * p]
+        for _ in range(p - 1):
+            products.append(list(map(list.__getitem__, sums, products[-1])))
         chain = itertools.chain.from_iterable
-        vadd, smul, dot = [[0]], [[0]] * p, [[0]]  # the tables of F_p^0
-        for k in range(n):
+        if n == 0:
+            vadd, smul, dot = [[0]], [[0]] * p, [[0]]
+        else:
+            # F_p^1: vadd is sums, and c*b mod p is both smul and dot;
+            # the copies keep the loop below from freeing rows of sums
+            # and products
+            vadd, smul, dot = sums[:], products, products[:]
+        for k in range(1, n):
             # from F_p^k to F_p^(k+1): index c*q + x is (c, vectors[x])
             q = p**k
             blocks = [ints[c * q : c * q + q] for c in range(p)]

@@ -204,9 +204,9 @@ def search_forms(
     """Stream every valid BilinearForm on the quandle, depth first.
 
     Refuses oversized searches unless allow_large is set.  When
-    time_budget (seconds) runs out the stream simply ends; pass a
-    SearchResult as status to observe the incomplete flag.  run_search
-    wraps all of this and returns the collected SearchResult.
+    time_budget (seconds, positive) runs out the stream simply ends;
+    pass a SearchResult as status to observe the incomplete flag.
+    run_search wraps all of this and returns the collected SearchResult.
     """
     if mode not in MODES:
         raise InputError(f"unknown search mode {mode!r}, expected one of {MODES}")
@@ -217,6 +217,9 @@ def search_forms(
     check_vector_count(p, n)
     if limit is not None and limit < 0:
         raise InputError(f"limit must be >= 0, got {limit}")
+    # not "<= 0", which a NaN budget passes
+    if time_budget is not None and not time_budget > 0:
+        raise InputError(f"time budget must be a positive number of seconds, got {time_budget}")
     estimate = _space_estimate(quandle.order, p, n, mode)
     if status is None:
         status = SearchResult()

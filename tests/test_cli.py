@@ -378,6 +378,15 @@ def test_form_search_bad_budget(capsys):
     assert code == 2
 
 
+def test_form_search_nan_budget(capsys):
+    code, out, err = run(
+        capsys, "form-search", "swap3", "--p", "2", "--n", "1", "--budget", "nan", "--allow-large"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: time budget must be a positive number")
+
+
 def test_form_search_negative_dimension(capsys):
     code, out, err = run(capsys, "form-search", "swap3", "--p", "2", "--n", "-1")
     assert code == 2

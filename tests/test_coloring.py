@@ -3,22 +3,27 @@ from pathlib import Path
 
 import pytest
 
+import qbeads.coloring
 import qbeads.diagram
 import qbeads.invariant
 from qbeads import catalog
 from qbeads.coloring import (
     BeadCounter,
+    _quandle_tables,
+    _solve,
     bead_solutions,
+    compile_plan,
     count_beads,
     counting_invariant,
     enumerate_xcolorings,
+    kernel_source,
     sweep_order,
 )
 from qbeads.diagram import Crossing, LinkDiagram, import_pd, load_diagram, seed_arcs
 from qbeads.errors import InputError, QBeadsError
 from qbeads.forms import constant_form, validate_form, zero_form
 from qbeads.invariant import compute_invariant
-from qbeads.quandle import Quandle, alexander_quandle
+from qbeads.quandle import Quandle, alexander_quandle, trivial_quandle
 
 DATA = Path(__file__).parent / "data"
 
@@ -73,7 +78,7 @@ def test_virtual_style_single_crossing(swap3):
 
 
 def test_xcolorings_match_brute_force(swap3):
-    """The compiled plan against a filter over all m^arcs assignments."""
+    """The plan against a filter over all m^arcs assignments."""
     quandles = [swap3, alexander_quandle(3, 2), alexander_quandle(5, 2)]
     for d in small_diagrams() + [HOPF, VHOPF]:
         for q in quandles:
@@ -397,3 +402,111 @@ def test_plan_is_built_once_per_diagram(monkeypatch, swap3):
         for f in enumerate_xcolorings(d, swap3):
             counter.count(f)
     assert built == ["L6a4"]
+
+
+# -- the compiled tier ------------------------------------------------
+
+BENCH_DIAGRAMS = Path(__file__).parent.parent / "perfbench" / "data" / "diagrams"
+
+
+def every_diagram():
+    """The catalog links, the tests/data diagrams and the benchmark's."""
+    benchmark = [load_diagram(path) for path in sorted(BENCH_DIAGRAMS.glob("*.diagram"))]
+    return plan_diagrams() + benchmark
+
+
+def assert_kernel_is_solve(kernel, plan, size, tables, orbits, where):
+    for limit in (0, 3, None):
+        for weights in (None, orbits):
+            expected = _solve(plan, size, tables, limit, weights)[:2]
+            assert kernel(size, tables, limit, weights) == expected, (where, limit, weights is None)
+
+
+def test_kernel_returns_what_solve_returns():
+    """Counts, solutions in order, weights and limits, on X-colorings
+    and on bead colorings of the first and the first non-monochrome
+    X-coloring, over the catalog forms and a form at p = 3."""
+    swap3 = catalog.load_quandle("swap3")
+    alex = alexander_quandle(3, 2)
+    forms = [catalog.load_form(name, swap3) for name in catalog.list_forms()]
+    forms += [constant_form(q, 3, 2, [[0, 1], [2, 0]]) for q in (swap3, alex)]
+    for d in every_diagram():
+        kernel = compile_plan(d.plan)
+        for q in (swap3, alex):
+            tables = _quandle_tables(d, q)
+            assert_kernel_is_solve(kernel, d.plan, q.order, tables, q.inner_orbits, (d.name, q.name))
+        for form in forms:
+            q = form.quandle
+            colorings = enumerate_xcolorings(d, q)
+            for f in colorings[:1] + [f for f in colorings if len(set(f)) > 1][:1]:
+                reads = [(f[c.under_in], f[c.over], c.sign) for c in d.crossings]
+                tables = [(form.step_table(x, y, s), form.step_table(x, y, -s)) for x, y, s in reads]
+                orbits = form.seed_orbits(frozenset(form.block_ids[x][y] for x, y, _ in reads))
+                size = len(form.vector_tables.vectors)
+                assert_kernel_is_solve(kernel, d.plan, size, tables, orbits, (d.name, form.name, f))
+
+
+def test_a_hot_plan_is_compiled_and_gives_the_same_results(monkeypatch, swap3):
+    forms = [constant_form(swap3, 3, 2, [[0, 1], [2, 0]]), validate_form(swap3, FULL, 2, 2)]
+
+    def results(d):
+        invariants = [compute_invariant(d, swap3, form) for form in forms]
+        listed = enumerate_xcolorings(d, swap3)
+        counter = BeadCounter(d, swap3, forms[0])
+        return (
+            [(r.polynomial, r.colorings, r.counts) for r in invariants],
+            listed,
+            [counter.solutions(f, limit=5) for f in listed],
+        )
+
+    monkeypatch.setattr(qbeads.coloring, "COMPILE_AFTER", float("inf"))
+    cold = catalog.link_diagram("L6a4")
+    interpreted = results(cold)
+    assert cold.kernel is None
+    # each budget runs out inside some run, which starts again on the kernel
+    for budget in (0, 10, cold.plan_work // 2):
+        monkeypatch.setattr(qbeads.coloring, "COMPILE_AFTER", budget)
+        hot = catalog.link_diagram("L6a4")
+        assert results(hot) == interpreted, budget
+        assert hot.kernel is not None
+
+
+def free_loops(n):
+    """The unlink of n components drawn as n free loops: n seeds."""
+    return LinkDiagram(f"O{n}", n, [], [[a] for a in range(n)]).validate()
+
+
+def test_plans_too_deep_for_a_kernel_stay_interpreted(monkeypatch):
+    monkeypatch.setattr(qbeads.coloring, "COMPILE_AFTER", 0)
+    deepest = free_loops(qbeads.coloring.MAX_KERNEL_SEEDS)
+    assert counting_invariant(deepest, trivial_quandle(1)) == 1
+    assert deepest.kernel is not None
+    # one more for loop is more statically nested blocks than CPython allows
+    with pytest.raises(SyntaxError, match="nested blocks"):
+        compile_plan(free_loops(qbeads.coloring.MAX_KERNEL_SEEDS + 1).plan)
+    deep = free_loops(qbeads.coloring.MAX_KERNEL_SEEDS + 1)
+    assert counting_invariant(deep, trivial_quandle(1)) == 1
+    assert deep.kernel is None
+
+
+class Hostile(int):
+    """An int that formats and prints as a line of code."""
+
+    def __format__(self, spec):
+        return "0\nimport os"
+
+    __str__ = __repr__ = lambda self: "0\nimport os"
+
+
+def test_kernel_source_reads_no_text_from_the_diagram(swap3):
+    d = catalog.link_diagram("L7n1")
+    hostile = LinkDiagram(
+        "hostile",
+        Hostile(d.arc_count),
+        [Crossing(c.sign, *map(Hostile, (c.under_in, c.over, c.under_out))) for c in d.crossings],
+        [list(map(Hostile, comp)) for comp in d.components],
+    )
+    assert any(isinstance(a, Hostile) for _, steps in hostile.plan for _, _, *arcs in steps for a in arcs)
+    assert kernel_source(hostile.plan) == kernel_source(d.plan)
+    tables = _quandle_tables(d, swap3)
+    assert compile_plan(hostile.plan)(3, tables, None, None) == _solve(d.plan, 3, tables, None)[:2]

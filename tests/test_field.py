@@ -122,7 +122,7 @@ def test_alternating_matrices_are_the_filtered_matrices(p, n):
 
 
 @pytest.mark.parametrize(
-    "p, n", [(2, 0), (2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 1), (7, 2)]
+    "p, n", [(2, 0), (2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 1), (7, 2), (31, 1), (101, 1)]
 )
 def test_vector_tables(p, n):
     f = PrimeField(p)

@@ -39,7 +39,7 @@ def unreduced_count(counter, f):
         )
         for c in counter.diagram.crossings
     ]
-    return _solve(counter.plan, len(counter.vectors), tables, 0)[0]
+    return _solve(counter.diagram.plan, len(counter.vectors), tables, 0)[0]
 
 
 def assert_counts_exact(quandle, form, diagrams, oracle_arcs=None):

@@ -105,9 +105,15 @@ def test_limit_equal_to_total_is_complete():
 
 def test_time_budget_marks_incomplete():
     q = Quandle.from_table(SWAP3)
-    res = run_search(q, 2, 2, time_budget=0.0, allow_large=True)
+    res = run_search(q, 2, 2, time_budget=1e-9, allow_large=True)
     assert not res.complete
     assert res.forms == []
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1, 0.0])
+def test_time_budget_must_be_positive(budget):
+    with pytest.raises(InputError, match="time budget must be a positive number"):
+        run_search(Quandle.from_table(SWAP3), 2, 2, time_budget=budget, allow_large=True)
 
 
 def test_streaming_interface():

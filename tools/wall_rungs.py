@@ -1,12 +1,21 @@
 """Time the invariant at the field sizes where it used to hit walls.
 
-The rungs count the closure of the 4-braid (s1 s2^-1 s3 s2^-1)^5 (20
-arcs, 4 seeds) on swap3 with a constant symplectic form: the block
-[[0,1],[p-1,0]] at n = 2 for p^n = 25, 49 and 121, and two copies of
-[[0,1],[2,0]] on the diagonal at p = 3, n = 4 for p^n = 81.  Each
-cell is the median of REPEAT compute_invariant calls, each on a
-freshly validated form, so it includes building the isometry group
-and its seed orbits but not the vector tables.
+The rungs count three diagrams on swap3 with a constant symplectic
+form, the block [[0,1],[p-1,0]] at n = 2, or two copies of [[0,1],[2,0]]
+on the diagonal at p = 3, n = 4 for p^n = 81:
+
+- the closure of the 4-braid (s1 s2^-1 s3 s2^-1)^5 (20 arcs, 4 seeds)
+  at p^n = 25, 49, 81 and 121;
+- the pretzel link P(3,3,3,3,3) (15 arcs, 5 seeds) at p^n = 25 and 49;
+- the closure of the 5-braid (s1 s2^-1 s3 s4^-1)^6 (24 arcs, 5 seeds)
+  at p^n = 25 and 49.
+
+Each cell is the median of REPEAT compute_invariant calls, each on a
+freshly built diagram and a freshly validated form, as a one-shot
+`qbeads invariant` runs it: each call includes the diagram's plan, the
+interpreted runs and the compile of its kernel (see the coloring
+module), the isometry group and its seed orbits, but not the vector
+tables.
 
 The hard case times BilinearForm.isometries, and then seed_orbits,
 which builds the isometries and their weighted orbits, the same way
@@ -15,7 +24,8 @@ for a degenerate alternating block at p = 2, n = 10: four copies of
 
 The tables section times VectorTables(PrimeField(p), n), and then one
 bilinear_table on those tables, for the n-by-n matrix with entries
-(n*i + j + 1) mod p, at p^n = 16, 81, 121 and 1024 (p = 2, 3, 11, 2).
+(n*i + j + 1) mod p, at p^n = 16, 81, 121, 1021 and 1024 (p = 2, 3,
+11, 1021, 2).
 Each is the median of REPEAT builds in this one process, so it does
 not show peak memory.
 
@@ -39,14 +49,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tools"))
 
-from gen_catalog import braid_closure  # noqa: E402
+from gen_catalog import braid_closure, pretzel_link  # noqa: E402
 from qbeads import catalog, compute_invariant, constant_form, trivial_quandle  # noqa: E402
 from qbeads.diagram import import_pd  # noqa: E402
 from qbeads.field import PrimeField, VectorTables  # noqa: E402
 
-WORD = [1, -2, 3, -2] * 5
-REPEAT = 3
-TABLE_SIZES = [(2, 4), (3, 4), (11, 2), (2, 10)]  # (p, n) for p^n = 16, 81, 121, 1024
+# label -> the construction, as called on tools/gen_catalog.py, and the
+# p^n of its rungs
+DIAGRAMS = {
+    "braid4": (lambda: braid_closure(4, [1, -2, 3, -2] * 5), (25, 49, 81, 121)),
+    "P33333": (lambda: pretzel_link([3, 3, 3, 3, 3]), (25, 49)),
+    "braid5": (lambda: braid_closure(5, [1, -2, 3, -4] * 6), (25, 49)),
+}
+REPEAT = 9
+# (p, n) for p^n = 16, 81, 121, 1021 and 1024
+TABLE_SIZES = [(2, 4), (3, 4), (11, 2), (1021, 1), (2, 10)]
 
 
 def timed(build, run):
@@ -73,35 +90,41 @@ def block_diagonal(blocks):
     return M
 
 
-def rung_forms():
-    """(label, p, n, block) for each rung, in order of p^n."""
-    rungs = [(p, 2, [[0, 1], [p - 1, 0]]) for p in (5, 7, 11)]
-    rungs.append((3, 4, block_diagonal([[[0, 1], [2, 0]]] * 2)))
-    return [(f"p^n={p**n}", p, n, B) for p, n, B in sorted(rungs, key=lambda r: r[0] ** r[1])]
+def rung_form(size):
+    """(p, n, block) of the rung at p^n = size."""
+    if size == 81:
+        return 3, 4, block_diagonal([[[0, 1], [2, 0]]] * 2)
+    p = round(size**0.5)
+    return p, 2, [[0, 1], [p - 1, 0]]
 
 
 def run_rungs():
-    pd, signs = braid_closure(4, WORD).pd_string()
-    diagram = import_pd(pd, signs=signs, name="braid4").validate()
     quandle = catalog.load_quandle("swap3")
     cells = []
-    for label, p, n, B in rung_forms():
-        seconds, runs, result = timed(
-            lambda: constant_form(quandle, p, n, B),
-            lambda form: compute_invariant(diagram, quandle, form),
-        )
-        polynomial = result.polynomial.render()
-        cells.append(
-            {
-                "rung": label,
-                "p": p,
-                "n": n,
-                "seconds": seconds,
-                "runs": runs,
-                "polynomial": polynomial,
-            }
-        )
-        print(f"{label}: {seconds:.3f} s, {polynomial}", file=sys.stderr)
+    for name, (construction, sizes) in DIAGRAMS.items():
+        pd, signs = construction().pd_string()
+        for size in sizes:
+            p, n, B = rung_form(size)
+            seconds, runs, result = timed(
+                lambda: (
+                    import_pd(pd, signs=signs, name=name).validate(),
+                    constant_form(quandle, p, n, B),
+                ),
+                lambda args: compute_invariant(args[0], quandle, args[1]),
+            )
+            polynomial = result.polynomial.render()
+            cells.append(
+                {
+                    "diagram": name,
+                    "rung": f"p^n={size}",
+                    "p": p,
+                    "n": n,
+                    "seconds": seconds,
+                    "runs": runs,
+                    "polynomial": polynomial,
+                }
+            )
+            print(f"{name} at p^n={size}: {seconds:.3f} s, {polynomial}", file=sys.stderr)
     return cells
 
 
