@@ -281,7 +281,14 @@ def build_parser():
     p.add_argument("quandle", help="catalog id or file path")
     p.add_argument("--p", type=int, required=True, help="field order (prime)")
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
-    p.add_argument("--mode", choices=MODES, default="all")
+    p.add_argument(
+        "--mode",
+        choices=MODES,
+        default="all",
+        help="all and alternating-only return the same forms: axiom (i) makes every "
+        "diagonal block alternating and (iii) makes B[x][y] 0 or B[y][y]; "
+        "constant-diagonal also sets every diagonal block equal",
+    )
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
     p.add_argument("--space-bound", type=int, default=DEFAULT_SPACE_BOUND)

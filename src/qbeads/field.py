@@ -122,19 +122,15 @@ class PrimeField:
                     )
         return tuple(tuple(row) for row in B)
 
-    def all_matrices(self, n):
-        """Iterate over all p^(n*n) matrices, rows filled lexicographically."""
-        for flat in itertools.product(range(self.p), repeat=n * n):
-            yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
-
     def alternating_matrices(self, n):
         """Iterate over the p^(n(n-1)/2) alternating matrices in
-        all_matrices order.
+        lexicographic order of their entries read row by row, so the
+        zero matrix comes first.
 
         The upper triangle is filled lexicographically in row-major
         order; the diagonal is zero and the lower triangle its negative.
-        Each lower entry follows an upper entry it is fixed by, so this
-        is the order of all_matrices filtered by is_alternating.
+        Each lower entry comes, row by row, after the upper entry that
+        fixes it, so the upper entries alone decide the order.
         """
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for values in itertools.product(range(self.p), repeat=len(upper)):

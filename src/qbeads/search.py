@@ -6,32 +6,46 @@ for the two-line proof).  So the search assigns one matrix per
 orbit-pair slot, r*r slots for r orbits, instead of one per element
 pair.  The pairs are ordered diagonal first, (0,0), (1,1), ..., then
 off-diagonal row-major, and the slots by the first pair in that order
-that falls in them.  A slot (O, O) holds diagonal pairs, so its
-candidates are the alternating matrices (exactly axiom (i)); in
-constant-diagonal mode every such slot after slot 0 copies slot 0.
+that falls in them, so the r diagonal slots come first.
 
-Under orbit-constancy the axiom (ii)/(iii) instance at (x, y, z) reads
-the same blocks as the one at the orbits' least elements, so only the
-r^3 representative triples are checked, once all the slots they read
-are assigned, pruning the branch on the first failure.  A verdict
-depends only on the axiom and the four matrices read, so each instance
-is decided once per distinct tuple of four candidate matrices, and the
-verdicts are kept for one search only.  The checker,
-forms.axiom_failures, is shared with form validation and runs over unit
-vectors only: both sides of (ii) are bilinear in (a, b) for fixed c,
-and both sides of (iii) in (a, c) for fixed b, so unit vectors decide
-each instance exactly.  Completed leaves are therefore valid forms, and
-no valid form is skipped.
+Under orbit-constancy the fourth block an axiom instance reads is one
+of the other three: B[x>z][y>z] = B[x][y] in (ii), and B[x>y][z] =
+B[x][z] in (iii).  With M = B[x][y], S = B[x][z] and T = B[y][z],
+(iii) then reads (a^T M b)(b^T (S - T) c) = 0 for all a, b, c.  If
+M != 0 and S != T, the b with Mb = 0 and the b with (S - T)^T b = 0
+are two proper subspaces, and no vector space is the union of two, so
+some b fails: (iii) holds exactly when M = 0 or S = T.  (ii) expands
+to (b^T T c)(a^T M c) + (a^T S c)(c^T M b) + (a^T S c)(b^T T c)(c^T M c)
+= 0, which holds when M = 0 or S = T = 0; when M != 0 and exactly one
+of S, T is 0 a single product is left, and the same argument makes it
+fail.  The other (ii) cases go to forms.axiom_failures, the unit-vector
+check form validation runs, once per (M, S, T) in a search.
+
+(iii) at z = y reads M = S = B[x][y] and T = B[y][y], so every valid
+family has B[x][y] in {0, B[y][y]}.  Axiom (i) makes each diagonal
+block alternating, so a diagonal slot (O, O) takes the alternating
+matrices; in constant-diagonal mode every such slot after slot 0
+copies slot 0.  An off-diagonal slot (O1, O2) comes after (O2, O2) and
+takes 0 and B[O2][O2], once each, in alternating_matrices order.
+Every block is thus alternating, and the modes all and
+alternating-only find the same forms.
+
+Only the r^3 representative triples, least elements of their orbits,
+are checked, each as (kind, slot of B[x][y], of B[x][z], of B[y][z]),
+once all three slots are assigned, pruning the branch on the first
+failure.  Completed leaves are therefore valid forms, and no valid
+form is skipped.  A bilinear table is built when a decision first
+reads it, so a search builds at most one per alternating matrix.
 
 Emission order is deterministic: lexicographic in the matrix of each
-element pair, in pair order, as if every pair had its own slot.  A pair
-whose slot appeared earlier copies that slot's matrix and adds nothing
-to the order.
+element pair, in pair order, as if every pair had its own slot and
+took every matrix.  A pair whose slot appeared earlier copies that
+slot's matrix and adds nothing to the order.
 
-The naive space (#candidate matrices)^(#pairs) is refused above a
-configurable bound unless allow_large is set, since even small
-parameters explode: m=3, p=2, n=2 gives 16^9, about 7e10, yet prunes
-down to a sub-second search.
+The guard bounds the naive space of _space_estimate, as if every pair
+had a slot and took every matrix its mode allows, and refuses a search
+above a configurable bound unless allow_large is set; m=3, p=2, n=2
+gives 16^9, about 7e10, yet the search takes milliseconds.
 """
 
 import time
@@ -77,19 +91,23 @@ def _orbit_slots(quandle):
     return list(index), pair_slot
 
 
-def _instance_schedule(quandle, slots, pair_slot):
+def _check_schedule(quandle, slots, pair_slot):
     """Slot index -> the axiom checks first decidable there.
 
-    A check is (kind, slots read): the slots of the four blocks that a
-    representative instance ("ii" or "iii", x, y, z least elements of
-    their orbits) reads, in axiom_failures order.  It is scheduled at
-    the largest of those slots, so it runs as early as possible, and
-    instances that read the same slots are kept once per slot.
+    A check is (kind, xy, xz, yz): the slots of B[x][y], B[x][z] and
+    B[y][z] at a representative instance ("ii" or "iii", x, y, z least
+    elements of their orbits).  Its fourth block, B[x>z][y>z] for (ii)
+    or B[x>y][z] for (iii), lies in the slot of (x, y) or of (x, z),
+    since x>z and x>y lie in the orbit of x and y>z in that of y.  A
+    check is scheduled at the largest slot it reads, so it runs as
+    early as possible, and instances that read the same slots are kept
+    once per slot.
     """
     reps = sorted({ox for ox, _ in slots})
     schedule = [{} for _ in slots]
-    for check in axiom_reads(quandle, reps, pair_slot):
-        schedule[max(check[1:])].setdefault(check, None)
+    for kind, xy, xz, yz, out in axiom_reads(quandle, reps, pair_slot):
+        assert out == (xy if kind == "ii" else xz), "orbit slots must hold the fourth block"
+        schedule[max(xy, xz, yz)].setdefault((kind, xy, xz, yz), None)
     return [list(checks) for checks in schedule]
 
 
@@ -115,44 +133,64 @@ class _Searcher:
         self.n = n
         self.mode = mode
 
-        self.vector_tables = field.vector_tables(n)
-        if mode == "alternating-only":
-            # every slot takes alternating matrices only; build no other table
-            self.all_mats = list(field.alternating_matrices(n))
-        else:
-            self.all_mats = list(field.all_matrices(n))
-        self.alt_ids = [i for i, M in enumerate(self.all_mats) if field.is_alternating(M)]
-        # one bilinear table per candidate matrix, shared across slots
-        self.tables = [self.vector_tables.bilinear_table(M) for M in self.all_mats]
+        # a candidate is an index into this list, whose first matrix is zero
+        self.matrices = list(field.alternating_matrices(n))
+        # bilinear tables by candidate, each built when a decision first reads it
+        self.tables = [None] * len(self.matrices)
 
         self.slots, self.pair_slot = _orbit_slots(quandle)
-        self.schedule = _instance_schedule(quandle, self.slots, self.pair_slot)
-        # (kind, candidate id at each slot read) -> verdict, for this search only
+        # slot (O1, O2) -> the slot (O2, O2), assigned first: the diagonal
+        # slots lead the order
+        diagonal = {ox: k for k, (ox, oy) in enumerate(self.slots) if ox == oy}
+        self.column_diagonal = [diagonal[oy] for _, oy in self.slots]
+        self.schedule = _check_schedule(quandle, self.slots, self.pair_slot)
+        # candidates (M, S, T) -> verdict of (ii), for this search only
         self.decided = {}
 
-    def slot_candidates(self, k):
+    def slot_candidates(self, k, assigned):
         ox, oy = self.slots[k]
         if ox == oy:
             if self.mode == "constant-diagonal" and k > 0:
-                return None  # copy of slot 0, handled in the DFS
-            return self.alt_ids
-        return list(range(len(self.all_mats)))
+                return [assigned[0]]
+            return range(len(self.matrices))
+        # B[O1][O2] is 0 or B[O2][O2], in alternating_matrices order
+        diagonal = assigned[self.column_diagonal[k]]
+        return [0, diagonal] if diagonal else [0]
 
     def holds(self, checks, assigned):
-        """Whether every check passes on the assigned candidates, each
-        decided once per distinct tuple of the four matrices it reads."""
-        decided, tables = self.decided, self.tables
-        for kind, xy, xz, yz, out in checks:
-            key = (kind, assigned[xy], assigned[xz], assigned[yz], assigned[out])
-            ok = decided.get(key)
-            if ok is None:
-                failures = axiom_failures(
-                    kind, *(tables[mat_id] for mat_id in key[1:]), self.vector_tables
-                )
-                ok = decided[key] = next(failures, None) is None
-            if not ok:
+        """Whether every check passes on the assigned candidates.
+
+        A check (kind, xy, xz, yz) reads M, S and T at those slots.
+        (iii) holds exactly when M = 0 or S = T; (ii) holds when M = 0
+        or S = T = 0, fails when M != 0 and exactly one of S, T is 0,
+        and is otherwise decided by axiom_failures, once per (M, S, T).
+        """
+        for kind, xy, xz, yz in checks:
+            M = assigned[xy]
+            if not M:
+                continue
+            S, T = assigned[xz], assigned[yz]
+            if kind == "iii":
+                if S != T:
+                    return False
+            elif (S or T) and not (S and T and self.decide(M, S, T)):
                 return False
         return True
+
+    def decide(self, M, S, T):
+        """Axiom (ii) on B[x][y] = M, B[x][z] = S, B[y][z] = T, and the
+        out block B[x>z][y>z] = M, by the unit-vector check."""
+        key = (M, S, T)
+        ok = self.decided.get(key)
+        if ok is None:
+            vector_tables = self.field.vector_tables(self.n)
+            for i in key:
+                if self.tables[i] is None:
+                    self.tables[i] = vector_tables.bilinear_table(self.matrices[i])
+            tables = [self.tables[i] for i in key]
+            failures = axiom_failures("ii", *tables, tables[0], vector_tables)
+            ok = self.decided[key] = next(failures, None) is None
+        return ok
 
     def dfs(self, limit, deadline, status):
         n_slots = len(self.slots)
@@ -160,7 +198,7 @@ class _Searcher:
 
         def emit():
             grid = tuple(
-                tuple(self.all_mats[assigned[k]] for k in row) for row in self.pair_slot
+                tuple(self.matrices[assigned[k]] for k in row) for row in self.pair_slot
             )
             return BilinearForm(self.quandle, self.field, self.n, grid)
 
@@ -172,10 +210,7 @@ class _Searcher:
                 status.emitted += 1
                 yield emit()
                 return
-            cands = self.slot_candidates(k)
-            if cands is None:
-                cands = [assigned[0]]
-            for mat_id in cands:
+            for mat_id in self.slot_candidates(k, assigned):
                 if limit is not None and status.emitted >= limit:
                     status.complete = False
                     return
@@ -250,10 +285,11 @@ def run_search(quandle, p, n, mode="all", **kwargs):
 def verify_search_output(result):
     """Re-validate every emitted form with form_violations.
 
-    This shares forms.axiom_failures with the search itself, so it
-    re-checks how leaves are assembled rather than the axiom checker;
-    the tests compare that checker with a brute-force sweep over all
-    vector triples.
+    form_violations checks (ii) and (iii) with forms.axiom_failures on
+    every block tuple, while the search decides (iii) and most of (ii)
+    in closed form, so this re-checks those verdicts as well as how
+    leaves are assembled; the tests compare axiom_failures with a
+    brute-force sweep over all vector triples.
     """
     failures = []
     for i, form in enumerate(result.forms):

@@ -8,13 +8,21 @@ the orbit search's forms and their order against it.
 
 Pairs are assigned diagonal first, (0,0), (1,1), ..., then off-diagonal
 row-major; each slot runs through its candidate matrices in
-field.all_matrices order, so the forms come out in lexicographic order
+all_matrices order, so the forms come out in lexicographic order
 of that pair tuple.  An instance is checked once all the pairs it reads
 are assigned.
 """
 
+import itertools
+
 from qbeads.field import PrimeField, VectorTables
 from qbeads.forms import axiom_failures
+
+
+def all_matrices(field, n):
+    """Iterate over all p^(n*n) matrices, rows filled lexicographically."""
+    for flat in itertools.product(range(field.p), repeat=n * n):
+        yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
 def pair_order(m):
@@ -27,7 +35,7 @@ def reference_search(quandle, p, n, mode="all"):
     """Every valid form's blocks, in the pair search's emission order."""
     field = PrimeField(p)
     vector_tables = VectorTables(field, n)
-    mats = list(field.all_matrices(n))
+    mats = list(all_matrices(field, n))
     tables = [vector_tables.bilinear_table(M) for M in mats]
     every = list(range(len(mats)))
     alternating = [i for i, M in enumerate(mats) if field.is_alternating(M)]

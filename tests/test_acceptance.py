@@ -179,8 +179,8 @@ def test_criterion_8():
     assert partial.blocks in found
     assert full.blocks in found
     assert verify_search_output(result) == []
-    # verify_search_output shares the search's axiom checker, so every
-    # emitted form is also swept over all vector triples
+    # verify_search_output checks on unit vectors only, so every emitted
+    # form is also swept over all vector triples
     for form in result.forms:
         assert brute_force_violations(form.quandle, form.blocks, form.field, form.n) == []
     assert elapsed < 600.0, f"took {elapsed:.2f}s"

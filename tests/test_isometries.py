@@ -17,6 +17,7 @@ from qbeads.invariant import compute_invariant
 from qbeads.quandle import conjugation_quandle, weighted_orbits
 
 from group_listing import closure, listed_weighted_orbits
+from search_oracle import all_matrices
 from test_quandle import sym3
 
 DATA = Path(__file__).parent / "data"
@@ -91,7 +92,7 @@ def brute_force_isometries(field, n, blocks):
     vectors = field.all_vectors(n)
     index = {v: i for i, v in enumerate(vectors)}
     found = []
-    for g in field.all_matrices(n):
+    for g in all_matrices(field, n):
         # columns are the images of e_1, ..., e_n
         image = [
             index[tuple(sum(g[r][k] * v[k] for k in range(n)) % field.p for r in range(n))]

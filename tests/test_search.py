@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbeads.errors import InputError
 from qbeads.field import PrimeField, VectorTables
-from qbeads.forms import form_violations, zero_form
+from qbeads.forms import axiom_failures, form_violations, zero_form
 from qbeads import search
 from qbeads.quandle import Quandle, alexander_quandle, symplectic_quandle, trivial_quandle
 from qbeads.search import (
@@ -15,7 +17,7 @@ from qbeads.search import (
     verify_search_output,
 )
 
-from search_oracle import reference_search
+from search_oracle import all_matrices, reference_search
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
 
@@ -62,7 +64,10 @@ def test_modes_nest():
         res = run_search(q, 2, 2, mode=mode, allow_large=True)
         assert res.complete
         sets[mode] = {f.blocks for f in res.forms}
-    assert sets["alternating-only"] <= sets["all"]
+    # (i) makes every diagonal block alternating, and B[x][y] is 0 or
+    # B[y][y] (see the search module docstring), so every block of every
+    # valid form is alternating
+    assert sets["alternating-only"] == sets["all"]
     assert sets["constant-diagonal"] <= sets["all"]
 
 
@@ -216,11 +221,15 @@ def test_emitted_forms_are_orbit_constant(name, pn, mode, data):
     res = run_search(q, p, n, mode=mode, allow_large=True)
     assert res.complete and res.forms
     orbit = q.orbits()
+    zero = PrimeField(p).zero_matrix(n)
     for f in res.forms:
         assert all(
             f.blocks[x][y] == f.blocks[orbit[x]][orbit[y]]
             for x in range(q.order)
             for y in range(q.order)
+        )
+        assert all(
+            f.blocks[x][y] in (zero, f.blocks[y][y]) for x in range(q.order) for y in range(q.order)
         )
     assert verify_search_output(res) == []
 
@@ -243,14 +252,14 @@ def test_reused_status_reports_only_its_own_run():
 
 
 # The five benchmark searches: quandle, p, n, mode, then the nodes, the
-# forms and the distinct (kind, four candidate matrices) tuples the
-# search reaches, each of which the search decides once.
+# forms and the distinct (M, S, T) of the axiom (ii) checks that reach
+# axiom_failures, each of which the search decides once.
 BENCHMARK_SEARCHES = [
-    ("swap3", 2, 2, "all", 166, 7, 126),
-    ("swap3", 3, 2, "alternating-only", 84, 17, 40),
-    ("swap3", 2, 3, "alternating-only", 1208, 85, 296),
-    ("alexander(4,3)", 2, 2, "all", 166, 7, 126),
-    ("symplectic(2,2)", 2, 2, "all", 166, 7, 126),
+    ("swap3", 2, 2, "all", 21, 7, 1),
+    ("swap3", 3, 2, "alternating-only", 52, 17, 4),
+    ("swap3", 2, 3, "alternating-only", 333, 85, 49),
+    ("alexander(4,3)", 2, 2, "all", 21, 7, 1),
+    ("symplectic(2,2)", 2, 2, "all", 21, 7, 1),
 ]
 
 
@@ -260,11 +269,15 @@ def _benchmark_quandle(name):
     return QUANDLES[name]
 
 
-@pytest.mark.parametrize("name,p,n,mode,nodes,count,decided", BENCHMARK_SEARCHES)
+@pytest.mark.parametrize(
+    "name,p,n,mode,nodes,count,decided",
+    BENCHMARK_SEARCHES,
+    ids=[f"{name}-{p}-{n}-{mode}" for name, p, n, mode, *_ in BENCHMARK_SEARCHES],
+)
 def test_each_axiom_tuple_is_decided_once(monkeypatch, name, p, n, mode, nodes, count, decided):
-    """The search runs axiom_failures once per distinct (kind, four
-    tables) it reaches, afresh in every search, and its nodes and forms
-    stay those of deciding every instance anew."""
+    """The search runs axiom_failures once per distinct (M, S, T) that
+    its closed forms leave open, afresh in every search, and its nodes
+    and forms stay those of deciding every instance anew."""
     q = _benchmark_quandle(name)
     calls = []
     failures = search.axiom_failures
@@ -283,16 +296,63 @@ def test_each_axiom_tuple_is_decided_once(monkeypatch, name, p, n, mode, nodes, 
     assert verify_search_output(res) == []
 
 
-def test_checks_are_keyed_on_the_kind_and_all_four_matrices():
-    """Two checks are decided apart when only their out matrix, or only
-    their axiom, differs.  (In the orbit search the out slot always
-    equals the (x, y) slot for (ii) and the (x, z) slot for (iii), so
-    only a hand-made check list can tell the key apart from a shorter
-    one.)"""
-    searcher = search._Searcher(trivial_quandle(2), PrimeField(2), 1, "all")
-    assert searcher.all_mats == [((0,),), ((1,),)]
-    check = (0, 1, 2, 3)  # slots of B_xy, B_xz, B_yz and B_out
-    assert searcher.holds([("ii", *check)], [0, 0, 0, 0])
-    assert not searcher.holds([("ii", *check)], [0, 0, 0, 1])
-    assert searcher.holds([("iii", *check)], [0, 1, 0, 1])
-    assert not searcher.holds([("ii", *check)], [0, 1, 0, 1])
+def _closed_form_cases(p, n, matrices, kinds):
+    """(kind, M, S, T, the search's verdict, axiom_failures' verdict)
+    for every kind and every triple of the matrices, zero first, with
+    the out block that the orbit search reads: M for (ii), S for (iii)."""
+    field = PrimeField(p)
+    searcher = search._Searcher(trivial_quandle(1), field, n, "all")
+    searcher.matrices, searcher.tables = matrices, [None] * len(matrices)
+    vector_tables = field.vector_tables(n)
+    tables = [vector_tables.bilinear_table(B) for B in matrices]
+    for kind in kinds:
+        for M, S, T in itertools.product(range(len(matrices)), repeat=3):
+            out = M if kind == "ii" else S
+            failures = axiom_failures(kind, tables[M], tables[S], tables[T], tables[out], vector_tables)
+            yield kind, M, S, T, searcher.holds([(kind, 0, 1, 2)], [M, S, T]), next(failures, None) is None
+
+
+@pytest.mark.parametrize(
+    "p,n,alternating,kinds",
+    [(2, 2, False, ("ii", "iii")), (3, 3, True, ("iii",))],
+    ids=["p2n2-every-matrix", "p3n3-alternating"],
+)
+def test_closed_forms_agree_with_axiom_failures(p, n, alternating, kinds):
+    """The search's verdict on a check equals the unit-vector check's
+    on every (M, S, T): all 16^3 matrix triples at p=2, n=2 for both
+    axioms, and all 27^3 alternating triples at p=3, n=3 for (iii),
+    whose closed form decides every case."""
+    field = PrimeField(p)
+    matrices = list(field.alternating_matrices(n) if alternating else all_matrices(field, n))
+    assert matrices[0] == field.zero_matrix(n)
+    cases = list(_closed_form_cases(p, n, matrices, kinds))
+    assert len(cases) == len(kinds) * len(matrices) ** 3
+    wrong = [case for case in cases if case[4] != case[5]]
+    assert wrong == []
+    # both verdicts occur for every kind
+    assert {(kind, ok) for kind, *_, ok in cases} == {(kind, ok) for kind in kinds for ok in (True, False)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_swap3_at_n2_has_2p2_minus_1_forms(p):
+    """swap3 at n = 2 has 1 + 4(p-1) + 2(p-1)^2 = 2p^2 - 1 forms.
+
+    Its orbits are A = {0, 1} and B = {2}.  Every alternating 2x2
+    matrix is a multiple of J = [[0, 1], [p-1, 0]]: write B[A][A] = αJ
+    and B[B][B] = βJ.  The search's corollary gives B[A][B] in {0, βJ}
+    and B[B][A] in {0, αJ}.  On multiples of J, where c^T J c = 0, both
+    (ii) and (iii) at (x, y, z) hold exactly when B[x][y] = 0 or
+    B[x][z] = B[y][z]; at the orbit triples (A, B, A) and (B, A, B)
+    this requires B[B][A] = αJ when B[A][B] != 0, and B[A][B] = βJ when
+    B[B][A] != 0.  So:
+
+    - α = β = 0 gives the zero form: 1;
+    - exactly one of α, β nonzero gives 2 forms each, the one
+      off-diagonal block that may be nonzero being 0 or not: 4(p-1);
+    - α, β != 0 allows both off-diagonal blocks zero, or B[A][B] = βJ
+      together with B[B][A] = αJ: 2(p-1)^2.
+    """
+    res = run_search(QUANDLES["swap3"], p, 2, allow_large=True)
+    assert res.complete
+    assert len(res.forms) == 1 + 4 * (p - 1) + 2 * (p - 1) ** 2 == 2 * p * p - 1
+    assert verify_search_output(res) == []

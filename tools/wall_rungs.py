@@ -29,18 +29,33 @@ bilinear_table on those tables, for the n-by-n matrix with entries
 Each is the median of REPEAT builds in this one process, so it does
 not show peak memory.
 
+The search section times run_search in all mode on swap3 at p=3, n=3,
+conj(S3) at p=2, n=3 and swap3 at p=7, n=2.  Each run is a fresh
+process, so its peak RSS is the search's own (with the interpreter and
+the qbeads imports); a cell is the median of SEARCH_REPEAT runs, or one
+run if the first takes over ONE_SHOT_AFTER seconds.  A cell also
+records the number of forms, the search nodes and the SHA-256 of the
+list of emitted blocks, which is the same exactly when the same forms
+come out in the same order.
+
 Run from the repository root:
 
     python3 tools/wall_rungs.py --label change --out BENCH_walls.json
+
+--sections runs only the named sections.
 
 The run is stored under its label in the output file, next to any
 other labels already there, so two checkouts can fill one file.
 """
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import platform
+import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -53,6 +68,8 @@ from gen_catalog import braid_closure, pretzel_link  # noqa: E402
 from qbeads import catalog, compute_invariant, constant_form, trivial_quandle  # noqa: E402
 from qbeads.diagram import import_pd  # noqa: E402
 from qbeads.field import PrimeField, VectorTables  # noqa: E402
+from qbeads.quandle import conjugation_quandle  # noqa: E402
+from qbeads.search import run_search  # noqa: E402
 
 # label -> the construction, as called on tools/gen_catalog.py, and the
 # p^n of its rungs
@@ -64,6 +81,10 @@ DIAGRAMS = {
 REPEAT = 9
 # (p, n) for p^n = 16, 81, 121, 1021 and 1024
 TABLE_SIZES = [(2, 4), (3, 4), (11, 2), (1021, 1), (2, 10)]
+# (quandle, p, n) of the search cells
+SEARCHES = [("swap3", 3, 3), ("conj(S3)", 2, 3), ("swap3", 7, 2)]
+SEARCH_REPEAT = 3
+ONE_SHOT_AFTER = 10.0
 
 
 def timed(build, run):
@@ -168,18 +189,91 @@ def run_tables():
     return cells
 
 
+def search_quandle(name):
+    if name == "conj(S3)":
+        # S3 as permutations of 3 points, composed g∘h
+        perms = list(itertools.permutations(range(3)))
+        index = {g: i for i, g in enumerate(perms)}
+        table = [[index[tuple(g[h[k]] for k in range(3))] for h in perms] for g in perms]
+        return conjugation_quandle(table, name=name)
+    return catalog.load_quandle(name)
+
+
+def search_cell(name, p, n):
+    """One timed run_search, in all mode, as a JSON line on stdout; run
+    in a process of its own."""
+    quandle = search_quandle(name)
+    start = time.perf_counter()
+    result = run_search(quandle, p, n, allow_large=True)
+    seconds = time.perf_counter() - start
+    blocks = repr([form.blocks for form in result.forms]).encode()
+    cell = {
+        "seconds": round(seconds, 6),
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "forms": len(result.forms),
+        "nodes": result.nodes,
+        "sha256": hashlib.sha256(blocks).hexdigest(),
+    }
+    print(json.dumps(cell))
+
+
+def run_searches():
+    cells = []
+    for name, p, n in SEARCHES:
+        runs = []
+        while len(runs) < SEARCH_REPEAT:
+            child = subprocess.run(
+                [sys.executable, __file__, "--search-cell", name, str(p), str(n)],
+                check=True, capture_output=True, text=True,
+            )
+            runs.append(json.loads(child.stdout))
+            if runs[0]["seconds"] > ONE_SHOT_AFTER:
+                break
+        seconds = sorted(run["seconds"] for run in runs)[len(runs) // 2]
+        outputs = {(run["forms"], run["nodes"], run["sha256"]) for run in runs}
+        assert len(outputs) == 1, f"{name} at p={p}, n={n} gave different forms across runs"
+        cell = {"quandle": name, "p": p, "n": n, "mode": "all", "seconds": seconds}
+        cell["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
+        cell["one_shot"] = len(runs) == 1
+        cell.update({key: runs[0][key] for key in ("forms", "nodes", "sha256")})
+        cell["runs"] = [{key: run[key] for key in ("seconds", "peak_rss_mb")} for run in runs]
+        cells.append(cell)
+        print(
+            f"search {name} p={p} n={n}: {seconds:.3f} s, {cell['peak_rss_mb']} MB, "
+            f"{cell['forms']} forms",
+            file=sys.stderr,
+        )
+    return cells
+
+
+SECTIONS = {
+    "rungs": run_rungs,
+    "hard_case": run_hard_case,
+    "tables": run_tables,
+    "search": run_searches,
+}
+
+
 def main():
+    if sys.argv[1:2] == ["--search-cell"]:
+        name, p, n = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+        search_cell(name, p, n)
+        return
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--out", required=True, help="JSON file to add the run to")
+    parser.add_argument(
+        "--sections", nargs="+", choices=SECTIONS, default=list(SECTIONS),
+        help="run only these sections (default: all)",
+    )
     args = parser.parse_args()
     run = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "rungs": run_rungs(),
-        "hard_case": run_hard_case(),
-        "tables": run_tables(),
     }
+    for section in args.sections:
+        run[section] = SECTIONS[section]()
     out = Path(args.out)
     runs = json.loads(out.read_text()) if out.is_file() else {}
     runs[args.label] = run
