@@ -21,7 +21,7 @@ from .forms import format_form, load_form
 from .diagram import load_diagram
 from .invariant import InvariantPolynomial, compute_invariant
 from .quandle import load_quandle, parse_quandle
-from .search import DEFAULT_SPACE_BOUND, MODES, run_search
+from .search import MODES, run_search
 
 
 def _resolve_quandle(token):
@@ -121,7 +121,6 @@ def cmd_form_search(args):
         mode=args.mode,
         limit=args.limit,
         time_budget=args.budget,
-        space_bound=args.space_bound,
         allow_large=args.allow_large,
     )
     record = {
@@ -285,14 +284,13 @@ def build_parser():
         "--mode",
         choices=MODES,
         default="all",
-        help="all and alternating-only return the same forms: axiom (i) makes every "
+        help="alternating-only is a synonym of all, as axiom (i) makes every "
         "diagonal block alternating and (iii) makes B[x][y] 0 or B[y][y]; "
         "constant-diagonal also sets every diagonal block equal",
     )
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
-    p.add_argument("--space-bound", type=int, default=DEFAULT_SPACE_BOUND)
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--allow-large", action="store_true", help="search past 10^9 leaves")
     add_format(p)
     p.set_defaults(func=cmd_form_search)
 

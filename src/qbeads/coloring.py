@@ -406,24 +406,26 @@ class BeadCounter:
         sols = []
         assignment = [0] * len(order)
         nv = len(self.vectors)
-
-        def sweep(depth):
-            nonlocal count
-            if depth == len(order):
-                count += 1
-                if limit != 0:
-                    sols.append(tuple(assignment))
-                return
+        # path holds an iterator over the untried values of each arc on it:
+        # a loop, not a call per arc, so no diagram passes the recursion limit
+        path = [iter(range(nv))]
+        while path:
+            depth = len(path) - 1
             arc, arc_checks = order[depth], checks[depth]
-            for v in range(nv):
+            for v in path[depth]:
                 assignment[arc] = v
                 for ui, ov, uo, t in arc_checks:
                     if assignment[uo] != t[assignment[ui]][assignment[ov]]:
                         break
                 else:
-                    sweep(depth + 1)
-
-        sweep(0)
+                    if depth + 1 < len(order):
+                        path.append(iter(range(nv)))
+                        break
+                    count += 1
+                    if limit != 0:
+                        sols.append(tuple(assignment))
+            else:
+                path.pop()
         sols.sort()
         return count, sols if limit is None else sols[:limit]
 

@@ -27,8 +27,8 @@ block alternating, so a diagonal slot (O, O) takes the alternating
 matrices; in constant-diagonal mode every such slot after slot 0
 copies slot 0.  An off-diagonal slot (O1, O2) comes after (O2, O2) and
 takes 0 and B[O2][O2], once each, in alternating_matrices order.
-Every block is thus alternating, and the modes all and
-alternating-only find the same forms.
+Every block is thus alternating, so alternating-only is a synonym of
+all.
 
 Only the r^3 representative triples, least elements of their orbits,
 are checked, each as (kind, slot of B[x][y], of B[x][z], of B[y][z]),
@@ -42,14 +42,15 @@ element pair, in pair order, as if every pair had its own slot and
 took every matrix.  A pair whose slot appeared earlier copies that
 slot's matrix and adds nothing to the order.
 
-The guard bounds the naive space of _space_estimate, as if every pair
-had a slot and took every matrix its mode allows, and refuses a search
-above a configurable bound unless allow_large is set; m=3, p=2, n=2
-gives 16^9, about 7e10, yet the search takes milliseconds.
+The guard counts the leaves this search can reach (_space_estimate)
+from the orbit slots alone, so a refused search builds no table, and
+refuses above DEFAULT_SPACE_BOUND unless allow_large is set.  It
+bounds the forms, not the memory run_search takes to hold them.
 """
 
 import time
 from dataclasses import dataclass, field as dataclass_field
+from decimal import Decimal
 
 from .errors import InputError
 from .field import PrimeField, check_vector_count
@@ -67,7 +68,6 @@ class SearchResult:
     emitted: int = 0
     elapsed: float = 0.0
     space_estimate: int = 0
-    mode: str = "all"
 
 
 def _pair_order(m):
@@ -111,34 +111,30 @@ def _check_schedule(quandle, slots, pair_slot):
     return [list(checks) for checks in schedule]
 
 
-def _space_estimate(m, p, n, mode):
-    """The naive space the guard bounds: (widest pair)^(m*m), as if
-    every element pair had a slot of its own.
-
-    Computed from counts alone, so a refused search builds nothing:
-    p^(n*n) candidate matrices, p^(n(n-1)/2) of them alternating (the
-    diagonal is zero and the upper triangle fixes the lower one).  The
-    widest pair is an off-diagonal one with every matrix, unless m = 1
-    or the mode restricts every pair to alternating matrices.
-    """
+def _space_estimate(slots, p, n, constant_diagonal):
+    """The leaves the search can reach, A^d * min(2, A)^(r(r-1)): each of
+    the d diagonal slots that choose freely (r, or 1 in constant-diagonal
+    mode) takes the A = p^(n(n-1)/2) alternating matrices, and each
+    off-diagonal slot 0 or its column's diagonal matrix."""
     alternating = p ** (n * (n - 1) // 2)
-    width = alternating if m == 1 or mode == "alternating-only" else p ** (n * n)
-    return width ** (m * m)
+    diagonal = sum(ox == oy for ox, oy in slots)
+    free = min(diagonal, 1) if constant_diagonal else diagonal
+    return alternating**free * min(2, alternating) ** (len(slots) - diagonal)
 
 
 class _Searcher:
-    def __init__(self, quandle, field, n, mode):
+    def __init__(self, quandle, field, n, constant_diagonal, slots, pair_slot):
         self.quandle = quandle
         self.field = field
         self.n = n
-        self.mode = mode
+        self.constant_diagonal = constant_diagonal
 
         # a candidate is an index into this list, whose first matrix is zero
         self.matrices = list(field.alternating_matrices(n))
         # bilinear tables by candidate, each built when a decision first reads it
         self.tables = [None] * len(self.matrices)
 
-        self.slots, self.pair_slot = _orbit_slots(quandle)
+        self.slots, self.pair_slot = slots, pair_slot
         # slot (O1, O2) -> the slot (O2, O2), assigned first: the diagonal
         # slots lead the order
         diagonal = {ox: k for k, (ox, oy) in enumerate(self.slots) if ox == oy}
@@ -150,7 +146,7 @@ class _Searcher:
     def slot_candidates(self, k, assigned):
         ox, oy = self.slots[k]
         if ox == oy:
-            if self.mode == "constant-diagonal" and k > 0:
+            if self.constant_diagonal and k > 0:
                 return [assigned[0]]
             return range(len(self.matrices))
         # B[O1][O2] is 0 or B[O2][O2], in alternating_matrices order
@@ -193,36 +189,32 @@ class _Searcher:
         return ok
 
     def dfs(self, limit, deadline, status):
+        """Yield the valid forms depth first.  path holds an iterator over
+        the untried candidates of each slot on it: a loop, not a call per
+        slot, so no number of orbits passes the recursion limit."""
         n_slots = len(self.slots)
         assigned = [None] * n_slots
-
-        def emit():
-            grid = tuple(
-                tuple(self.matrices[assigned[k]] for k in row) for row in self.pair_slot
-            )
-            return BilinearForm(self.quandle, self.field, self.n, grid)
-
-        def walk(k):
-            if deadline is not None and time.monotonic() > deadline:
-                status.complete = False
-                return
-            if k == n_slots:
-                status.emitted += 1
-                yield emit()
-                return
-            for mat_id in self.slot_candidates(k, assigned):
-                if limit is not None and status.emitted >= limit:
+        path = [iter(self.slot_candidates(0, assigned))]
+        while path:
+            k = len(path) - 1
+            for mat_id in path[k]:
+                if (deadline is not None and time.monotonic() > deadline) or (
+                    limit is not None and status.emitted >= limit
+                ):
                     status.complete = False
                     return
                 assigned[k] = mat_id
                 status.nodes += 1
-                if self.holds(self.schedule[k], assigned):
-                    yield from walk(k + 1)
-                assigned[k] = None
-                if not status.complete:
-                    return
-
-        yield from walk(0)
+                if not self.holds(self.schedule[k], assigned):
+                    continue
+                if k + 1 < n_slots:
+                    path.append(iter(self.slot_candidates(k + 1, assigned)))
+                    break
+                status.emitted += 1
+                grid = tuple(tuple(self.matrices[assigned[j]] for j in row) for row in self.pair_slot)
+                yield BilinearForm(self.quandle, self.field, self.n, grid)
+            else:
+                path.pop()
 
 
 def search_forms(
@@ -232,13 +224,13 @@ def search_forms(
     mode="all",
     limit=None,
     time_budget=None,
-    space_bound=DEFAULT_SPACE_BOUND,
     allow_large=False,
     status=None,
 ):
     """Stream every valid BilinearForm on the quandle, depth first.
 
-    Refuses oversized searches unless allow_large is set.  When
+    Refuses a search of more than DEFAULT_SPACE_BOUND leaves unless
+    allow_large is set; alternating-only is a synonym of all.  When
     time_budget (seconds, positive) runs out the stream simply ends;
     pass a SearchResult as status to observe the incomplete flag.
     run_search wraps all of this and returns the collected SearchResult.
@@ -248,24 +240,26 @@ def search_forms(
     field = PrimeField(p)
     if n < 0:
         raise InputError(f"matrix dimension must be >= 0, got {n}")
-    # before the estimate, whose float formatting overflows far past it
     check_vector_count(p, n)
     if limit is not None and limit < 0:
         raise InputError(f"limit must be >= 0, got {limit}")
     # not "<= 0", which a NaN budget passes
     if time_budget is not None and not time_budget > 0:
         raise InputError(f"time budget must be a positive number of seconds, got {time_budget}")
-    estimate = _space_estimate(quandle.order, p, n, mode)
+    constant_diagonal = mode == "constant-diagonal"
+    slots, pair_slot = _orbit_slots(quandle)
+    estimate = _space_estimate(slots, p, n, constant_diagonal)
     if status is None:
         status = SearchResult()
     # every run field starts afresh, so a reused status reports this run only
-    status.__init__(mode=mode, space_estimate=estimate)
-    if estimate > space_bound and not allow_large:
+    status.__init__(space_estimate=estimate)
+    if estimate > DEFAULT_SPACE_BOUND and not allow_large:
+        # Decimal, as a float overflows past about 1.8e308
         raise InputError(
-            f"search space estimate {estimate:.2e} exceeds the bound "
-            f"{space_bound:.2e}; pass allow_large to proceed"
+            f"search space estimate {Decimal(estimate):.2e} exceeds the bound "
+            f"{DEFAULT_SPACE_BOUND:.2e}; pass allow_large (--allow-large) to proceed"
         )
-    searcher = _Searcher(quandle, field, n, mode)
+    searcher = _Searcher(quandle, field, n, constant_diagonal, slots, pair_slot)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     start = time.monotonic()
     for form in searcher.dfs(limit, deadline, status):
@@ -275,10 +269,8 @@ def search_forms(
 
 def run_search(quandle, p, n, mode="all", **kwargs):
     """Collect the search stream into a SearchResult."""
-    result = SearchResult(mode=mode)
-    result.forms = list(
-        search_forms(quandle, p, n, mode=mode, status=result, **kwargs)
-    )
+    result = SearchResult()
+    result.forms = list(search_forms(quandle, p, n, mode=mode, status=result, **kwargs))
     return result
 
 

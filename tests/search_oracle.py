@@ -25,6 +25,17 @@ def all_matrices(field, n):
         yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
+def naive_space_estimate(m, p, n, mode):
+    """The size the search's guard once bounded: (widest pair)^(m*m),
+    as if every element pair had a slot of its own and every
+    off-diagonal pair took all p^(n*n) matrices, or only the
+    p^(n(n-1)/2) alternating ones when m = 1 or in alternating-only
+    mode.  The search's own estimate must never exceed it."""
+    alternating = p ** (n * (n - 1) // 2)
+    width = alternating if m == 1 or mode == "alternating-only" else p ** (n * n)
+    return width ** (m * m)
+
+
 def pair_order(m):
     pairs = [(x, x) for x in range(m)]
     pairs += [(x, y) for x in range(m) for y in range(m) if x != y]

@@ -9,6 +9,7 @@ import pytest
 
 from qbeads import catalog, cli
 from qbeads.field import VectorTables
+from qbeads.quandle import format_quandle, trivial_quandle
 from qbeads.cli import (
     main,
     render_batch,
@@ -361,14 +362,31 @@ def test_form_search_text_and_json(capsys):
     record = json.loads(json_out)
     assert record["count"] == 7
     assert record["complete"] is True
-    assert record["space_estimate"] == 16 ** 9
+    assert record["space_estimate"] == 16
     assert render_search(record) == text_out
 
 
-def test_form_search_space_guard(capsys):
-    code, _, err = run(capsys, "form-search", "swap3", "--p", "2", "--n", "2")
-    assert code == 2
-    assert "allow_large" in err
+def test_form_search_needs_no_allow_large_for_a_small_search(capsys):
+    code, out, _ = run(capsys, "form-search", "swap3", "--p", "2", "--n", "2")
+    assert code == 0
+    assert "found 7 form(s)" in out
+
+
+def test_form_search_space_guard(capsys, tmp_path):
+    trivial = tmp_path / "trivial6.quandle"
+    trivial.write_text(format_quandle(trivial_quandle(6)))
+    code, out, err = run(capsys, "form-search", str(trivial), "--p", "3", "--n", "3")
+    assert (code, out) == (2, "")
+    assert "--allow-large" in err
+
+
+def test_form_search_estimate_past_float_range(capsys, tmp_path):
+    trivial = tmp_path / "trivial40.quandle"
+    trivial.write_text(format_quandle(trivial_quandle(40)))
+    code, out, err = run(capsys, "form-search", str(trivial), "--p", "2", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: search space estimate 4.45e+481 exceeds")
+    assert "Traceback" not in err
 
 
 def test_form_search_bad_budget(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
@@ -362,6 +363,18 @@ def test_seeds_above_the_exhaustive_bound(monkeypatch, swap3):
         check_plan(d)
         assert len(seed_arcs(d)) == brute_force_wirtinger_number(d), name
         assert enumerate_xcolorings(d, swap3) == brute_force_colorings(d, swap3), name
+
+
+def test_oracle_sweeps_diagrams_deeper_than_the_recursion_limit(swap3):
+    # 301 arcs: a call per arc would pass the limit
+    form = validate_form(swap3, PARTIAL, 2, 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        result = compute_invariant(torus_2(301), swap3, form, engine="both")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.polynomial.render() == "3u^4"
 
 
 def test_exhaustive_search_finds_fewer_seeds_than_greedy(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from qbeads.search import (
     verify_search_output,
 )
 
-from search_oracle import all_matrices, reference_search
+from search_oracle import all_matrices, naive_space_estimate, reference_search
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
 
@@ -79,19 +80,30 @@ def test_swap3_search_finds_the_fixture_families():
     blocks = {f.blocks for f in res.forms}
     assert ((S, S, Z), (S, S, Z), (Z, Z, Z)) in blocks
     assert ((S, S, Z), (S, S, Z), (Z, Z, S)) in blocks
-    assert res.space_estimate == 16 ** 9
+    assert res.space_estimate == 16
     assert verify_search_output(res) == []
 
 
 def test_space_guard():
-    q = Quandle.from_table(SWAP3)
-    assert 16 ** 9 > DEFAULT_SPACE_BOUND
+    # six one-element orbits at p=3, n=3: 27 alternating matrices on each
+    # diagonal slot and two candidates on each of the 30 others
+    q = trivial_quandle(6)
+    assert 27 ** 6 * 2 ** 30 > DEFAULT_SPACE_BOUND
     with pytest.raises(InputError) as e:
-        run_search(q, 2, 2)
-    assert "allow_large" in str(e.value)
-    # explicit generous bound also works
-    res = run_search(q, 2, 2, space_bound=10 ** 12)
-    assert res.complete
+        run_search(q, 3, 3)
+    assert "4.16e+17" in str(e.value)
+    assert "allow_large" in str(e.value) and "--allow-large" in str(e.value)
+    # swap3 at p=2, n=2 passes the guard: 16 leaves at most
+    assert len(run_search(Quandle.from_table(SWAP3), 2, 2).forms) == 7
+
+
+def test_space_guard_formats_estimates_past_float_range():
+    # 40 one-element orbits at p=2, n=2 reach 2^40 * 2^1560 leaves, which
+    # no float holds
+    status = SearchResult()
+    with pytest.raises(InputError, match=r"estimate 4\.45e\+481 exceeds"):
+        list(search_forms(trivial_quandle(40), 2, 2, status=status))
+    assert status.space_estimate == 2 ** 1600
 
 
 def test_limit_stops_early():
@@ -159,23 +171,38 @@ def test_refused_search_builds_no_tables(monkeypatch):
         return original(self, B)
 
     monkeypatch.setattr(VectorTables, "bilinear_table", counted)
-    q = Quandle.from_table(SWAP3)
     status = SearchResult()
     with pytest.raises(InputError) as e:
-        list(search_forms(q, 3, 3, status=status))
+        list(search_forms(trivial_quandle(6), 3, 3, status=status))
     assert "allow_large" in str(e.value)
-    assert status.space_estimate == (3 ** 9) ** 9
+    assert status.space_estimate == 27 ** 6 * 2 ** 30
     assert built == []
 
 
 def test_space_estimate_counts_the_widest_slot():
-    q = Quandle.from_table(SWAP3)
-    for mode, width in (("all", 16), ("constant-diagonal", 16), ("alternating-only", 2)):
-        res = run_search(q, 2, 2, mode=mode, limit=0, allow_large=True)
-        assert res.space_estimate == width ** 9
-    # one element: the only slot is diagonal, so alternating whatever the mode
+    """A^d * min(2, A)^(r(r-1)) for A alternating matrices, r orbits and
+    d free diagonal slots: r, or 1 in constant-diagonal mode."""
+    swap3 = Quandle.from_table(SWAP3)  # r = 2
+    for (p, n), A in (((2, 2), 2), ((3, 3), 27)):
+        for mode, d in (("all", 2), ("alternating-only", 2), ("constant-diagonal", 1)):
+            res = run_search(swap3, p, n, mode=mode, limit=0)
+            assert res.space_estimate == A ** d * 2 ** 2
+    # one element: the only slot is diagonal, and takes the 3 alternating
+    # matrices whatever the mode
     for mode in MODES:
         assert run_search(trivial_quandle(1), 3, 2, mode=mode).space_estimate == 3
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # 20 orbits make 400 slots: a call per slot would pass the limit.  At
+    # n = 1 the zero matrix is the only candidate, so one leaf
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        res = run_search(trivial_quandle(20), 2, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (res.space_estimate, len(res.forms), res.nodes, res.complete) == (1, 1, 400, True)
 
 
 def test_negative_dimension_and_limit():
@@ -220,6 +247,7 @@ def test_emitted_forms_are_orbit_constant(name, pn, mode, data):
     q = _relabelled(q, data.draw(st.permutations(range(q.order))))
     res = run_search(q, p, n, mode=mode, allow_large=True)
     assert res.complete and res.forms
+    assert len(res.forms) <= res.space_estimate <= naive_space_estimate(q.order, p, n, mode)
     orbit = q.orbits()
     zero = PrimeField(p).zero_matrix(n)
     for f in res.forms:
@@ -301,7 +329,8 @@ def _closed_form_cases(p, n, matrices, kinds):
     for every kind and every triple of the matrices, zero first, with
     the out block that the orbit search reads: M for (ii), S for (iii)."""
     field = PrimeField(p)
-    searcher = search._Searcher(trivial_quandle(1), field, n, "all")
+    q = trivial_quandle(1)
+    searcher = search._Searcher(q, field, n, False, *search._orbit_slots(q))
     searcher.matrices, searcher.tables = matrices, [None] * len(matrices)
     vector_tables = field.vector_tables(n)
     tables = [vector_tables.bilinear_table(B) for B in matrices]

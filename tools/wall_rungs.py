@@ -34,9 +34,10 @@ conj(S3) at p=2, n=3 and swap3 at p=7, n=2.  Each run is a fresh
 process, so its peak RSS is the search's own (with the interpreter and
 the qbeads imports); a cell is the median of SEARCH_REPEAT runs, or one
 run if the first takes over ONE_SHOT_AFTER seconds.  A cell also
-records the number of forms, the search nodes and the SHA-256 of the
-list of emitted blocks, which is the same exactly when the same forms
-come out in the same order.
+records the number of forms, the search nodes, the space estimate
+(which the forms may not pass) and the SHA-256 of the list of emitted
+blocks, which is the same exactly when the same forms come out in the
+same order.
 
 Run from the repository root:
 
@@ -213,6 +214,7 @@ def search_cell(name, p, n):
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "forms": len(result.forms),
         "nodes": result.nodes,
+        "space_estimate": result.space_estimate,
         "sha256": hashlib.sha256(blocks).hexdigest(),
     }
     print(json.dumps(cell))
@@ -231,12 +233,13 @@ def run_searches():
             if runs[0]["seconds"] > ONE_SHOT_AFTER:
                 break
         seconds = sorted(run["seconds"] for run in runs)[len(runs) // 2]
-        outputs = {(run["forms"], run["nodes"], run["sha256"]) for run in runs}
+        outputs = {(run["forms"], run["nodes"], run["space_estimate"], run["sha256"]) for run in runs}
         assert len(outputs) == 1, f"{name} at p={p}, n={n} gave different forms across runs"
+        assert runs[0]["forms"] <= runs[0]["space_estimate"], f"{name} at p={p}, n={n} passed its estimate"
         cell = {"quandle": name, "p": p, "n": n, "mode": "all", "seconds": seconds}
         cell["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
         cell["one_shot"] = len(runs) == 1
-        cell.update({key: runs[0][key] for key in ("forms", "nodes", "sha256")})
+        cell.update({key: runs[0][key] for key in ("forms", "nodes", "space_estimate", "sha256")})
         cell["runs"] = [{key: run[key] for key in ("seconds", "peak_rss_mb")} for run in runs]
         cells.append(cell)
         print(
