@@ -93,11 +93,6 @@ def load_form(name, quandle=None):
     return parse_form(text, quandle, name=name)
 
 
-def form_quandle_id(name):
-    """The catalog quandle id a catalog form was validated against."""
-    return _read_form(name)[1]
-
-
 def expected_table(form_name):
     """Expected invariant per link for a catalog form, or None.
 

@@ -41,8 +41,8 @@ A run reads one (forward, inverse) table pair per crossing: quandle
 tables for X-colorings, the form's step tables for beads (the
 "propagate" engine).
 
-A plan runs in one of two tiers.  _solve interprets it, one recursion
-level per seed and a loop over the seed's steps for every value.
+A plan runs in one of two tiers.  _solve interprets it, one stage per
+seed and a loop over the seed's steps for every value.
 Every run charges its work to the diagram, one unit per seed value
 tried with its steps.  Once a diagram's work passes COMPILE_AFTER,
 _run_plan compiles the plan into one generated function of nested for
@@ -182,20 +182,27 @@ def _solve(plan, size, tables, limit, orbits=None, budget=float("inf")):
         first_seed = stages[0][0]
     count = work = 0
     sols = []
-
-    def run(depth, weight):
-        nonlocal count, work
-        if depth == len(stages):
-            count += weight
-            if limit is None or len(sols) < limit:
-                sols.append(tuple(values) if orbits is None else (tuple(values), weight))
-            return
+    # weights[d]: the product of the weights of the values of seeds 0..d-1
+    weights = [1] * (len(stages) + 1)
+    # path holds an iterator over the untried pairs of each stage entered:
+    # a loop, not a call per seed, so no plan passes the recursion limit
+    path = []
+    depth = 0
+    while depth >= 0:
+        if depth == len(path):
+            if depth == len(stages):
+                count += weights[depth]
+                if limit is None or len(sols) < limit:
+                    sols.append(tuple(values) if orbits is None else (tuple(values), weights[depth]))
+                depth -= 1
+                continue
+            tried = pairs[depth] or second[values[first_seed]]
+            work += len(tried)
+            if work > budget:
+                raise _OverBudget
+            path.append(iter(tried))
         seed, steps = stages[depth]
-        tried = pairs[depth] or second[values[first_seed]]
-        work += len(tried)
-        if work > budget:
-            raise _OverBudget
-        for v, k in tried:
+        for v, k in path[depth]:
             values[seed] = v
             for target, source, over, table, check in steps:
                 w = table[values[source]][values[over]]
@@ -204,9 +211,12 @@ def _solve(plan, size, tables, limit, orbits=None, budget=float("inf")):
                 elif values[target] != w:
                     break
             else:
-                run(depth + 1, weight * k)
-
-    run(0, 1)
+                weights[depth + 1] = weights[depth] * k
+                depth += 1
+                break
+        else:
+            path.pop()
+            depth -= 1
     return count, sols, work
 
 

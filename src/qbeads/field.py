@@ -122,23 +122,25 @@ class PrimeField:
                     )
         return tuple(tuple(row) for row in B)
 
-    def alternating_matrices(self, n):
-        """Iterate over the p^(n(n-1)/2) alternating matrices in
-        lexicographic order of their entries read row by row, so the
-        zero matrix comes first.
-
-        The upper triangle is filled lexicographically in row-major
-        order; the diagonal is zero and the lower triangle its negative.
+    def alternating_matrix(self, n, k):
+        """The alternating n-by-n matrix with id k < p^(n(n-1)/2): the
+        base-p digits of k, most significant first, are its upper
+        triangle read row by row, and the lower triangle their negatives.
         Each lower entry comes, row by row, after the upper entry that
-        fixes it, so the upper entries alone decide the order.
-        """
-        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for values in itertools.product(range(self.p), repeat=len(upper)):
-            M = [[0] * n for _ in range(n)]
-            for (i, j), a in zip(upper, values):
-                M[i][j] = a
-                M[j][i] = -a % self.p
-            yield tuple(map(tuple, M))
+        fixes it, so ids follow the lexicographic order of the entries
+        read row by row, and id 0 is the zero matrix."""
+        M = [[0] * n for _ in range(n)]
+        for i, j in reversed([(i, j) for i in range(n) for j in range(i + 1, n)]):
+            k, a = divmod(k, self.p)
+            M[i][j] = a
+            M[j][i] = -a % self.p
+        return tuple(map(tuple, M))
+
+    def alternating_matrices(self, n):
+        """Iterate over the p^(n(n-1)/2) alternating matrices in id order
+        (see alternating_matrix), so the zero matrix comes first."""
+        count = self.p ** (n * (n - 1) // 2)
+        return map(self.alternating_matrix, itertools.repeat(n, count), range(count))
 
     def bilinear_eval(self, B, u, v):
         """u^T B v mod p for row vectors u, v."""

@@ -8,19 +8,6 @@ pair.  The pairs are ordered diagonal first, (0,0), (1,1), ..., then
 off-diagonal row-major, and the slots by the first pair in that order
 that falls in them, so the r diagonal slots come first.
 
-Under orbit-constancy the fourth block an axiom instance reads is one
-of the other three: B[x>z][y>z] = B[x][y] in (ii), and B[x>y][z] =
-B[x][z] in (iii).  With M = B[x][y], S = B[x][z] and T = B[y][z],
-(iii) then reads (a^T M b)(b^T (S - T) c) = 0 for all a, b, c.  If
-M != 0 and S != T, the b with Mb = 0 and the b with (S - T)^T b = 0
-are two proper subspaces, and no vector space is the union of two, so
-some b fails: (iii) holds exactly when M = 0 or S = T.  (ii) expands
-to (b^T T c)(a^T M c) + (a^T S c)(c^T M b) + (a^T S c)(b^T T c)(c^T M c)
-= 0, which holds when M = 0 or S = T = 0; when M != 0 and exactly one
-of S, T is 0 a single product is left, and the same argument makes it
-fail.  The other (ii) cases go to forms.axiom_failures, the unit-vector
-check form validation runs, once per (M, S, T) in a search.
-
 (iii) at z = y reads M = S = B[x][y] and T = B[y][y], so every valid
 family has B[x][y] in {0, B[y][y]}.  Axiom (i) makes each diagonal
 block alternating, so a diagonal slot (O, O) takes the alternating
@@ -28,14 +15,32 @@ matrices; in constant-diagonal mode every such slot after slot 0
 copies slot 0.  An off-diagonal slot (O1, O2) comes after (O2, O2) and
 takes 0 and B[O2][O2], once each, in alternating_matrices order.
 Every block is thus alternating, so alternating-only is a synonym of
-all.
+all.  A candidate is a matrix's id in that order
+(PrimeField.alternating_matrix): a slot's candidates are a range of
+ids, never a list of matrices, and a matrix is decoded only for an
+emitted form.
+
+Under orbit-constancy the fourth block an axiom instance reads is one
+of the other three: B[x>z][y>z] = B[x][y] in (ii), and B[x>y][z] =
+B[x][z] in (iii).  With M = B[x][y], S = B[x][z] and T = B[y][z], all
+alternating, so c^T M c = 0, (ii) reads
+
+    a^T [(Mc)(Tc)^T - (Sc)(Mc)^T] b = 0   for all a, b, c.
+
+Wherever Mc != 0 the two rank-one terms must agree, which forces Sc =
+Tc = k(c) Mc for some k(c) in F_p.  The c outside ker M span V, so S =
+T.  If Mc and Md are independent, M(c + d) != 0 gives k(c) = k(c + d) =
+k(d); a nonzero alternating M has rank at least 2, so every c outside
+ker M has such a d, k is one constant and S = kM.  Conversely S = T =
+kM makes both terms k (Mc)(Mc)^T.  So (ii) holds exactly when M = 0 or
+S = T is in F_p M.  That implies (iii), (a^T M b)(b^T (S - T) c) = 0 at
+the same three slots, so this one rule, read off the ids, decides both.
 
 Only the r^3 representative triples, least elements of their orbits,
-are checked, each as (kind, slot of B[x][y], of B[x][z], of B[y][z]),
-once all three slots are assigned, pruning the branch on the first
-failure.  Completed leaves are therefore valid forms, and no valid
-form is skipped.  A bilinear table is built when a decision first
-reads it, so a search builds at most one per alternating matrix.
+are checked, each as (slot of B[x][y], of B[x][z], of B[y][z]), once
+all three slots are assigned, pruning the branch on the first failure.
+Completed leaves are therefore valid forms, and no valid form is
+skipped.
 
 Emission order is deterministic: lexicographic in the matrix of each
 element pair, in pair order, as if every pair had its own slot and
@@ -43,18 +48,19 @@ took every matrix.  A pair whose slot appeared earlier copies that
 slot's matrix and adds nothing to the order.
 
 The guard counts the leaves this search can reach (_space_estimate)
-from the orbit slots alone, so a refused search builds no table, and
-refuses above DEFAULT_SPACE_BOUND unless allow_large is set.  It
-bounds the forms, not the memory run_search takes to hold them.
+from the orbit slots alone, and refuses above DEFAULT_SPACE_BOUND
+unless allow_large is set.  It bounds the forms, not the memory
+run_search takes to hold them.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field as dataclass_field
 from decimal import Decimal
 
 from .errors import InputError
 from .field import PrimeField, check_vector_count
-from .forms import BilinearForm, axiom_failures, axiom_reads, form_violations
+from .forms import BilinearForm, axiom_reads, form_violations
 
 MODES = ("all", "alternating-only", "constant-diagonal")
 DEFAULT_SPACE_BOUND = 10**9
@@ -92,22 +98,20 @@ def _orbit_slots(quandle):
 
 
 def _check_schedule(quandle, slots, pair_slot):
-    """Slot index -> the axiom checks first decidable there.
+    """Slot index -> the checks first decidable there.
 
-    A check is (kind, xy, xz, yz): the slots of B[x][y], B[x][z] and
-    B[y][z] at a representative instance ("ii" or "iii", x, y, z least
-    elements of their orbits).  Its fourth block, B[x>z][y>z] for (ii)
-    or B[x>y][z] for (iii), lies in the slot of (x, y) or of (x, z),
-    since x>z and x>y lie in the orbit of x and y>z in that of y.  A
-    check is scheduled at the largest slot it reads, so it runs as
-    early as possible, and instances that read the same slots are kept
-    once per slot.
+    A check is (xy, xz, yz): the slots of B[x][y], B[x][z] and B[y][z]
+    that the (ii) and (iii) instances at a representative triple read
+    (x, y, z least elements of their orbits).  Their fourth blocks lie
+    in the slots of (x, y) and of (x, z), as x>z and x>y lie in the
+    orbit of x and y>z in that of y.  A check is kept once, at the
+    largest slot it reads, so it runs as early as possible.
     """
     reps = sorted({ox for ox, _ in slots})
     schedule = [{} for _ in slots]
     for kind, xy, xz, yz, out in axiom_reads(quandle, reps, pair_slot):
         assert out == (xy if kind == "ii" else xz), "orbit slots must hold the fourth block"
-        schedule[max(xy, xz, yz)].setdefault((kind, xy, xz, yz), None)
+        schedule[max(xy, xz, yz)].setdefault((xy, xz, yz), None)
     return [list(checks) for checks in schedule]
 
 
@@ -122,17 +126,31 @@ def _space_estimate(slots, p, n, constant_diagonal):
     return alternating**free * min(2, alternating) ** (len(slots) - diagonal)
 
 
+def _is_multiple(S, M, p):
+    """Whether the alternating matrix with id S is k times the one with
+    id M != 0, for some k in F_p.  An id's base-p digits are its
+    matrix's upper-triangle entries (PrimeField.alternating_matrix), so
+    this holds digit by digit, whatever order the digits take."""
+    k = None
+    while M or S:
+        (M, m), (S, s) = divmod(M, p), divmod(S, p)
+        if k is None and m:
+            k = s * pow(m, -1, p) % p
+        if s != (m and k * m % p):
+            return False
+    return True
+
+
 class _Searcher:
     def __init__(self, quandle, field, n, constant_diagonal, slots, pair_slot):
         self.quandle = quandle
         self.field = field
         self.n = n
         self.constant_diagonal = constant_diagonal
-
-        # a candidate is an index into this list, whose first matrix is zero
-        self.matrices = list(field.alternating_matrices(n))
-        # bilinear tables by candidate, each built when a decision first reads it
-        self.tables = [None] * len(self.matrices)
+        # a candidate is an alternating matrix's id, 0 the zero matrix,
+        # decoded only for an emitted form
+        self.alternating = field.p ** (n * (n - 1) // 2)
+        self.matrix = functools.cache(functools.partial(field.alternating_matrix, n))
 
         self.slots, self.pair_slot = slots, pair_slot
         # slot (O1, O2) -> the slot (O2, O2), assigned first: the diagonal
@@ -140,53 +158,27 @@ class _Searcher:
         diagonal = {ox: k for k, (ox, oy) in enumerate(self.slots) if ox == oy}
         self.column_diagonal = [diagonal[oy] for _, oy in self.slots]
         self.schedule = _check_schedule(quandle, self.slots, self.pair_slot)
-        # candidates (M, S, T) -> verdict of (ii), for this search only
-        self.decided = {}
 
     def slot_candidates(self, k, assigned):
         ox, oy = self.slots[k]
         if ox == oy:
             if self.constant_diagonal and k > 0:
                 return [assigned[0]]
-            return range(len(self.matrices))
+            return range(self.alternating)
         # B[O1][O2] is 0 or B[O2][O2], in alternating_matrices order
         diagonal = assigned[self.column_diagonal[k]]
         return [0, diagonal] if diagonal else [0]
 
     def holds(self, checks, assigned):
-        """Whether every check passes on the assigned candidates.
-
-        A check (kind, xy, xz, yz) reads M, S and T at those slots.
-        (iii) holds exactly when M = 0 or S = T; (ii) holds when M = 0
-        or S = T = 0, fails when M != 0 and exactly one of S, T is 0,
-        and is otherwise decided by axiom_failures, once per (M, S, T).
-        """
-        for kind, xy, xz, yz in checks:
-            M = assigned[xy]
-            if not M:
-                continue
-            S, T = assigned[xz], assigned[yz]
-            if kind == "iii":
-                if S != T:
-                    return False
-            elif (S or T) and not (S and T and self.decide(M, S, T)):
+        """Whether every check passes on the assigned candidates: a
+        check (xy, xz, yz) reads M, S and T at those slots, and passes
+        exactly when M = 0 or S = T is in F_p M."""
+        p = self.field.p
+        for xy, xz, yz in checks:
+            M, S = assigned[xy], assigned[xz]
+            if M and (S != assigned[yz] or not _is_multiple(S, M, p)):
                 return False
         return True
-
-    def decide(self, M, S, T):
-        """Axiom (ii) on B[x][y] = M, B[x][z] = S, B[y][z] = T, and the
-        out block B[x>z][y>z] = M, by the unit-vector check."""
-        key = (M, S, T)
-        ok = self.decided.get(key)
-        if ok is None:
-            vector_tables = self.field.vector_tables(self.n)
-            for i in key:
-                if self.tables[i] is None:
-                    self.tables[i] = vector_tables.bilinear_table(self.matrices[i])
-            tables = [self.tables[i] for i in key]
-            failures = axiom_failures("ii", *tables, tables[0], vector_tables)
-            ok = self.decided[key] = next(failures, None) is None
-        return ok
 
     def dfs(self, limit, deadline, status):
         """Yield the valid forms depth first.  path holds an iterator over
@@ -211,7 +203,7 @@ class _Searcher:
                     path.append(iter(self.slot_candidates(k + 1, assigned)))
                     break
                 status.emitted += 1
-                grid = tuple(tuple(self.matrices[assigned[j]] for j in row) for row in self.pair_slot)
+                grid = tuple(tuple(self.matrix(assigned[j]) for j in row) for row in self.pair_slot)
                 yield BilinearForm(self.quandle, self.field, self.n, grid)
             else:
                 path.pop()
@@ -278,8 +270,8 @@ def verify_search_output(result):
     """Re-validate every emitted form with form_violations.
 
     form_violations checks (ii) and (iii) with forms.axiom_failures on
-    every block tuple, while the search decides (iii) and most of (ii)
-    in closed form, so this re-checks those verdicts as well as how
+    every block tuple, while the search decides both by one closed-form
+    rule on matrix ids, so this re-checks that rule as well as how
     leaves are assembled; the tests compare axiom_failures with a
     brute-force sweep over all vector triples.
     """

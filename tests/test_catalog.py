@@ -32,7 +32,6 @@ def test_form_fixtures():
     assert full.blocks == ((S, S, Z), (S, S, Z), (Z, Z, S))
     zero = catalog.load_form("swap3-zero")
     assert all(B == Z for row in zero.blocks for B in row)
-    assert catalog.form_quandle_id("swap3-partial") == "swap3"
 
 
 def test_entries_validate_and_carry_pd():

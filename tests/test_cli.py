@@ -389,6 +389,18 @@ def test_form_search_estimate_past_float_range(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_form_search_limit_on_a_huge_slot(capsys, tmp_path):
+    # one slot of 2^28 alternating matrices: under the guard, and the
+    # first form needs none of the others
+    one = tmp_path / "trivial1.quandle"
+    one.write_text(format_quandle(trivial_quandle(1)))
+    args = ["form-search", str(one), "--p", "2", "--n", "8", "--limit", "1", "--format", "json"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    record = json.loads(out)
+    assert (record["count"], record["complete"], record["space_estimate"]) == (1, False, 2**28)
+
+
 def test_form_search_bad_budget(capsys):
     code, _, err = run(
         capsys, "form-search", "swap3", "--p", "2", "--n", "1", "--budget", "-1"

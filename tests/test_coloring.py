@@ -377,6 +377,21 @@ def test_oracle_sweeps_diagrams_deeper_than_the_recursion_limit(swap3):
     assert result.polynomial.render() == "3u^4"
 
 
+def test_plans_with_more_seeds_than_the_recursion_limit():
+    # 300 free loops are 300 seeds, past MAX_KERNEL_SEEDS, so _solve runs
+    # them all: a call per seed would pass the limit.  At n = 0 each seed
+    # takes one bead value, and a larger n would enumerate p^(300n) leaves
+    q = trivial_quandle(1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert counting_invariant(free_loops(300), q) == 1
+        result = compute_invariant(free_loops(300), q, zero_form(q, 2, 0))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.polynomial.render() == "u"
+
+
 def test_exhaustive_search_finds_fewer_seeds_than_greedy(monkeypatch):
     # a 13-crossing knot, the closure of the 4-strand braid
     # 1 -3 -2 -3 -2 -2 1 -1 -1 2 1 -1 -1 (braid_closure in

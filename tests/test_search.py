@@ -1,9 +1,11 @@
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qbeads.forms
 from qbeads.errors import InputError
 from qbeads.field import PrimeField, VectorTables
 from qbeads.forms import axiom_failures, form_violations, zero_form
@@ -18,7 +20,7 @@ from qbeads.search import (
     verify_search_output,
 )
 
-from search_oracle import all_matrices, naive_space_estimate, reference_search
+from search_oracle import naive_space_estimate, reference_search
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
 
@@ -146,8 +148,8 @@ def test_bad_mode():
 
 
 def test_search_builds_one_vector_tables(monkeypatch):
-    """The forms a search emits build no tables of their own: they share
-    the searcher's VectorTables through its field."""
+    """A search builds no VectorTables; the forms it emits build one on
+    first use, which they share through their field."""
     built = []
     init = VectorTables.__init__
 
@@ -158,8 +160,9 @@ def test_search_builds_one_vector_tables(monkeypatch):
     monkeypatch.setattr(VectorTables, "__init__", counted)
     res = run_search(Quandle.from_table(SWAP3), 2, 2, allow_large=True)
     assert len(res.forms) == 7
-    assert built == [(2, 2)]
+    assert built == []
     assert all(f.vector_tables is res.forms[0].vector_tables for f in res.forms)
+    assert built == [(2, 2)]
 
 
 def test_refused_search_builds_no_tables(monkeypatch):
@@ -279,15 +282,14 @@ def test_reused_status_reports_only_its_own_run():
     assert status.forms == []  # search_forms streams; run_search collects
 
 
-# The five benchmark searches: quandle, p, n, mode, then the nodes, the
-# forms and the distinct (M, S, T) of the axiom (ii) checks that reach
-# axiom_failures, each of which the search decides once.
+# The five benchmark searches: quandle, p, n, mode, then the nodes and
+# the forms.
 BENCHMARK_SEARCHES = [
-    ("swap3", 2, 2, "all", 21, 7, 1),
-    ("swap3", 3, 2, "alternating-only", 52, 17, 4),
-    ("swap3", 2, 3, "alternating-only", 333, 85, 49),
-    ("alexander(4,3)", 2, 2, "all", 21, 7, 1),
-    ("symplectic(2,2)", 2, 2, "all", 21, 7, 1),
+    ("swap3", 2, 2, "all", 21, 7),
+    ("swap3", 3, 2, "alternating-only", 52, 17),
+    ("swap3", 2, 3, "alternating-only", 333, 85),
+    ("alexander(4,3)", 2, 2, "all", 21, 7),
+    ("symplectic(2,2)", 2, 2, "all", 21, 7),
 ]
 
 
@@ -298,68 +300,67 @@ def _benchmark_quandle(name):
 
 
 @pytest.mark.parametrize(
-    "name,p,n,mode,nodes,count,decided",
+    "name,p,n,mode,nodes,count",
     BENCHMARK_SEARCHES,
     ids=[f"{name}-{p}-{n}-{mode}" for name, p, n, mode, *_ in BENCHMARK_SEARCHES],
 )
-def test_each_axiom_tuple_is_decided_once(monkeypatch, name, p, n, mode, nodes, count, decided):
-    """The search runs axiom_failures once per distinct (M, S, T) that
-    its closed forms leave open, afresh in every search, and its nodes
-    and forms stay those of deciding every instance anew."""
-    q = _benchmark_quandle(name)
+def test_each_axiom_tuple_is_decided_once(monkeypatch, name, p, n, mode, nodes, count):
+    """The search decides every check by its closed-form rule on matrix
+    ids, with no call to axiom_failures, and keeps the nodes and forms
+    of deciding every instance by the unit-vector check."""
     calls = []
-    failures = search.axiom_failures
-
-    def counted(kind, *tables_and_vector_tables):
-        calls.append((kind, *map(id, tables_and_vector_tables[:4])))
-        return failures(kind, *tables_and_vector_tables)
-
-    monkeypatch.setattr(search, "axiom_failures", counted)
-    for _ in range(2):
-        del calls[:]
-        res = run_search(q, p, n, mode=mode, allow_large=True)
-        assert res.complete
-        assert (res.nodes, len(res.forms)) == (nodes, count)
-        assert len(calls) == len(set(calls)) == decided
+    for module in (qbeads.forms, search):
+        monkeypatch.setattr(module, "axiom_failures", lambda *args: calls.append(args), raising=False)
+    res = run_search(_benchmark_quandle(name), p, n, mode=mode, allow_large=True)
+    assert res.complete
+    assert (res.nodes, len(res.forms)) == (nodes, count)
+    assert calls == []
+    monkeypatch.undo()
     assert verify_search_output(res) == []
 
 
-def _closed_form_cases(p, n, matrices, kinds):
-    """(kind, M, S, T, the search's verdict, axiom_failures' verdict)
-    for every kind and every triple of the matrices, zero first, with
-    the out block that the orbit search reads: M for (ii), S for (iii)."""
-    field = PrimeField(p)
-    q = trivial_quandle(1)
-    searcher = search._Searcher(q, field, n, False, *search._orbit_slots(q))
-    searcher.matrices, searcher.tables = matrices, [None] * len(matrices)
-    vector_tables = field.vector_tables(n)
-    tables = [vector_tables.bilinear_table(B) for B in matrices]
-    for kind in kinds:
-        for M, S, T in itertools.product(range(len(matrices)), repeat=3):
-            out = M if kind == "ii" else S
-            failures = axiom_failures(kind, tables[M], tables[S], tables[T], tables[out], vector_tables)
-            yield kind, M, S, T, searcher.holds([(kind, 0, 1, 2)], [M, S, T]), next(failures, None) is None
+CLOSED_FORM_SIZES = [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]
 
 
 @pytest.mark.parametrize(
-    "p,n,alternating,kinds",
-    [(2, 2, False, ("ii", "iii")), (3, 3, True, ("iii",))],
-    ids=["p2n2-every-matrix", "p3n3-alternating"],
+    "p,n", CLOSED_FORM_SIZES, ids=[f"p{p}n{n}-alternating" for p, n in CLOSED_FORM_SIZES]
 )
-def test_closed_forms_agree_with_axiom_failures(p, n, alternating, kinds):
-    """The search's verdict on a check equals the unit-vector check's
-    on every (M, S, T): all 16^3 matrix triples at p=2, n=2 for both
-    axioms, and all 27^3 alternating triples at p=3, n=3 for (iii),
-    whose closed form decides every case."""
+def test_closed_forms_agree_with_axiom_failures(p, n):
+    """The searcher's verdict on a check (M, S, T) is that both (ii)
+    and (iii) pass under the unit-vector check, with the out blocks the
+    orbit search reads (M for (ii), S for (iii)), on every triple of
+    alternating matrices."""
     field = PrimeField(p)
-    matrices = list(field.alternating_matrices(n) if alternating else all_matrices(field, n))
-    assert matrices[0] == field.zero_matrix(n)
-    cases = list(_closed_form_cases(p, n, matrices, kinds))
-    assert len(cases) == len(kinds) * len(matrices) ** 3
-    wrong = [case for case in cases if case[4] != case[5]]
-    assert wrong == []
-    # both verdicts occur for every kind
-    assert {(kind, ok) for kind, *_, ok in cases} == {(kind, ok) for kind in kinds for ok in (True, False)}
+    q = trivial_quandle(1)
+    searcher = search._Searcher(q, field, n, False, *search._orbit_slots(q))
+    vector_tables = field.vector_tables(n)
+    tables = [vector_tables.bilinear_table(B) for B in field.alternating_matrices(n)]
+
+    def passes(kind, M, S, T):
+        out = M if kind == "ii" else S
+        failures = axiom_failures(kind, tables[M], tables[S], tables[T], tables[out], vector_tables)
+        return next(failures, None) is None
+
+    verdicts = set()
+    for M, S, T in itertools.product(range(len(tables)), repeat=3):
+        verdict = searcher.holds([(0, 1, 2)], [M, S, T])
+        assert verdict == (passes("ii", M, S, T) and passes("iii", M, S, T)), (M, S, T)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_first_form_of_a_huge_slot_costs_little():
+    """A one-element quandle at p=2, n=8 has one slot of 2^28
+    alternating matrices, and passes the guard; the first form, the
+    zero one, comes without a list of them."""
+    tracemalloc.start()
+    try:
+        form = next(search_forms(trivial_quandle(1), 2, 8, limit=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert form.blocks == ((PrimeField(2).zero_matrix(8),),)
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])

@@ -37,7 +37,8 @@ run if the first takes over ONE_SHOT_AFTER seconds.  A cell also
 records the number of forms, the search nodes, the space estimate
 (which the forms may not pass) and the SHA-256 of the list of emitted
 blocks, which is the same exactly when the same forms come out in the
-same order.
+same order.  After its timing each run re-validates every form it
+emitted with verify_search_output, and fails on any violation.
 
 Run from the repository root:
 
@@ -70,7 +71,7 @@ from qbeads import catalog, compute_invariant, constant_form, trivial_quandle  #
 from qbeads.diagram import import_pd  # noqa: E402
 from qbeads.field import PrimeField, VectorTables  # noqa: E402
 from qbeads.quandle import conjugation_quandle  # noqa: E402
-from qbeads.search import run_search  # noqa: E402
+from qbeads.search import run_search, verify_search_output  # noqa: E402
 
 # label -> the construction, as called on tools/gen_catalog.py, and the
 # p^n of its rungs
@@ -202,7 +203,9 @@ def search_quandle(name):
 
 def search_cell(name, p, n):
     """One timed run_search, in all mode, as a JSON line on stdout; run
-    in a process of its own."""
+    in a process of its own.  After the timing, and after the peak RSS
+    is read, every form is re-validated (verify_search_output), and any
+    violation fails the cell."""
     quandle = search_quandle(name)
     start = time.perf_counter()
     result = run_search(quandle, p, n, allow_large=True)
@@ -217,6 +220,9 @@ def search_cell(name, p, n):
         "space_estimate": result.space_estimate,
         "sha256": hashlib.sha256(blocks).hexdigest(),
     }
+    failures = verify_search_output(result)
+    if failures:
+        sys.exit(f"{name} at p={p}, n={n}: form {failures[0][0]} is invalid: {failures[0][1][0]}")
     print(json.dumps(cell))
 
 
@@ -227,7 +233,8 @@ def run_searches():
         while len(runs) < SEARCH_REPEAT:
             child = subprocess.run(
                 [sys.executable, __file__, "--search-cell", name, str(p), str(n)],
-                check=True, capture_output=True, text=True,
+                # stderr is left to show a failed cell's message
+                check=True, stdout=subprocess.PIPE, text=True,
             )
             runs.append(json.loads(child.stdout))
             if runs[0]["seconds"] > ONE_SHOT_AFTER:
