@@ -350,7 +350,14 @@ def counting_invariant(diagram, quandle):
 
 class BeadCounter:
     """Bead counts over the X-colorings of one diagram, reading the
-    diagram's plan and the form's step tables, both built once."""
+    diagram's plan and the form's step tables, both built once.
+
+    The propagate engine reads a coloring only through its block key
+    (block_key): the step-table pair of each crossing is one subscript
+    of form.step_pairs by that crossing's block id and sign, and a bare
+    count's seed orbits are form.seed_orbits of the key's set of ids.
+    So colorings with one block key have one count.
+    """
 
     def __init__(self, diagram, quandle, form):
         if not isinstance(form, BilinearForm):
@@ -361,6 +368,14 @@ class BeadCounter:
         self.quandle = quandle
         self.form = form
         self.vectors = form.vector_tables.vectors
+        self.reads = [(c.under_in, c.over) for c in diagram.crossings]
+        self.signs = [c.sign for c in diagram.crossings]
+
+    def block_key(self, coloring):
+        """The id of the block B[f(under_in)][f(over)] at each crossing:
+        all that the propagate engine reads of a coloring f."""
+        ids = self.form.block_ids
+        return tuple([ids[coloring[i]][coloring[o]] for i, o in self.reads])
 
     def _run(self, coloring, engine, limit):
         """(count, solutions) of one engine, or of both once they agree.
@@ -440,19 +455,16 @@ class BeadCounter:
         return count, sols if limit is None else sols[:limit]
 
     def _count_propagate(self, coloring, limit):
-        """Run the diagram's plan over this coloring's step tables.
+        """Run the diagram's plan over the step tables of the coloring's
+        block key.
 
         A bare count (limit 0) runs the first two seeds over the
-        weighted orbits of the isometries of the blocks the coloring
-        reads; a listing runs every value, so it lists every solution.
+        weighted orbits of the isometries of the blocks in the key; a
+        listing runs every value, so it lists every solution.
         """
-        form = self.form
-        reads = [(coloring[c.under_in], coloring[c.over], c.sign) for c in self.diagram.crossings]
-        tables = [(form.step_table(x, y, s), form.step_table(x, y, -s)) for x, y, s in reads]
-        orbits = None
-        if limit == 0:
-            ids = form.block_ids
-            orbits = form.seed_orbits(frozenset(ids[x][y] for x, y, _ in reads))
+        key = self.block_key(coloring)
+        tables = list(map(self.form.step_pairs.__getitem__, zip(key, self.signs)))
+        orbits = self.form.seed_orbits(frozenset(key)) if limit == 0 else None
         return _run_plan(self.diagram, len(self.vectors), tables, limit, orbits)
 
 

@@ -123,8 +123,8 @@ class PrimeField:
         return tuple(tuple(row) for row in B)
 
     def alternating_matrix(self, n, k):
-        """The alternating n-by-n matrix with id k < p^(n(n-1)/2): the
-        base-p digits of k, most significant first, are its upper
+        """The alternating n-by-n matrix with id k < alternating_count(n):
+        the base-p digits of k, most significant first, are its upper
         triangle read row by row, and the lower triangle their negatives.
         Each lower entry comes, row by row, after the upper entry that
         fixes it, so ids follow the lexicographic order of the entries
@@ -136,11 +136,11 @@ class PrimeField:
             M[j][i] = -a % self.p
         return tuple(map(tuple, M))
 
-    def alternating_matrices(self, n):
-        """Iterate over the p^(n(n-1)/2) alternating matrices in id order
-        (see alternating_matrix), so the zero matrix comes first."""
-        count = self.p ** (n * (n - 1) // 2)
-        return map(self.alternating_matrix, itertools.repeat(n, count), range(count))
+    def alternating_count(self, n):
+        """p^(n(n-1)/2): the number of alternating n-by-n matrices, one
+        per free upper-triangle entry, so the ids alternating_matrix
+        takes are range(alternating_count(n))."""
+        return self.p ** (n * (n - 1) // 2)
 
     def bilinear_eval(self, B, u, v):
         """u^T B v mod p for row vectors u, v."""

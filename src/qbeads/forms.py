@@ -66,8 +66,8 @@ class BilinearForm:
 
     A form keeps the tables every bead count over it reads: its field's
     VectorTables, which validate_form also checks the axioms with, and
-    the bilinear tables, step tables and seed orbits, built on first
-    use.
+    the bilinear tables, step tables (step_pairs) and seed orbits,
+    built on first use.
     """
 
     def __init__(self, quandle, field, n, blocks, name=""):
@@ -78,7 +78,6 @@ class BilinearForm:
         self.n = n
         self.blocks = blocks
         self.name = name
-        self._step_tables = {}  # (block id, sign) -> step table
         self._seed_orbits = {}  # frozenset of block ids -> seed_orbits
 
     @property
@@ -91,6 +90,12 @@ class BilinearForm:
         """block_ids[x][y] numbers the distinct matrices in row-major order."""
         ids = {}
         return tuple(tuple(ids.setdefault(B, len(ids)) for B in row) for row in self.blocks)
+
+    @cached_property
+    def step_pairs(self):
+        """step_pairs[block id, sign]: the (forward, inverse) pair of
+        step tables, built on first read (see _StepPairs)."""
+        return _StepPairs(self.vector_tables, self.bilinear_tables)
 
     @cached_property
     def bilinear_tables(self):
@@ -126,21 +131,10 @@ class BilinearForm:
 
     def step_table(self, x, y, sign):
         """t[in][over]: the out bead's index at a crossing of this sign
-        whose under-in and over arcs are colored x and y.
-
-        Built on first use and kept, one per distinct block and sign, so
-        at most 2m^2 per form.  Read-only, like eval_table.
-        """
-        key = (self.block_ids[x][y], sign)
-        table = self._step_tables.get(key)
-        if table is None:
-            t = self.vector_tables
-            vadd, smul, p = t.vadd, t.smul, t.p
-            table = self._step_tables[key] = [
-                [vadd[i][smul[(sign * b) % p][j]] for j, b in enumerate(row)]
-                for i, row in enumerate(self.bilinear_tables[key[0]])
-            ]
-        return table
+        whose under-in and over arcs are colored x and y; read through
+        step_pairs, so built once per distinct block and sign, at most
+        2m^2 per form.  Read-only, like eval_table."""
+        return self.step_pairs[self.block_ids[x][y], sign][0]
 
     def isometries(self, ids):
         """Generators of the isometry group H of every block whose id
@@ -165,6 +159,35 @@ class BilinearForm:
             size = len(self.vector_tables.vectors)
             orbits = self._seed_orbits[ids] = weighted_orbits(self.isometries(ids), size)
         return orbits
+
+
+class _StepPairs(dict):
+    """step_pairs[block id, sign] is the (forward, inverse) pair of step
+    tables of a crossing of that sign whose under-in and over arcs read
+    that block: the step table of that sign and the one of the opposite
+    sign, which undoes it (see the coloring module).  Both are built
+    from the block's bilinear table on the first read of either sign
+    and kept, so a bead count fetches each crossing's pair with one
+    subscript.  It holds the form's tables, not the form, so a form is
+    freed as soon as its last reference goes."""
+
+    def __init__(self, vector_tables, bilinear_tables):
+        super().__init__()
+        self.vector_tables = vector_tables
+        self.bilinear_tables = bilinear_tables
+
+    def __missing__(self, key):
+        block_id, sign = key
+        t = self.vector_tables
+        vadd, smul, p = t.vadd, t.smul, t.p
+        rows = tuple(enumerate(self.bilinear_tables[block_id]))
+        forward, inverse = (
+            [[vadd[i][smul[(s * b) % p][j]] for j, b in enumerate(row)] for i, row in rows]
+            for s in (sign, -sign)
+        )
+        self[block_id, -sign] = inverse, forward
+        pair = self[key] = forward, inverse
+        return pair
 
 
 AXIOM_KINDS = ("ii", "iii")

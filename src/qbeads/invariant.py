@@ -10,29 +10,34 @@ multiplicity 1 left implicit, so for example ``u^16 + 4u^10``.
 The propagate engine reads a coloring f only through the step tables
 of its crossings, and both tables at a crossing are fixed by its sign
 and the block B[f(under_in)][f(over)] (see the coloring module).  So
-compute_invariant keys each coloring by the id of that block at every
-crossing and counts beads once per key.  For a valid form the blocks
-are constant on orbits, and every arc of a link component lies in one
-orbit, so there is at most one count per component-orbit tuple.
+a count depends only on f's block key, the id of that block at every
+crossing (BeadCounter.block_key).  For a valid form the blocks are
+constant on orbits, and every arc of a link component lies in one
+orbit, so the key is fixed by the orbit of each component.
 
-Nor does it list every coloring.  An element g of Inn(X) is an
-automorphism that keeps every orbit, so g o f is an X-coloring with
-the same block key as f, for every form that validate_form or the
-search accepts.  So the set of colorings with a given key is
-Inn(X)-invariant, and compute_invariant runs the X-coloring plan with
-its first two seeds over weighted orbit representatives of H = Inn(X)
-(coloring.enumerate_weighted_xcolorings): a leaf whose first two
-seeds are v and w stands for |Hv| * |Stab_H(v) w| colorings, and the
-weights of a key's leaves add up to its number of colorings.
+Nor does compute_invariant list every coloring.  An element g of
+Inn(X) is an automorphism that keeps every orbit, so g o f is an
+X-coloring with the same component orbits as f, for every form that
+validate_form or the search accepts.  So the set of colorings with
+given component orbits is Inn(X)-invariant, and compute_invariant runs
+the X-coloring plan with its first two seeds over weighted orbit
+representatives of H = Inn(X) (coloring.enumerate_weighted_xcolorings):
+a leaf whose first two seeds are v and w stands for |Hv| * |Stab_H(v) w|
+colorings.  It groups the leaves by the orbit label of one arc per
+component, so the weights of a class add up to its number of
+colorings; maps each class to the block key of one of its leaves; and
+merges the classes that share a key.  So the cost past the enumeration
+scales with the classes, not with the leaves times the crossings, and
+BeadCounter.count runs once per distinct key, on one leaf with it.
 
 The oracle and both engines take instead every coloring of
 enumerate_xcolorings with weight 1, keyed by the coloring itself, so
 the engines are compared on each one.  From there one loop serves all
-three: it adds up the weights per key, counts each key once and adds
-its count to the polynomial with that total as multiplicity.
-InvariantResult.colorings and .counts list every coloring and its
-count, in sorted order, computed on first read from
-enumerate_xcolorings and the per-key counts.
+three: it counts each key once and adds its count to the polynomial
+with the key's total weight as multiplicity.  InvariantResult.colorings
+and .counts list every coloring and its count, in sorted order,
+computed on first read from enumerate_xcolorings and the per-key
+counts.
 
 Each of those counts runs the first two seeds up to the isometries of
 the blocks the coloring reads: a linear g with g^T B g = B for each of
@@ -158,39 +163,39 @@ class InvariantResult:
         }
 
 
-def _block_key(diagram, form):
-    """key(f): what the propagate engine reads of a coloring f, the id
-    of the block B[f(under_in)][f(over)] at each crossing (see the
-    module docstring)."""
-    block_id = form.block_ids
-    arcs = [(c.under_in, c.over) for c in diagram.crossings]
-
-    def key(f):
-        return tuple([block_id[f[i]][f[o]] for i, o in arcs])
-
-    return key
+def _classes(diagram, quandle, counter):
+    """{block key: [an X-coloring with it, the number of X-colorings
+    with it]}, from the leaves of enumerate_weighted_xcolorings grouped
+    by the orbits of their components (see the module docstring)."""
+    orbit = quandle.orbits()
+    heads = [component[0] for component in diagram.components]
+    by_orbits = {}  # orbit label of each component -> [a leaf, total weight]
+    for f, weight in enumerate_weighted_xcolorings(diagram, quandle):
+        by_orbits.setdefault(tuple([orbit[f[a]] for a in heads]), [f, 0])[1] += weight
+    classes = {}
+    for f, weight in by_orbits.values():
+        classes.setdefault(counter.block_key(f), [f, 0])[1] += weight
+    return classes
 
 
 def compute_invariant(diagram, quandle, form, engine="propagate"):
     """Count bead colorings over every X-coloring of the diagram.
 
     The propagate engine counts once per block key over the X-colorings
-    up to Inn(X), each weighted by its class size; the oracle and both
-    engines count every coloring (see the module docstring).
+    up to Inn(X), grouped by the orbits of their components, each
+    class weighted by its size; the oracle and both engines count every
+    coloring (see the module docstring).
     """
     if engine not in ENGINES:
         raise InputError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     start = time.monotonic()
     counter = BeadCounter(diagram, quandle, form)
     if engine == "propagate":
-        leaves = enumerate_weighted_xcolorings(diagram, quandle)
-        key = _block_key(diagram, form)
+        classes = _classes(diagram, quandle, counter)
+        key = counter.block_key
     else:
-        leaves = [(f, 1) for f in enumerate_xcolorings(diagram, quandle)]
+        classes = {f: [f, 1] for f in enumerate_xcolorings(diagram, quandle)}
         key = tuple  # a coloring is a tuple, so this returns it as is
-    classes = {}  # key -> [a coloring with it, total weight]
-    for f, weight in leaves:
-        classes.setdefault(key(f), [f, 0])[1] += weight
     poly = InvariantPolynomial()
     counts = {}
     for k, (f, weight) in classes.items():

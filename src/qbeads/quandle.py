@@ -73,8 +73,9 @@ class Quandle:
     """A finite quandle given by its operation table.
 
     Construct through from_table (validating) or the named constructors
-    below.  op(x, y) is x ▷ y; inv_op(x, y) is the unique w with
-    w ▷ y = x.
+    below.  table[x][y] is x ▷ y; inv_table[x][y] is x ◁ y, the unique
+    w with w ▷ y = x; op_signed(x, y, sign) reads one or the other by a
+    crossing sign.
     """
 
     def __init__(self, table, name=""):
@@ -112,12 +113,6 @@ class Quandle:
     def elements(self):
         return range(self.order)
 
-    def op(self, x, y):
-        return self.table[x][y]
-
-    def inv_op(self, x, y):
-        return self.inv_table[x][y]
-
     def op_signed(self, x, y, sign):
         """x ▷ y for sign +1, x ◁ y (the inverse translation) for sign -1."""
         if sign == 1:
@@ -131,8 +126,12 @@ class Quandle:
 
         The right translations generate Inn(X), and row x of the table
         lists the images of x under them.  The orbits are the quandle's
-        connected components.
+        connected components.  Found on the first call and kept.
         """
+        return self._orbit_labels
+
+    @cached_property
+    def _orbit_labels(self):
         orbits = search_orbits(self.elements, self.table.__getitem__)
         label = {x: orbit[0] for orbit in orbits for x in orbit}
         return tuple(map(label.__getitem__, self.elements))

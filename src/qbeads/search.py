@@ -13,12 +13,13 @@ family has B[x][y] in {0, B[y][y]}.  Axiom (i) makes each diagonal
 block alternating, so a diagonal slot (O, O) takes the alternating
 matrices; in constant-diagonal mode every such slot after slot 0
 copies slot 0.  An off-diagonal slot (O1, O2) comes after (O2, O2) and
-takes 0 and B[O2][O2], once each, in alternating_matrices order.
-Every block is thus alternating, so alternating-only is a synonym of
-all.  A candidate is a matrix's id in that order
-(PrimeField.alternating_matrix): a slot's candidates are a range of
-ids, never a list of matrices, and a matrix is decoded only for an
-emitted form.
+takes 0 and B[O2][O2], once each, in that order.  Every block is thus
+alternating, so alternating-only is a synonym of all.  A candidate is
+a matrix's id, in the order of PrimeField.alternating_matrix: id 0 is
+the zero matrix, and the ids follow the lexicographic order of the
+entries read row by row.  A diagonal slot's candidates are
+range(PrimeField.alternating_count(n)), never a list of matrices, and
+a matrix is decoded only for an emitted form.
 
 Under orbit-constancy the fourth block an axiom instance reads is one
 of the other three: B[x>z][y>z] = B[x][y] in (ii), and B[x>y][z] =
@@ -115,15 +116,14 @@ def _check_schedule(quandle, slots, pair_slot):
     return [list(checks) for checks in schedule]
 
 
-def _space_estimate(slots, p, n, constant_diagonal):
+def _space_estimate(slots, A, constant_diagonal):
     """The leaves the search can reach, A^d * min(2, A)^(r(r-1)): each of
     the d diagonal slots that choose freely (r, or 1 in constant-diagonal
-    mode) takes the A = p^(n(n-1)/2) alternating matrices, and each
-    off-diagonal slot 0 or its column's diagonal matrix."""
-    alternating = p ** (n * (n - 1) // 2)
+    mode) takes the A alternating matrices (PrimeField.alternating_count),
+    and each off-diagonal slot 0 or its column's diagonal matrix."""
     diagonal = sum(ox == oy for ox, oy in slots)
     free = min(diagonal, 1) if constant_diagonal else diagonal
-    return alternating**free * min(2, alternating) ** (len(slots) - diagonal)
+    return A**free * min(2, A) ** (len(slots) - diagonal)
 
 
 def _is_multiple(S, M, p):
@@ -149,7 +149,7 @@ class _Searcher:
         self.constant_diagonal = constant_diagonal
         # a candidate is an alternating matrix's id, 0 the zero matrix,
         # decoded only for an emitted form
-        self.alternating = field.p ** (n * (n - 1) // 2)
+        self.alternating = field.alternating_count(n)
         self.matrix = functools.cache(functools.partial(field.alternating_matrix, n))
 
         self.slots, self.pair_slot = slots, pair_slot
@@ -165,7 +165,7 @@ class _Searcher:
             if self.constant_diagonal and k > 0:
                 return [assigned[0]]
             return range(self.alternating)
-        # B[O1][O2] is 0 or B[O2][O2], in alternating_matrices order
+        # B[O1][O2] is 0 or B[O2][O2], in id order
         diagonal = assigned[self.column_diagonal[k]]
         return [0, diagonal] if diagonal else [0]
 
@@ -240,7 +240,7 @@ def search_forms(
         raise InputError(f"time budget must be a positive number of seconds, got {time_budget}")
     constant_diagonal = mode == "constant-diagonal"
     slots, pair_slot = _orbit_slots(quandle)
-    estimate = _space_estimate(slots, p, n, constant_diagonal)
+    estimate = _space_estimate(slots, field.alternating_count(n), constant_diagonal)
     if status is None:
         status = SearchResult()
     # every run field starts afresh, so a reused status reports this run only

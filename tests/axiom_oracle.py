@@ -15,6 +15,8 @@ import functools
 from qbeads.errors import InputError
 from qbeads.forms import axiom_failures
 
+from quandle_ops import op
+
 
 def brute_force_violations(quandle, blocks, field, n):
     """Every failing axiom instance, one line per (x, y, z, a, b, c).
@@ -29,7 +31,6 @@ def brute_force_violations(quandle, blocks, field, n):
     vectors = field.all_vectors(n)
     # memoised for speed only: the sweep evaluates each (B, u, v) many times
     ev = functools.lru_cache(maxsize=None)(field.bilinear_eval)
-    op = quandle.op
     violations = []
 
     for x in range(m):
@@ -44,7 +45,7 @@ def brute_force_violations(quandle, blocks, field, n):
                 Bxy = blocks[x][y]
                 Bxz = blocks[x][z]
                 Byz = blocks[y][z]
-                Bxz_yz = blocks[op(x, z)][op(y, z)]
+                Bxz_yz = blocks[op(quandle, x, z)][op(quandle, y, z)]
                 for a in vectors:
                     for b in vectors:
                         for c in vectors:
@@ -60,7 +61,7 @@ def brute_force_violations(quandle, blocks, field, n):
 
     for x in range(m):
         for y in range(m):
-            xy = op(x, y)
+            xy = op(quandle, x, y)
             for z in range(m):
                 Bxy = blocks[x][y]
                 Bxyz = blocks[xy][z]
@@ -113,9 +114,9 @@ def per_instance_violations(quandle, blocks, field, n, cap=20):
             for y in range(m):
                 for z in range(m):
                     if kind == "ii":
-                        out = block_tables[quandle.op(x, z)][quandle.op(y, z)]
+                        out = block_tables[op(quandle, x, z)][op(quandle, y, z)]
                     else:
-                        out = block_tables[quandle.op(x, y)][z]
+                        out = block_tables[op(quandle, x, y)][z]
                     for a, b, c, left, right in axiom_failures(
                         kind, block_tables[x][y], block_tables[x][z], block_tables[y][z],
                         out, vector_tables,

@@ -18,11 +18,19 @@ import itertools
 from qbeads.field import PrimeField, VectorTables
 from qbeads.forms import axiom_failures
 
+from quandle_ops import op
+
 
 def all_matrices(field, n):
     """Iterate over all p^(n*n) matrices, rows filled lexicographically."""
     for flat in itertools.product(range(field.p), repeat=n * n):
         yield tuple(flat[i * n : (i + 1) * n] for i in range(n))
+
+
+def alternating_matrices(field, n):
+    """The alternating n-by-n matrices in id order (see
+    PrimeField.alternating_matrix), so the zero matrix comes first."""
+    return [field.alternating_matrix(n, k) for k in range(field.alternating_count(n))]
 
 
 def naive_space_estimate(m, p, n, mode):
@@ -51,15 +59,15 @@ def reference_search(quandle, p, n, mode="all"):
     every = list(range(len(mats)))
     alternating = [i for i, M in enumerate(mats) if field.is_alternating(M)]
 
-    m, op = quandle.order, quandle.op
+    m = quandle.order
     pairs = pair_order(m)
     slot = {pair: k for k, pair in enumerate(pairs)}
     schedule = [[] for _ in pairs]
     for x in range(m):
         for y in range(m):
             for z in range(m):
-                reads_ii = [(x, y), (x, z), (y, z), (op(x, z), op(y, z))]
-                reads_iii = [(x, y), (x, z), (y, z), (op(x, y), z)]
+                reads_ii = [(x, y), (x, z), (y, z), (op(quandle, x, z), op(quandle, y, z))]
+                reads_iii = [(x, y), (x, z), (y, z), (op(quandle, x, y), z)]
                 schedule[max(slot[r] for r in reads_ii)].append(("ii", x, y, z))
                 schedule[max(slot[r] for r in reads_iii)].append(("iii", x, y, z))
 
@@ -75,7 +83,10 @@ def reference_search(quandle, p, n, mode="all"):
         return tables[assigned[slot[(u, v)]]]
 
     def holds(kind, x, y, z):
-        out = table(op(x, z), op(y, z)) if kind == "ii" else table(op(x, y), z)
+        if kind == "ii":
+            out = table(op(quandle, x, z), op(quandle, y, z))
+        else:
+            out = table(op(quandle, x, y), z)
         failures = axiom_failures(kind, table(x, y), table(x, z), table(y, z), out, vector_tables)
         return next(failures, None) is None
 

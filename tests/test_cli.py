@@ -240,7 +240,8 @@ def test_batch_builds_tables_once_per_form(monkeypatch, capsys):
         # validation builds one bilinear table per distinct block, and
         # the form one more, which its step tables and isometries share
         distinct = {B for row in form.blocks for B in row}
-        assert 0 < len(form._step_tables) <= 2 * m * m
+        # one (forward, inverse) pair per block read and crossing sign
+        assert 0 < len(form.step_pairs) <= 2 * len(distinct)
         assert len(bilinear) == 2 * len(distinct)
 
 

@@ -251,12 +251,14 @@ def test_solutions_satisfy_the_step_equations(swap3):
 
 def test_rejects_non_coloring(swap3):
     form = validate_form(swap3, PARTIAL, 2, 2)
-    with pytest.raises(InputError):
-        count_beads(HOPF, swap3, form, (0, 2))
-    with pytest.raises(InputError):
-        count_beads(HOPF, swap3, form, (0,))
-    with pytest.raises(InputError):
-        count_beads(HOPF, swap3, form, (0, 5))
+    counter = BeadCounter(HOPF, swap3, form)
+    # not an X-coloring, too short, a color out of range
+    for coloring in [(0, 2), (0,), (0, 5)]:
+        with pytest.raises(InputError):
+            count_beads(HOPF, swap3, form, coloring)
+        for engine in ("propagate", "both"):
+            with pytest.raises(InputError):
+                counter.count(coloring, engine=engine)
 
 
 def test_rejects_unvalidated_form(swap3):

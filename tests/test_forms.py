@@ -16,6 +16,8 @@ from qbeads.forms import (
 )
 from qbeads.quandle import Quandle, trivial_quandle
 
+from quandle_ops import op
+
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
 S = [[0, 1], [1, 0]]
 Z = [[0, 0], [0, 0]]
@@ -119,7 +121,7 @@ def test_translation_identity(x, y, ui, vi):
     a, b = vs[ui], vs[vi]
     lam = f.field.bilinear_eval(f.blocks[x][y], a, b)
     a2 = f.field.vec_add(a, f.field.scalar_mul(lam, b))
-    assert f.field.bilinear_eval(f.blocks[q.op(x, y)][y], a2, b) == lam
+    assert f.field.bilinear_eval(f.blocks[op(q, x, y)][y], a2, b) == lam
 
 
 def test_parse_format_round_trip(swap3):

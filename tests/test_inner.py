@@ -15,16 +15,18 @@ from qbeads.coloring import (
     enumerate_xcolorings,
 )
 from qbeads.diagram import load_diagram
-from qbeads.forms import constant_form, validate_form
+from qbeads.forms import constant_form, load_form, validate_form
 from qbeads.invariant import InvariantPolynomial, compute_invariant
-from qbeads.quandle import alexander_quandle, conjugation_quandle, trivial_quandle
+from qbeads.quandle import alexander_quandle, conjugation_quandle, load_quandle, trivial_quandle
 from qbeads.search import run_search
 
 from group_listing import closure, listed_weighted_orbits
+from quandle_ops import op
 from test_quandle import GROUPS, sym3
 
 DATA = Path(__file__).parent / "data"
-LADDER = Path(__file__).parent.parent / "perfbench" / "data" / "diagrams"
+BENCH = Path(__file__).parent.parent / "perfbench" / "data"
+LADDER = BENCH / "diagrams"
 
 
 def conj_s3():
@@ -71,7 +73,7 @@ def test_inner_automorphism_group(name):
     for g in group:
         assert sorted(g) == list(q.elements)
         for x, y in itertools.product(q.elements, repeat=2):
-            assert g[q.op(x, y)] == q.op(g[x], g[y])
+            assert g[op(q, x, y)] == op(q, g[x], g[y])
         assert all(orbits[g[x]] == orbits[x] for x in q.elements)
     # the right translations generate it, and it is closed
     members = set(group)
@@ -205,3 +207,57 @@ def test_listing_is_computed_on_first_read(monkeypatch):
     assert result.counts == [counter.count(f) for f in result.colorings]
     assert result.colorings == original(d, form.quandle)
     assert len(calls) == 1
+
+
+def bench_form(qid, fid):
+    quandle = load_quandle(BENCH / "quandles" / f"{qid}.quandle", name=qid)
+    return load_form(BENCH / "forms" / f"{fid}.form", quandle)
+
+
+GROUPED_FORMS = {
+    # two orbits
+    "swap3-partial": lambda: catalog.load_form("swap3-partial"),
+    "swap3-full": lambda: catalog.load_form("swap3-full"),
+    # three orbits
+    "conjS3-F4": lambda: bench_form("conjS3", "conjS3-F4"),
+    # connected
+    "alex52-F4": lambda: bench_form("alex52", "alex52-F4"),
+    # every element its own orbit; the block at (x, y) is nonzero for y > 0
+    "trivial3-columns": lambda: validate_form(
+        trivial_quandle(3), [[[[0, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 1], [1, 0]]]] * 3, 2, 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GROUPED_FORMS)
+def test_class_grouping_matches_full_enumeration(name):
+    """The propagate engine counts once per class of leaves with one
+    block key; the both engine counts every coloring with the oracle
+    and the propagate engine.  Polynomials and per-coloring counts
+    agree on every diagram."""
+    form = GROUPED_FORMS[name]()
+    for d in diagrams():
+        grouped = compute_invariant(d, form.quandle, form)
+        every = compute_invariant(d, form.quandle, form, engine="both")
+        assert grouped.polynomial == every.polynomial, d.name
+        assert grouped.colorings == every.colorings, d.name
+        assert grouped.counts == every.counts, d.name
+
+
+def test_one_bead_count_per_block_key(monkeypatch):
+    form = catalog.load_form("swap3-partial")
+    d = load_diagram(LADDER / "T44.diagram")
+    assert len(d.components) == 4
+    calls = []
+    count = BeadCounter.count
+
+    def counted(self, coloring, engine="propagate"):
+        calls.append(coloring)
+        return count(self, coloring, engine)
+
+    monkeypatch.setattr(BeadCounter, "count", counted)
+    result = compute_invariant(d, form.quandle, form)
+    counter = BeadCounter(d, form.quandle, form)
+    keys = {counter.block_key(f) for f in result.colorings}
+    assert len(calls) == len(keys) == 8
+    assert {counter.block_key(f) for f in calls} == keys

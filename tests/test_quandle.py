@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import qbeads.quandle
 from qbeads.errors import AxiomError, InputError
 from qbeads.field import PrimeField
 from qbeads.quandle import (
@@ -15,6 +16,8 @@ from qbeads.quandle import (
     symplectic_quandle,
     trivial_quandle,
 )
+
+from quandle_ops import inv_op, op
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
 
@@ -84,20 +87,20 @@ GROUPS = [cyclic(2), cyclic(3), cyclic(4), cyclic(6), cyclic(8), sym3(), dihedra
 def check_axioms(q):
     m = q.order
     for x in range(m):
-        assert q.op(x, x) == x
+        assert op(q, x, x) == x
     for y in range(m):
-        assert sorted(q.op(x, y) for x in range(m)) == list(range(m))
+        assert sorted(op(q, x, y) for x in range(m)) == list(range(m))
     for x in range(m):
         for y in range(m):
             for z in range(m):
-                assert q.op(q.op(x, y), z) == q.op(q.op(x, z), q.op(y, z))
+                assert op(q, op(q, x, y), z) == op(q, op(q, x, z), op(q, y, z))
 
 
 def test_swap3_is_a_quandle():
     q = Quandle.from_table(SWAP3, name="swap3")
     check_axioms(q)
     assert q.table == q.inv_table
-    assert q.op(0, 2) == 1 and q.op(1, 2) == 0 and q.op(2, 0) == 2
+    assert op(q, 0, 2) == 1 and op(q, 1, 2) == 0 and op(q, 2, 0) == 2
 
 
 def test_violation_witnesses():
@@ -135,7 +138,7 @@ def test_self_distributivity_witness():
 def test_trivial_quandle():
     q = trivial_quandle(4)
     check_axioms(q)
-    assert all(q.op(x, y) == x for x in range(4) for y in range(4))
+    assert all(op(q, x, y) == x for x in range(4) for y in range(4))
     assert q.table == q.inv_table
 
 
@@ -198,7 +201,7 @@ def _closure_orbits(q):
         while frontier:
             w = frontier.pop()
             for y in range(q.order):
-                for v in (q.op(w, y), q.inv_op(w, y)):
+                for v in (op(q, w, y), inv_op(q, w, y)):
                     if v not in orbit:
                         orbit.add(v)
                         frontier.append(v)
@@ -220,13 +223,34 @@ def test_orbits():
     assert len(set(conjugation_quandle(GROUPS[5]).orbits())) == 3  # S3
 
 
+def test_orbits_are_found_once_per_quandle(monkeypatch):
+    calls = []
+    search = qbeads.quandle.search_orbits
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(qbeads.quandle, "search_orbits", counted)
+    for q, labels in [
+        (Quandle.from_table(SWAP3), (0, 0, 2)),
+        (alexander_quandle(5, 2), (0,) * 5),
+        (alexander_quandle(4, 3), (0, 1, 0, 1)),
+        (trivial_quandle(5), tuple(range(5))),
+    ]:
+        del calls[:]
+        assert q.orbits() == labels
+        assert q.orbits() == labels
+        assert len(calls) == 1, q
+
+
 def test_symplectic_indexing_follows_vector_order():
     # element i is the i-th vector of F_p^n in lexicographic order,
     # and the zero vector is a fixed point of every translation
     S = [[0, 1], [1, 0]]
     q = symplectic_quandle(2, 2, S)
     for y in range(4):
-        assert q.op(0, y) == 0
+        assert op(q, 0, y) == 0
 
 
 def test_parse_and_format_round_trip():
@@ -255,6 +279,6 @@ def test_op_signed_and_inverse():
     q = alexander_quandle(5, 3)
     for x in range(5):
         for y in range(5):
-            assert q.inv_op(q.op(x, y), y) == x
-            assert q.op_signed(x, y, 1) == q.op(x, y)
-            assert q.op_signed(x, y, -1) == q.inv_op(x, y)
+            assert inv_op(q, op(q, x, y), y) == x
+            assert q.op_signed(x, y, 1) == op(q, x, y)
+            assert q.op_signed(x, y, -1) == inv_op(q, x, y)

@@ -20,7 +20,8 @@ from qbeads.search import (
     verify_search_output,
 )
 
-from search_oracle import naive_space_estimate, reference_search
+from search_oracle import alternating_matrices, naive_space_estimate, reference_search
+from quandle_ops import op
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
 
@@ -233,7 +234,7 @@ def _relabelled(q, perm):
     table = [[None] * m for _ in range(m)]
     for x in range(m):
         for y in range(m):
-            table[perm[x]][perm[y]] = perm[q.op(x, y)]
+            table[perm[x]][perm[y]] = perm[op(q, x, y)]
     return Quandle.from_table(table)
 
 
@@ -334,7 +335,7 @@ def test_closed_forms_agree_with_axiom_failures(p, n):
     q = trivial_quandle(1)
     searcher = search._Searcher(q, field, n, False, *search._orbit_slots(q))
     vector_tables = field.vector_tables(n)
-    tables = [vector_tables.bilinear_table(B) for B in field.alternating_matrices(n)]
+    tables = [vector_tables.bilinear_table(B) for B in alternating_matrices(field, n)]
 
     def passes(kind, M, S, T):
         out = M if kind == "ii" else S
