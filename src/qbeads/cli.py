@@ -17,7 +17,7 @@ import time
 from . import catalog
 from .coloring import ENGINES
 from .errors import AxiomError, InputError, QBeadsError
-from .forms import format_form, load_form
+from .forms import format_forms, load_form
 from .diagram import load_diagram
 from .invariant import InvariantPolynomial, compute_invariant
 from .quandle import load_quandle, parse_quandle
@@ -132,7 +132,7 @@ def cmd_form_search(args):
         "complete": result.complete,
         "space_estimate": result.space_estimate,
         "nodes": result.nodes,
-        "forms": [format_form(f) for f in result.forms],
+        "forms": format_forms(result.forms),
     }
     _emit(args, record, render_search)
     return 0

@@ -119,23 +119,6 @@ COMPILE_AFTER = 500
 MAX_KERNEL_SEEDS = 20
 
 
-def _check_coloring(diagram, quandle, coloring):
-    if len(coloring) != diagram.arc_count:
-        raise InputError(
-            f"coloring has {len(coloring)} entries for {diagram.arc_count} arcs"
-        )
-    for a, x in enumerate(coloring):
-        if not isinstance(x, int) or not 0 <= x < quandle.order:
-            raise InputError(f"arc {a} has color {x!r}, expected 0..{quandle.order - 1}")
-    for i, c in enumerate(diagram.crossings):
-        expected = quandle.op_signed(coloring[c.under_in], coloring[c.over], c.sign)
-        if coloring[c.under_out] != expected:
-            raise InputError(
-                f"not an X-coloring: crossing {i} requires arc {c.under_out} "
-                f"to have color {expected}, got {coloring[c.under_out]}"
-            )
-
-
 class _OverBudget(Exception):
     """_solve's work passed its budget."""
 
@@ -370,6 +353,30 @@ class BeadCounter:
         self.vectors = form.vector_tables.vectors
         self.reads = [(c.under_in, c.over) for c in diagram.crossings]
         self.signs = [c.sign for c in diagram.crossings]
+        # each crossing's arcs and the quandle table its sign reads
+        # forward, for _check_coloring
+        self.crossing_checks = [
+            (c.under_in, c.over, c.under_out, forward)
+            for c, (forward, _) in zip(diagram.crossings, _quandle_tables(diagram, quandle))
+        ]
+
+    def _check_coloring(self, coloring):
+        """Raise InputError unless coloring is an X-coloring of the diagram."""
+        order = self.quandle.order
+        if len(coloring) != self.diagram.arc_count:
+            raise InputError(
+                f"coloring has {len(coloring)} entries for {self.diagram.arc_count} arcs"
+            )
+        for a, x in enumerate(coloring):
+            if not isinstance(x, int) or not 0 <= x < order:
+                raise InputError(f"arc {a} has color {x!r}, expected 0..{order - 1}")
+        for i, (under_in, over, under_out, forward) in enumerate(self.crossing_checks):
+            expected = forward[coloring[under_in]][coloring[over]]
+            if coloring[under_out] != expected:
+                raise InputError(
+                    f"not an X-coloring: crossing {i} requires arc {under_out} "
+                    f"to have color {expected}, got {coloring[under_out]}"
+                )
 
     def block_key(self, coloring):
         """The id of the block B[f(under_in)][f(over)] at each crossing:
@@ -386,7 +393,7 @@ class BeadCounter:
         """
         if engine not in ENGINES:
             raise InputError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-        _check_coloring(self.diagram, self.quandle, coloring)
+        self._check_coloring(coloring)
         if engine == "oracle":
             return self._count_oracle(coloring, limit)
         if engine == "propagate":

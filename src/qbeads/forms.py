@@ -422,18 +422,34 @@ def parse_form(text, quandle, name=""):
     return validate_form(quandle, grid, p, n, name=name)
 
 
+def format_forms(forms):
+    """Render BilinearForms in the 1-based text file format, one text
+    per form, through one memo of block texts: each distinct block is
+    formatted once for all the forms, and the ``B x y`` lines once per
+    order m.  Each text is the one format_form gives its form alone."""
+    headers = {}  # m -> the "B x y" lines, row-major
+    texts = {}  # block -> its rows, entries joined by spaces, each ended by a newline
+    out = []
+    for form in forms:
+        m = form.quandle.order
+        if m not in headers:
+            headers[m] = [f"B {x} {y}\n" for x in range(1, m + 1) for y in range(1, m + 1)]
+        parts = [f"form {m} {form.n} {form.field.p}\n"]
+        for header, B in zip(headers[m], itertools.chain.from_iterable(form.blocks)):
+            text = texts.get(B)
+            if text is None:
+                text = texts[B] = "".join(" ".join(map(str, row)) + "\n" for row in B)
+            parts += header, text
+        out.append("".join(parts))
+    return out
+
+
 def format_form(form):
-    """Render a BilinearForm in the 1-based text file format."""
-    m = form.quandle.order
-    out = [f"form {m} {form.n} {form.field.p}"]
-    rows = {}  # block -> its row lines, formatted once per distinct block
-    for x, blocks in enumerate(form.blocks, start=1):
-        for y, B in enumerate(blocks, start=1):
-            out.append(f"B {x} {y}")
-            if B not in rows:
-                rows[B] = [" ".join(map(str, row)) for row in B]
-            out += rows[B]
-    return "\n".join(out) + "\n"
+    """Render a BilinearForm in the 1-based text file format: line 1
+    ``form m n p``, then for each pair, row-major, a ``B x y`` line and
+    the n rows of B[x-1][y-1] (see parse_form).  To render many forms,
+    format_forms shares the work across them."""
+    return format_forms([form])[0]
 
 
 def load_form(path, quandle, name=None):

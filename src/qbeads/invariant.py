@@ -30,6 +30,13 @@ merges the classes that share a key.  So the cost past the enumeration
 scales with the classes, not with the leaves times the crossings, and
 BeadCounter.count runs once per distinct key, on one leaf with it.
 
+A form of one block has one key: every X-coloring reads that block at
+every crossing.  That covers every constant family and, by the orbit
+lemma (see the forms module), every valid form on a connected quandle.
+There compute_invariant lists nothing: its one class is the constant
+coloring, an X-coloring as every x > x = x, weighted by the number of
+X-colorings (coloring.counting_invariant).
+
 The oracle and both engines take instead every coloring of
 enumerate_xcolorings with weight 1, keyed by the coloring itself, so
 the engines are compared on each one.  From there one loop serves all
@@ -54,7 +61,13 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Callable
 
-from .coloring import ENGINES, BeadCounter, enumerate_weighted_xcolorings, enumerate_xcolorings
+from .coloring import (
+    ENGINES,
+    BeadCounter,
+    counting_invariant,
+    enumerate_weighted_xcolorings,
+    enumerate_xcolorings,
+)
 from .errors import InputError
 
 
@@ -166,7 +179,11 @@ class InvariantResult:
 def _classes(diagram, quandle, counter):
     """{block key: [an X-coloring with it, the number of X-colorings
     with it]}, from the leaves of enumerate_weighted_xcolorings grouped
-    by the orbits of their components (see the module docstring)."""
+    by the orbits of their components, or, on a form of one block, the
+    one class of the constant coloring (see the module docstring)."""
+    if len(counter.form.bilinear_tables) == 1:
+        f = (0,) * diagram.arc_count
+        return {counter.block_key(f): [f, counting_invariant(diagram, quandle)]}
     orbit = quandle.orbits()
     heads = [component[0] for component in diagram.components]
     by_orbits = {}  # orbit label of each component -> [a leaf, total weight]

@@ -74,8 +74,7 @@ class Quandle:
 
     Construct through from_table (validating) or the named constructors
     below.  table[x][y] is x ▷ y; inv_table[x][y] is x ◁ y, the unique
-    w with w ▷ y = x; op_signed(x, y, sign) reads one or the other by a
-    crossing sign.
+    w with w ▷ y = x.
     """
 
     def __init__(self, table, name=""):
@@ -112,14 +111,6 @@ class Quandle:
     @property
     def elements(self):
         return range(self.order)
-
-    def op_signed(self, x, y, sign):
-        """x ▷ y for sign +1, x ◁ y (the inverse translation) for sign -1."""
-        if sign == 1:
-            return self.table[x][y]
-        if sign == -1:
-            return self.inv_table[x][y]
-        raise InputError(f"crossing sign must be +1 or -1, got {sign!r}")
 
     def orbits(self):
         """Each element's orbit under Inn(X), labelled by its least element.

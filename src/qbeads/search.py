@@ -19,7 +19,11 @@ a matrix's id, in the order of PrimeField.alternating_matrix: id 0 is
 the zero matrix, and the ids follow the lexicographic order of the
 entries read row by row.  A diagonal slot's candidates are
 range(PrimeField.alternating_count(n)), never a list of matrices, and
-a matrix is decoded only for an emitted form.
+a matrix is decoded only for an emitted form.  An emitted form's grid
+is built from rows its search shares: row x reads the slots
+pair_slot[x], and each distinct tuple of ids there is decoded once, so
+a form's grid adds little more than its outer tuple to what run_search
+holds.
 
 Under orbit-constancy the fourth block an axiom instance reads is one
 of the other three: B[x>z][y>z] = B[x][y] in (ii), and B[x>y][z] =
@@ -35,7 +39,10 @@ k(d); a nonzero alternating M has rank at least 2, so every c outside
 ker M has such a d, k is one constant and S = kM.  Conversely S = T =
 kM makes both terms k (Mc)(Mc)^T.  So (ii) holds exactly when M = 0 or
 S = T is in F_p M.  That implies (iii), (a^T M b)(b^T (S - T) c) = 0 at
-the same three slots, so this one rule, read off the ids, decides both.
+the same three slots, so this one rule decides both.  The searcher
+reads it as set membership: S = T and S is in the ids of k M for k in
+F_p (_multiples), which scaling M's base-p digits gives, built once
+per distinct nonzero M the checks read and kept on the searcher.
 
 Only the r^3 representative triples, least elements of their orbits,
 are checked, each as (slot of B[x][y], of B[x][z], of B[y][z]), once
@@ -51,7 +58,10 @@ slot's matrix and adds nothing to the order.
 The guard counts the leaves this search can reach (_space_estimate)
 from the orbit slots alone, and refuses above DEFAULT_SPACE_BOUND
 unless allow_large is set.  It bounds the forms, not the memory
-run_search takes to hold them.
+run_search takes to hold them: swap3 at p=3, n=4 passes it with 534 353
+forms, and `qbeads form-search --format json` on it peaked at 829 MB
+RSS in 8.9 s, most of it the forms' texts (one run, CPython 3.11,
+shared 2-core x86_64 host).
 """
 
 import functools
@@ -126,19 +136,19 @@ def _space_estimate(slots, A, constant_diagonal):
     return A**free * min(2, A) ** (len(slots) - diagonal)
 
 
-def _is_multiple(S, M, p):
-    """Whether the alternating matrix with id S is k times the one with
-    id M != 0, for some k in F_p.  An id's base-p digits are its
-    matrix's upper-triangle entries (PrimeField.alternating_matrix), so
-    this holds digit by digit, whatever order the digits take."""
-    k = None
-    while M or S:
-        (M, m), (S, s) = divmod(M, p), divmod(S, p)
-        if k is None and m:
-            k = s * pow(m, -1, p) % p
-        if s != (m and k * m % p):
-            return False
-    return True
+def _multiples(p, M):
+    """The ids of k*M for k in F_p, M the id of a nonzero alternating
+    matrix.  An id's base-p digits are its matrix's upper-triangle
+    entries (PrimeField.alternating_matrix), so k*M scales each digit
+    mod p."""
+    places = []  # (digit, place value) of each nonzero digit of M
+    place = 1
+    while M:
+        M, digit = divmod(M, p)
+        if digit:
+            places.append((digit, place))
+        place *= p
+    return frozenset(sum(k * digit % p * place for digit, place in places) for k in range(p))
 
 
 class _Searcher:
@@ -151,6 +161,11 @@ class _Searcher:
         # decoded only for an emitted form
         self.alternating = field.alternating_count(n)
         self.matrix = functools.cache(functools.partial(field.alternating_matrix, n))
+        # nonzero id M -> the ids of F_p M, found once per M a check reads
+        self.multiples = functools.cache(functools.partial(_multiples, field.p))
+        # the ids a pair_slot row reads -> its decoded row, which every
+        # emitted form with those ids shares
+        self.rows = {}
 
         self.slots, self.pair_slot = slots, pair_slot
         # slot (O1, O2) -> the slot (O2, O2), assigned first: the diagonal
@@ -173,12 +188,24 @@ class _Searcher:
         """Whether every check passes on the assigned candidates: a
         check (xy, xz, yz) reads M, S and T at those slots, and passes
         exactly when M = 0 or S = T is in F_p M."""
-        p = self.field.p
         for xy, xz, yz in checks:
             M, S = assigned[xy], assigned[xz]
-            if M and (S != assigned[yz] or not _is_multiple(S, M, p)):
+            if M and (S != assigned[yz] or S not in self.multiples(M)):
                 return False
         return True
+
+    def grid(self, assigned):
+        """The blocks of the form the assigned ids make, built from
+        shared rows: row x reads the slots pair_slot[x], and is decoded
+        once per distinct tuple of ids it reads."""
+        grid = []
+        for slots in self.pair_slot:
+            ids = tuple(map(assigned.__getitem__, slots))
+            row = self.rows.get(ids)
+            if row is None:
+                row = self.rows[ids] = tuple(map(self.matrix, ids))
+            grid.append(row)
+        return tuple(grid)
 
     def dfs(self, limit, deadline, status):
         """Yield the valid forms depth first.  path holds an iterator over
@@ -203,8 +230,7 @@ class _Searcher:
                     path.append(iter(self.slot_candidates(k + 1, assigned)))
                     break
                 status.emitted += 1
-                grid = tuple(tuple(self.matrix(assigned[j]) for j in row) for row in self.pair_slot)
-                yield BilinearForm(self.quandle, self.field, self.n, grid)
+                yield BilinearForm(self.quandle, self.field, self.n, self.grid(assigned))
             else:
                 path.pop()
 

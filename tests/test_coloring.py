@@ -26,6 +26,8 @@ from qbeads.forms import constant_form, validate_form, zero_form
 from qbeads.invariant import compute_invariant
 from qbeads.quandle import Quandle, alexander_quandle, trivial_quandle
 
+from quandle_ops import op_signed
+
 DATA = Path(__file__).parent / "data"
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
@@ -91,7 +93,7 @@ def brute_force_colorings(d, q):
         f
         for f in itertools.product(range(q.order), repeat=d.arc_count)
         if all(
-            f[c.under_out] == q.op_signed(f[c.under_in], f[c.over], c.sign)
+            f[c.under_out] == op_signed(q, f[c.under_in], f[c.over], c.sign)
             for c in d.crossings
         )
     ]

@@ -15,7 +15,7 @@ from qbeads.coloring import (
     enumerate_xcolorings,
 )
 from qbeads.diagram import load_diagram
-from qbeads.forms import constant_form, load_form, validate_form
+from qbeads.forms import constant_form, load_form, validate_form, zero_form
 from qbeads.invariant import InvariantPolynomial, compute_invariant
 from qbeads.quandle import alexander_quandle, conjugation_quandle, load_quandle, trivial_quandle
 from qbeads.search import run_search
@@ -242,6 +242,41 @@ def test_class_grouping_matches_full_enumeration(name):
         assert grouped.polynomial == every.polynomial, d.name
         assert grouped.colorings == every.colorings, d.name
         assert grouped.counts == every.counts, d.name
+
+
+ONE_BLOCK_FORMS = {
+    "conjS3-F4": GROUPED_FORMS["conjS3-F4"],
+    "alex52-F4": GROUPED_FORMS["alex52-F4"],
+    "swap3-F9": lambda: bench_form("swap3", "swap3-F9"),
+    "zero-swap3": lambda: zero_form(catalog.load_quandle("swap3"), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", ONE_BLOCK_FORMS)
+def test_one_block_forms_count_once(monkeypatch, name):
+    """Under a form of one block every X-coloring has one block key, so
+    the propagate engine counts once, on the constant coloring, and its
+    polynomial, colorings and counts equal those of the both engine,
+    which counts every coloring, on every diagram."""
+    form = ONE_BLOCK_FORMS[name]()
+    assert len(form.bilinear_tables) == 1
+    calls = []
+    count = BeadCounter.count
+
+    def counted(self, coloring, engine="propagate"):
+        calls.append(coloring)
+        return count(self, coloring, engine)
+
+    for d in diagrams():
+        calls.clear()
+        monkeypatch.setattr(BeadCounter, "count", counted)
+        one = compute_invariant(d, form.quandle, form)
+        monkeypatch.undo()
+        assert calls == [(0,) * d.arc_count], d.name
+        every = compute_invariant(d, form.quandle, form, engine="both")
+        assert one.polynomial == every.polynomial, d.name
+        assert one.colorings == every.colorings, d.name
+        assert one.counts == every.counts, d.name
 
 
 def test_one_bead_count_per_block_key(monkeypatch):

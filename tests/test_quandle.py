@@ -17,7 +17,7 @@ from qbeads.quandle import (
     trivial_quandle,
 )
 
-from quandle_ops import inv_op, op
+from quandle_ops import inv_op, op, op_signed
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
 
@@ -280,5 +280,5 @@ def test_op_signed_and_inverse():
     for x in range(5):
         for y in range(5):
             assert inv_op(q, op(q, x, y), y) == x
-            assert q.op_signed(x, y, 1) == op(q, x, y)
-            assert q.op_signed(x, y, -1) == inv_op(q, x, y)
+            assert op_signed(q, x, y, 1) == op(q, x, y)
+            assert op_signed(q, x, y, -1) == inv_op(q, x, y)

@@ -8,9 +8,15 @@ from hypothesis import given, settings, strategies as st
 import qbeads.forms
 from qbeads.errors import InputError
 from qbeads.field import PrimeField, VectorTables
-from qbeads.forms import axiom_failures, form_violations, zero_form
+from qbeads.forms import axiom_failures, form_violations, format_form, format_forms, parse_form, zero_form
 from qbeads import search
-from qbeads.quandle import Quandle, alexander_quandle, symplectic_quandle, trivial_quandle
+from qbeads.quandle import (
+    Quandle,
+    alexander_quandle,
+    conjugation_quandle,
+    symplectic_quandle,
+    trivial_quandle,
+)
 from qbeads.search import (
     DEFAULT_SPACE_BOUND,
     MODES,
@@ -22,6 +28,7 @@ from qbeads.search import (
 
 from search_oracle import alternating_matrices, naive_space_estimate, reference_search
 from quandle_ops import op
+from test_quandle import sym3
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
 
@@ -348,6 +355,70 @@ def test_closed_forms_agree_with_axiom_failures(p, n):
         assert verdict == (passes("ii", M, S, T) and passes("iii", M, S, T)), (M, S, T)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+MULTIPLE_SIZES = [(3, 3), (5, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("p,n", MULTIPLE_SIZES, ids=[f"p{p}n{n}" for p, n in MULTIPLE_SIZES])
+def test_multiples_are_the_scaled_matrices(p, n):
+    """_multiples(p, M) is the set of ids of k*M, k in F_p, for every
+    nonzero alternating id M, found here by decoding every matrix."""
+    field = PrimeField(p)
+    matrices = alternating_matrices(field, n)
+    ids = {B: k for k, B in enumerate(matrices)}
+    for M, B in enumerate(matrices[1:], start=1):
+        scaled = {ids[tuple(tuple(k * b % p for b in row) for row in B)] for k in range(p)}
+        assert search._multiples(p, M) == scaled, M
+
+
+def test_forms_share_decoded_rows():
+    """grid decodes each block as the alternating matrix of its slot's
+    id, and two grids whose rows read the same slot ids share that row
+    object, within one search's forms as across calls."""
+    q, p, n = QUANDLES["swap3"], 3, 2
+    field = PrimeField(p)
+    slots, pair_slot = search._orbit_slots(q)
+    searcher = search._Searcher(q, field, n, False, slots, pair_slot)
+    rows = {}
+    for assigned in itertools.product(range(field.alternating_count(n)), repeat=len(slots)):
+        grid = searcher.grid(list(assigned))
+        for x, row in enumerate(grid):
+            ids = tuple(assigned[k] for k in pair_slot[x])
+            assert row == tuple(field.alternating_matrix(n, k) for k in ids)
+            assert rows.setdefault(ids, row) is row
+    ids = {field.alternating_matrix(n, k): k for k in range(field.alternating_count(n))}
+    rows = {}
+    forms = run_search(q, p, n).forms
+    for form in forms:
+        for row in form.blocks:
+            assert rows.setdefault(tuple(ids[B] for B in row), row) is row
+    # the forms differ, yet share rows
+    assert len(rows) < len(forms) * q.order
+
+
+TEXT_SEARCHES = {
+    # 17 forms
+    "swap3-p3n2": (lambda: QUANDLES["swap3"], 3, 2),
+    "conjS3-p2n2": (lambda: conjugation_quandle(sym3(), name="conj(S3)"), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_SEARCHES)
+def test_formatting_forms_together_gives_each_its_own_text(name):
+    """format_forms shares one memo of block texts across a search's
+    forms, and gives each form the text format_form gives it alone,
+    which parse_form reads back to the same blocks."""
+    make, p, n = TEXT_SEARCHES[name]
+    q = make()
+    forms = run_search(q, p, n).forms
+    texts = format_forms(forms)
+    assert texts == [format_form(form) for form in forms]
+    assert [parse_form(text, q).blocks for text in texts] == [form.blocks for form in forms]
+    # the memo is keyed by block, not by pair: some pair takes
+    # different blocks in different forms
+    m = q.order
+    assert any(len({form.blocks[x][y] for form in forms}) > 1 for x in range(m) for y in range(m))
 
 
 def test_first_form_of_a_huge_slot_costs_little():

@@ -30,15 +30,21 @@ Each is the median of REPEAT builds in this one process, so it does
 not show peak memory.
 
 The search section times run_search in all mode on swap3 at p=3, n=3,
-conj(S3) at p=2, n=3 and swap3 at p=7, n=2.  Each run is a fresh
-process, so its peak RSS is the search's own (with the interpreter and
-the qbeads imports); a cell is the median of SEARCH_REPEAT runs, or one
-run if the first takes over ONE_SHOT_AFTER seconds.  A cell also
-records the number of forms, the search nodes, the space estimate
-(which the forms may not pass) and the SHA-256 of the list of emitted
-blocks, which is the same exactly when the same forms come out in the
-same order.  After its timing each run re-validates every form it
-emitted with verify_search_output, and fails on any violation.
+conj(S3) at p=2, n=3, swap3 at p=7, n=2, p=2, n=4 and p=5, n=3.  Each
+run is a fresh process, so its peak RSS is the search's own (with the
+interpreter and the qbeads imports); a cell is the median of
+SEARCH_REPEAT runs, or one run if the first takes over ONE_SHOT_AFTER
+seconds.  A cell also records the number of forms, the search nodes,
+the space estimate (which the forms may not pass) and the SHA-256 of
+the list of emitted blocks, which is the same exactly when the same
+forms come out in the same order.  After its timing the first run
+re-validates every form it emitted with verify_search_output, and
+fails on any violation; the later runs must emit the same blocks.
+Each run is followed by one of `qbeads form-search --allow-large
+--format json` on the same search, in a fresh process of its own: the
+cell records the seconds of its cli.main call (the median, as for the
+search), its peak RSS and the SHA-256 of its stdout, which must be the
+same in every run.
 
 Run from the repository root:
 
@@ -51,7 +57,9 @@ other labels already there, so two checkouts can fill one file.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -59,6 +67,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -67,10 +76,10 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tools"))
 
 from gen_catalog import braid_closure, pretzel_link  # noqa: E402
-from qbeads import catalog, compute_invariant, constant_form, trivial_quandle  # noqa: E402
+from qbeads import catalog, cli, compute_invariant, constant_form, trivial_quandle  # noqa: E402
 from qbeads.diagram import import_pd  # noqa: E402
 from qbeads.field import PrimeField, VectorTables  # noqa: E402
-from qbeads.quandle import conjugation_quandle  # noqa: E402
+from qbeads.quandle import conjugation_quandle, format_quandle  # noqa: E402
 from qbeads.search import run_search, verify_search_output  # noqa: E402
 
 # label -> the construction, as called on tools/gen_catalog.py, and the
@@ -84,7 +93,7 @@ REPEAT = 9
 # (p, n) for p^n = 16, 81, 121, 1021 and 1024
 TABLE_SIZES = [(2, 4), (3, 4), (11, 2), (1021, 1), (2, 10)]
 # (quandle, p, n) of the search cells
-SEARCHES = [("swap3", 3, 3), ("conj(S3)", 2, 3), ("swap3", 7, 2)]
+SEARCHES = [("swap3", 3, 3), ("conj(S3)", 2, 3), ("swap3", 7, 2), ("swap3", 2, 4), ("swap3", 5, 3)]
 SEARCH_REPEAT = 3
 ONE_SHOT_AFTER = 10.0
 
@@ -201,11 +210,16 @@ def search_quandle(name):
     return catalog.load_quandle(name)
 
 
-def search_cell(name, p, n):
+def peak_rss_mb():
+    # ru_maxrss is in KiB on Linux
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def search_cell(name, p, n, verify):
     """One timed run_search, in all mode, as a JSON line on stdout; run
-    in a process of its own.  After the timing, and after the peak RSS
-    is read, every form is re-validated (verify_search_output), and any
-    violation fails the cell."""
+    in a process of its own.  With verify, after the timing and after
+    the peak RSS is read, every form is re-validated
+    (verify_search_output), and any violation fails the cell."""
     quandle = search_quandle(name)
     start = time.perf_counter()
     result = run_search(quandle, p, n, allow_large=True)
@@ -213,48 +227,87 @@ def search_cell(name, p, n):
     blocks = repr([form.blocks for form in result.forms]).encode()
     cell = {
         "seconds": round(seconds, 6),
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": peak_rss_mb(),
         "forms": len(result.forms),
         "nodes": result.nodes,
         "space_estimate": result.space_estimate,
         "sha256": hashlib.sha256(blocks).hexdigest(),
     }
-    failures = verify_search_output(result)
+    failures = verify_search_output(result) if verify else []
     if failures:
         sys.exit(f"{name} at p={p}, n={n}: form {failures[0][0]} is invalid: {failures[0][1][0]}")
     print(json.dumps(cell))
 
 
+def cli_cell(quandle_path, p, n):
+    """One timed `qbeads form-search --allow-large --format json`, in
+    all mode, through cli.main with stdout captured; run in a process
+    of its own.  Prints the call's seconds, the process's peak RSS and
+    the SHA-256 of the captured stdout as a JSON line."""
+    argv = ["form-search", quandle_path, "--p", str(p), "--n", str(n), "--allow-large", "--format", "json"]
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    seconds = time.perf_counter() - start
+    if code != 0:
+        sys.exit(f"qbeads {' '.join(argv)} exited {code}")
+    cell = {
+        "seconds": round(seconds, 6),
+        "peak_rss_mb": peak_rss_mb(),
+        "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+    }
+    print(json.dumps(cell))
+
+
+def child(*args, cwd=None):
+    """The JSON line that this script prints when run with args."""
+    argv = [sys.executable, str(Path(__file__).resolve()), *map(str, args)]
+    # stderr is left to show a failed cell's message
+    run = subprocess.run(argv, cwd=cwd, check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(run.stdout)
+
+
 def run_searches():
     cells = []
-    for name, p, n in SEARCHES:
-        runs = []
-        while len(runs) < SEARCH_REPEAT:
-            child = subprocess.run(
-                [sys.executable, __file__, "--search-cell", name, str(p), str(n)],
-                # stderr is left to show a failed cell's message
-                check=True, stdout=subprocess.PIPE, text=True,
-            )
-            runs.append(json.loads(child.stdout))
-            if runs[0]["seconds"] > ONE_SHOT_AFTER:
-                break
-        seconds = sorted(run["seconds"] for run in runs)[len(runs) // 2]
-        outputs = {(run["forms"], run["nodes"], run["space_estimate"], run["sha256"]) for run in runs}
-        assert len(outputs) == 1, f"{name} at p={p}, n={n} gave different forms across runs"
-        assert runs[0]["forms"] <= runs[0]["space_estimate"], f"{name} at p={p}, n={n} passed its estimate"
-        cell = {"quandle": name, "p": p, "n": n, "mode": "all", "seconds": seconds}
-        cell["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
-        cell["one_shot"] = len(runs) == 1
-        cell.update({key: runs[0][key] for key in ("forms", "nodes", "space_estimate", "sha256")})
-        cell["runs"] = [{key: run[key] for key in ("seconds", "peak_rss_mb")} for run in runs]
-        cells.append(cell)
-        print(
-            f"search {name} p={p} n={n}: {seconds:.3f} s, {cell['peak_rss_mb']} MB, "
-            f"{cell['forms']} forms",
-            file=sys.stderr,
-        )
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, p, n in SEARCHES:
+            # the CLI prints the quandle's path, so it is the same in every run
+            quandle_file = f"{name}.quandle"
+            (Path(tmp) / quandle_file).write_text(format_quandle(search_quandle(name)))
+            runs, cli_runs = [], []
+            while len(runs) < SEARCH_REPEAT:
+                runs.append(child("--search-cell", name, p, n, "verify" if not runs else ""))
+                cli_runs.append(child("--cli-cell", quandle_file, p, n, cwd=tmp))
+                if runs[0]["seconds"] > ONE_SHOT_AFTER:
+                    break
+            cells.append(search_cell_record(name, p, n, runs, cli_runs))
     return cells
+
+
+def search_cell_record(name, p, n, runs, cli_runs):
+    """The cell of a search from its runs: medians, the largest peak RSS,
+    and the outputs, which every run must share."""
+    seconds = sorted(run["seconds"] for run in runs)[len(runs) // 2]
+    outputs = {(run["forms"], run["nodes"], run["space_estimate"], run["sha256"]) for run in runs}
+    assert len(outputs) == 1, f"{name} at p={p}, n={n} gave different forms across runs"
+    assert len({run["sha256"] for run in cli_runs}) == 1, f"{name} at p={p}, n={n} printed different outputs"
+    assert runs[0]["forms"] <= runs[0]["space_estimate"], f"{name} at p={p}, n={n} passed its estimate"
+    cell = {"quandle": name, "p": p, "n": n, "mode": "all", "seconds": seconds}
+    cell["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
+    cell["one_shot"] = len(runs) == 1
+    cell.update({key: runs[0][key] for key in ("forms", "nodes", "space_estimate", "sha256")})
+    cell["runs"] = [{key: run[key] for key in ("seconds", "peak_rss_mb")} for run in runs]
+    cell["cli_seconds"] = sorted(run["seconds"] for run in cli_runs)[len(cli_runs) // 2]
+    cell["cli_peak_rss_mb"] = max(run["peak_rss_mb"] for run in cli_runs)
+    cell["cli_sha256"] = cli_runs[0]["sha256"]
+    cell["cli_runs"] = [{key: run[key] for key in ("seconds", "peak_rss_mb")} for run in cli_runs]
+    print(
+        f"search {name} p={p} n={n}: {seconds:.3f} s, {cell['peak_rss_mb']} MB, "
+        f"{cell['forms']} forms; CLI {cell['cli_seconds']:.3f} s, {cell['cli_peak_rss_mb']} MB",
+        file=sys.stderr,
+    )
+    return cell
 
 
 SECTIONS = {
@@ -267,8 +320,11 @@ SECTIONS = {
 
 def main():
     if sys.argv[1:2] == ["--search-cell"]:
-        name, p, n = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
-        search_cell(name, p, n)
+        name, p, n, verify = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5]
+        search_cell(name, p, n, bool(verify))
+        return
+    if sys.argv[1:2] == ["--cli-cell"]:
+        cli_cell(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
         return
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
