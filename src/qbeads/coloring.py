@@ -80,6 +80,12 @@ either keeps the count exact.  Listing solutions, or any limit other
 than 0, runs every seed value with weight 1, so the listing and its
 order do not depend on H.
 
+A bare count reads the coloring only through its block key, the block
+id at each crossing (BeadCounter.block_key): the key fixes every
+crossing's step tables and the set of blocks H must keep.  So
+BeadCounter.count_key counts from the key alone, and count keys a
+coloring, after checking it, and calls count_key.
+
 X-colorings reduce the same way under Inn(X), the group generated by
 the right translations x -> x > y.  Each of its elements g is an
 automorphism of X, so g o f is an X-coloring whenever f is, and the
@@ -101,6 +107,8 @@ no plan, no inverse table and no isometries.  It is kept as the
 independent reference: "both" runs the two engines and raises on any
 mismatch, so it checks the reduced count on every coloring.
 """
+
+from functools import cached_property
 
 from .errors import InputError, QBeadsError
 from .forms import BilinearForm
@@ -339,7 +347,10 @@ class BeadCounter:
     (block_key): the step-table pair of each crossing is one subscript
     of form.step_pairs by that crossing's block id and sign, and a bare
     count's seed orbits are form.seed_orbits of the key's set of ids.
-    So colorings with one block key have one count.
+    So colorings with one block key have one count, count_key(key),
+    which compute_invariant calls once per key of the colorings it
+    enumerated.  count and solutions, which take a coloring from the
+    caller, check that it is an X-coloring under every engine.
     """
 
     def __init__(self, diagram, quandle, form):
@@ -353,11 +364,17 @@ class BeadCounter:
         self.vectors = form.vector_tables.vectors
         self.reads = [(c.under_in, c.over) for c in diagram.crossings]
         self.signs = [c.sign for c in diagram.crossings]
-        # each crossing's arcs and the quandle table its sign reads
-        # forward, for _check_coloring
-        self.crossing_checks = [
+
+    @cached_property
+    def crossing_checks(self):
+        """Each crossing's arcs and the quandle table its sign reads
+        forward, for _check_coloring; built on its first check, so a
+        counter that counts only by key never builds it."""
+        return [
             (c.under_in, c.over, c.under_out, forward)
-            for c, (forward, _) in zip(diagram.crossings, _quandle_tables(diagram, quandle))
+            for c, (forward, _) in zip(
+                self.diagram.crossings, _quandle_tables(self.diagram, self.quandle)
+            )
         ]
 
     def _check_coloring(self, coloring):
@@ -461,18 +478,40 @@ class BeadCounter:
         sols.sort()
         return count, sols if limit is None else sols[:limit]
 
+    def _step_tables(self, key):
+        """Each crossing's (forward, inverse) step-table pair under the
+        block key key."""
+        return list(map(self.form.step_pairs.__getitem__, zip(key, self.signs)))
+
+    def count_key(self, key):
+        """Number of bead colorings over every X-coloring whose block
+        key is key (see block_key).
+
+        Runs the diagram's plan over the step tables of the key, the
+        first two seeds over the weighted orbits of the isometries of
+        the blocks in it (form.seed_orbits).  No coloring is read, so
+        nothing is validated but the key's length and, through
+        seed_orbits, its ids: compute_invariant passes the keys of the
+        colorings its plan enumerated, and count validates the coloring
+        it takes before it keys it.
+        """
+        if len(key) != len(self.signs):
+            raise InputError(f"block key has {len(key)} ids for {len(self.signs)} crossings")
+        orbits = self.form.seed_orbits(frozenset(key))
+        tables = self._step_tables(key)
+        return _run_plan(self.diagram, len(self.vectors), tables, 0, orbits)[0]
+
     def _count_propagate(self, coloring, limit):
         """Run the diagram's plan over the step tables of the coloring's
         block key.
 
-        A bare count (limit 0) runs the first two seeds over the
-        weighted orbits of the isometries of the blocks in the key; a
-        listing runs every value, so it lists every solution.
+        A bare count (limit 0) is count_key of the key; a listing runs
+        every value, so it lists every solution.
         """
         key = self.block_key(coloring)
-        tables = list(map(self.form.step_pairs.__getitem__, zip(key, self.signs)))
-        orbits = self.form.seed_orbits(frozenset(key)) if limit == 0 else None
-        return _run_plan(self.diagram, len(self.vectors), tables, limit, orbits)
+        if limit == 0:
+            return self.count_key(key), []
+        return _run_plan(self.diagram, len(self.vectors), self._step_tables(key), limit)
 
 
 def sweep_order(diagram):

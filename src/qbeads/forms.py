@@ -152,10 +152,16 @@ class BilinearForm:
         H-orbit, H the group isometries(ids) generates; second[v] lists
         (w, |Stab_H(v) w|) the same way for the stabiliser of v
         (quandle.weighted_orbits).  Built on first use and kept, one
-        per distinct ids.
+        per distinct ids, which are checked on that first use.
         """
         orbits = self._seed_orbits.get(ids)
         if orbits is None:
+            unknown = ids - frozenset(range(len(self.bilinear_tables)))
+            if unknown:
+                raise InputError(
+                    f"block ids {sorted(map(repr, unknown))} are not among this "
+                    f"form's {len(self.bilinear_tables)} blocks"
+                )
             size = len(self.vector_tables.vectors)
             orbits = self._seed_orbits[ids] = weighted_orbits(self.isometries(ids), size)
         return orbits
@@ -253,7 +259,7 @@ def axiom_failures(kind, Txy, Txz, Tyz, Tout, vector_tables):
                     yield a, b, c, left, right
 
 
-def form_violations(quandle, blocks, field, n, cap=20):
+def form_violations(quandle, blocks, field, n, cap=20, memo=None):
     """Check axioms (i) to (iii) exactly; return violation strings.
 
     Axiom (i) is checked on every vector, (ii) and (iii) on the unit
@@ -268,6 +274,14 @@ def form_violations(quandle, blocks, field, n, cap=20):
     (default 20) and appends a single summary line with the total
     count of failures found instead.  Element ids are 0-based,
     vectors are written out explicitly.
+
+    memo, when given, is a dict that calls with the same field, n and
+    cap share, from (kind, the four matrices) to that tuple's kept
+    failures and their total.  A tuple the call has not decided itself
+    is looked up there before it is decided, so a list of forms
+    (search.verify_search_output) decides each tuple once for all of
+    them.  A failure depends only on the four matrices, so the strings
+    are those of a call without memo.
     """
     m = quandle.order
     if len(blocks) != m or any(len(row) != m for row in blocks):
@@ -277,32 +291,47 @@ def form_violations(quandle, blocks, field, n, cap=20):
     vectors = vector_tables.vectors
     ids = {}
     block_ids = [[ids.setdefault(B, len(ids)) for B in row] for row in blocks]
-    tables = [vector_tables.bilinear_table(B) for B in ids]
+    matrices = list(ids)  # block id -> matrix
+    tables = {}  # block id -> bilinear table, built on first read
+
+    def table(i):
+        if i not in tables:
+            tables[i] = vector_tables.bilinear_table(matrices[i])
+        return tables[i]
 
     violations = []
     total = 0
 
     for x in range(m):
         if not field.is_alternating(blocks[x][x]):
-            table = tables[block_ids[x][x]]
+            diagonal = table(block_ids[x][x])
             for i, a in enumerate(vectors):
-                if table[i][i] != 0:
+                if diagonal[i][i] != 0:
                     total += 1
                     if len(violations) < cap:
                         violations.append(
-                            f"axiom (i) fails at x={x}, a={a}: [a,a] = {table[i][i]}"
+                            f"axiom (i) fails at x={x}, a={a}: [a,a] = {diagonal[i][i]}"
                         )
+
+    def decide(key):
+        kept, count = [], 0
+        for failure in axiom_failures(key[0], *map(table, key[1:]), vector_tables):
+            count += 1
+            if count <= cap:
+                kept.append(failure)
+        return kept, count
 
     decided = {}  # (kind, four block ids) -> (first cap failures, their total)
     instances = itertools.product(AXIOM_KINDS, range(m), range(m), range(m))
     for (kind, x, y, z), key in zip(instances, axiom_reads(quandle, range(m), block_ids)):
         if key not in decided:
-            kept, count = [], 0
-            for failure in axiom_failures(kind, *(tables[i] for i in key[1:]), vector_tables):
-                count += 1
-                if count <= cap:
-                    kept.append(failure)
-            decided[key] = kept, count
+            if memo is None:
+                decided[key] = decide(key)
+            else:
+                shared = (kind, *(matrices[i] for i in key[1:]))
+                if shared not in memo:
+                    memo[shared] = decide(key)
+                decided[key] = memo[shared]
         kept, count = decided[key]
         total += count
         for a, b, c, left, right in kept:

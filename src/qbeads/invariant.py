@@ -26,25 +26,29 @@ a leaf whose first two seeds are v and w stands for |Hv| * |Stab_H(v) w|
 colorings.  It groups the leaves by the orbit label of one arc per
 component, so the weights of a class add up to its number of
 colorings; maps each class to the block key of one of its leaves; and
-merges the classes that share a key.  So the cost past the enumeration
-scales with the classes, not with the leaves times the crossings, and
-BeadCounter.count runs once per distinct key, on one leaf with it.
+merges the classes that share a key.  Each distinct key is then
+counted once from the key itself, BeadCounter.count_key, so the cost
+past the enumeration scales with the classes, not with the leaves
+times the crossings.  The leaves are the plan's own X-colorings, so
+none is checked as a coloring or keyed a second time; the public
+entries that take a coloring from a caller (BeadCounter.count and
+.solutions, count_beads, bead_solutions) check it, under every engine.
 
-A form of one block has one key: every X-coloring reads that block at
-every crossing.  That covers every constant family and, by the orbit
-lemma (see the forms module), every valid form on a connected quandle.
-There compute_invariant lists nothing: its one class is the constant
-coloring, an X-coloring as every x > x = x, weighted by the number of
-X-colorings (coloring.counting_invariant).
+A form of one block has one key: every X-coloring reads that block,
+id 0, at every crossing.  That covers every constant family and, by
+the orbit lemma (see the forms module), every valid form on a
+connected quandle.  There compute_invariant lists nothing: its one
+class is that key, weighted by the number of X-colorings
+(coloring.counting_invariant).
 
 The oracle and both engines take instead every coloring of
-enumerate_xcolorings with weight 1, keyed by the coloring itself, so
-the engines are compared on each one.  From there one loop serves all
-three: it counts each key once and adds its count to the polynomial
-with the key's total weight as multiplicity.  InvariantResult.colorings
-and .counts list every coloring and its count, in sorted order,
-computed on first read from enumerate_xcolorings and the per-key
-counts.
+enumerate_xcolorings with weight 1, keyed by the coloring itself, and
+count it through BeadCounter.count, so each is checked and the engines
+are compared on each one.  From there one loop serves all three: it
+counts each key once and adds its count to the polynomial with the
+key's total weight as multiplicity.  InvariantResult.colorings and
+.counts list every coloring and its count, in sorted order, computed
+on first read from enumerate_xcolorings and the per-key counts.
 
 Each of those counts runs the first two seeds up to the isometries of
 the blocks the coloring reads: a linear g with g^T B g = B for each of
@@ -58,7 +62,7 @@ per-coloring counts are those of a full enumeration.
 
 import time
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from .coloring import (
@@ -177,13 +181,12 @@ class InvariantResult:
 
 
 def _classes(diagram, quandle, counter):
-    """{block key: [an X-coloring with it, the number of X-colorings
-    with it]}, from the leaves of enumerate_weighted_xcolorings grouped
-    by the orbits of their components, or, on a form of one block, the
-    one class of the constant coloring (see the module docstring)."""
+    """{block key: the number of X-colorings with it}, from the leaves
+    of enumerate_weighted_xcolorings grouped by the orbits of their
+    components, or, on a form of one block, the one key every
+    X-coloring has (see the module docstring)."""
     if len(counter.form.bilinear_tables) == 1:
-        f = (0,) * diagram.arc_count
-        return {counter.block_key(f): [f, counting_invariant(diagram, quandle)]}
+        return {(0,) * len(diagram.crossings): counting_invariant(diagram, quandle)}
     orbit = quandle.orbits()
     heads = [component[0] for component in diagram.components]
     by_orbits = {}  # orbit label of each component -> [a leaf, total weight]
@@ -191,7 +194,8 @@ def _classes(diagram, quandle, counter):
         by_orbits.setdefault(tuple([orbit[f[a]] for a in heads]), [f, 0])[1] += weight
     classes = {}
     for f, weight in by_orbits.values():
-        classes.setdefault(counter.block_key(f), [f, 0])[1] += weight
+        key = counter.block_key(f)
+        classes[key] = classes.get(key, 0) + weight
     return classes
 
 
@@ -208,15 +212,17 @@ def compute_invariant(diagram, quandle, form, engine="propagate"):
     start = time.monotonic()
     counter = BeadCounter(diagram, quandle, form)
     if engine == "propagate":
-        classes = _classes(diagram, quandle, counter)
+        weights = _classes(diagram, quandle, counter)
+        count = counter.count_key
         key = counter.block_key
     else:
-        classes = {f: [f, 1] for f in enumerate_xcolorings(diagram, quandle)}
+        weights = dict.fromkeys(enumerate_xcolorings(diagram, quandle), 1)
+        count = partial(counter.count, engine=engine)
         key = tuple  # a coloring is a tuple, so this returns it as is
     poly = InvariantPolynomial()
     counts = {}
-    for k, (f, weight) in classes.items():
-        counts[k] = counter.count(f, engine=engine)
+    for k, weight in weights.items():
+        counts[k] = count(k)
         poly.add_exponent(counts[k], weight)
 
     def listing():

@@ -299,11 +299,15 @@ def verify_search_output(result):
     every block tuple, while the search decides both by one closed-form
     rule on matrix ids, so this re-checks that rule as well as how
     leaves are assembled; the tests compare axiom_failures with a
-    brute-force sweep over all vector triples.
+    brute-force sweep over all vector triples.  The forms share one
+    form_violations memo per field and n, so each (kind, four matrices)
+    tuple is decided once for all of them.
     """
     failures = []
+    memos = {}  # (field, n) -> form_violations memo
     for i, form in enumerate(result.forms):
-        violations = form_violations(form.quandle, form.blocks, form.field, form.n)
+        memo = memos.setdefault((form.field, form.n), {})
+        violations = form_violations(form.quandle, form.blocks, form.field, form.n, memo=memo)
         if violations:
             failures.append((i, violations))
     return failures

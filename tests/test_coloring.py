@@ -9,6 +9,7 @@ import qbeads.diagram
 import qbeads.invariant
 from qbeads import catalog
 from qbeads.coloring import (
+    ENGINES,
     BeadCounter,
     _quandle_tables,
     _solve,
@@ -239,6 +240,31 @@ def test_solution_listing_and_limit(swap3):
     assert bead_solutions(HOPF, swap3, form, (0, 0), limit=0) == []
 
 
+@pytest.mark.parametrize("form_name", ["swap3-partial", "swap3-full"])
+def test_solutions_come_in_seed_order(form_name):
+    """The propagate engine lists bead colorings in lexicographic order
+    of the values of the seeds, taken in ascending arc order, and a
+    limit keeps the first limit of that order.  The oracle's listing
+    is the reference set.  The catalog links' seeds skip arcs, so this
+    order differs from the oracle's arc order."""
+    form = catalog.load_form(form_name)
+    q = form.quandle
+    index = {v: i for i, v in enumerate(form.vector_tables.vectors)}
+    reordered = 0
+    for d in [HOPF] + [catalog.link_diagram(name) for name in ("L6a4", "L6n1", "L7a2")]:
+        seeds = seed_arcs(d)
+        assert seeds == sorted(seeds) == [seed for seed, _ in d.plan]
+        for f in enumerate_xcolorings(d, q):
+            every = bead_solutions(d, q, form, f, engine="oracle")
+            expected = sorted(every, key=lambda s: [index[s[a]] for a in seeds])
+            reordered += expected != every
+            assert bead_solutions(d, q, form, f) == expected, (d.name, f)
+            for limit in (0, 1, 2, len(expected) // 2, len(expected), len(expected) + 1):
+                listed = bead_solutions(d, q, form, f, limit=limit)
+                assert listed == expected[:limit], (d.name, f, limit)
+    assert reordered
+
+
 def test_solutions_satisfy_the_step_equations(swap3):
     form = validate_form(swap3, FULL, 2, 2)
     coloring = (2, 2)
@@ -261,6 +287,38 @@ def test_rejects_non_coloring(swap3):
         for engine in ("propagate", "both"):
             with pytest.raises(InputError):
                 counter.count(coloring, engine=engine)
+
+
+def test_every_public_entry_rejects_non_colorings(swap3):
+    form = validate_form(swap3, PARTIAL, 2, 2)
+    counter = BeadCounter(HOPF, swap3, form)
+    entries = [
+        lambda f, engine: count_beads(HOPF, swap3, form, f, engine=engine),
+        lambda f, engine: bead_solutions(HOPF, swap3, form, f, engine=engine),
+        lambda f, engine: counter.count(f, engine=engine),
+        lambda f, engine: counter.solutions(f, engine=engine),
+        lambda f, engine: counter.solutions(f, engine=engine, limit=1),
+    ]
+    # not an X-coloring, too short, too long, out of range, not an int
+    for coloring in [(0, 2), (0,), (0, 0, 0), (0, 5), (-1, -1), (0, 1.0)]:
+        for entry in entries:
+            for engine in ENGINES:
+                with pytest.raises(InputError):
+                    entry(coloring, engine)
+
+
+def test_count_key_is_the_count_of_its_colorings(swap3):
+    form = validate_form(swap3, FULL, 2, 2)
+    d = catalog.link_diagram("L6a4")
+    counter = BeadCounter(d, swap3, form)
+    for f in enumerate_xcolorings(d, swap3):
+        assert counter.count_key(counter.block_key(f)) == counter.count(f)
+    crossings = len(d.crossings)
+    for key in [(0,) * (crossings - 1), (0,) * (crossings + 1), (-1,) * crossings]:
+        with pytest.raises(InputError):
+            counter.count_key(key)
+    with pytest.raises(InputError):
+        counter.count_key((0,) * (crossings - 1) + (len(form.bilinear_tables),))
 
 
 def test_rejects_unvalidated_form(swap3):

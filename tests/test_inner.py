@@ -252,27 +252,48 @@ ONE_BLOCK_FORMS = {
 }
 
 
+def test_propagate_checks_no_coloring_it_enumerated(monkeypatch):
+    """compute_invariant counts the colorings its own plan enumerated
+    by their keys, so the propagate engine checks none of them, while
+    the both engine checks every coloring it counts."""
+    form = catalog.load_form("swap3-partial")
+    d = load_diagram(LADDER / "T44.diagram")
+    checked = []
+    check = BeadCounter._check_coloring
+
+    def spied(self, coloring):
+        checked.append(coloring)
+        return check(self, coloring)
+
+    monkeypatch.setattr(BeadCounter, "_check_coloring", spied)
+    compute_invariant(d, form.quandle, form)
+    assert checked == []
+    every = compute_invariant(d, form.quandle, form, engine="both")
+    assert checked == every.colorings
+
+
 @pytest.mark.parametrize("name", ONE_BLOCK_FORMS)
 def test_one_block_forms_count_once(monkeypatch, name):
     """Under a form of one block every X-coloring has one block key, so
-    the propagate engine counts once, on the constant coloring, and its
-    polynomial, colorings and counts equal those of the both engine,
-    which counts every coloring, on every diagram."""
+    the propagate engine counts once, on the key of the constant
+    coloring, and its polynomial, colorings and counts equal those of
+    the both engine, which counts every coloring, on every diagram."""
     form = ONE_BLOCK_FORMS[name]()
     assert len(form.bilinear_tables) == 1
     calls = []
-    count = BeadCounter.count
+    count_key = BeadCounter.count_key
 
-    def counted(self, coloring, engine="propagate"):
-        calls.append(coloring)
-        return count(self, coloring, engine)
+    def counted(self, key):
+        calls.append(key)
+        return count_key(self, key)
 
     for d in diagrams():
         calls.clear()
-        monkeypatch.setattr(BeadCounter, "count", counted)
+        monkeypatch.setattr(BeadCounter, "count_key", counted)
         one = compute_invariant(d, form.quandle, form)
         monkeypatch.undo()
-        assert calls == [(0,) * d.arc_count], d.name
+        constant = BeadCounter(d, form.quandle, form).block_key((0,) * d.arc_count)
+        assert calls == [constant] == [(0,) * len(d.crossings)], d.name
         every = compute_invariant(d, form.quandle, form, engine="both")
         assert one.polynomial == every.polynomial, d.name
         assert one.colorings == every.colorings, d.name
@@ -284,15 +305,18 @@ def test_one_bead_count_per_block_key(monkeypatch):
     d = load_diagram(LADDER / "T44.diagram")
     assert len(d.components) == 4
     calls = []
-    count = BeadCounter.count
+    count_key = BeadCounter.count_key
 
-    def counted(self, coloring, engine="propagate"):
-        calls.append(coloring)
-        return count(self, coloring, engine)
+    def counted(self, key):
+        calls.append(key)
+        return count_key(self, key)
 
-    monkeypatch.setattr(BeadCounter, "count", counted)
+    monkeypatch.setattr(BeadCounter, "count_key", counted)
     result = compute_invariant(d, form.quandle, form)
     counter = BeadCounter(d, form.quandle, form)
     keys = {counter.block_key(f) for f in result.colorings}
     assert len(calls) == len(keys) == 8
-    assert {counter.block_key(f) for f in calls} == keys
+    assert set(calls) == keys
+    # the keys counted are the class keys, each counted once
+    classes = qbeads.invariant._classes(d, form.quandle, counter)
+    assert calls == list(classes)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import qbeads.forms
 from qbeads.errors import InputError
 from qbeads.field import PrimeField, VectorTables
-from qbeads.forms import axiom_failures, form_violations, format_form, format_forms, parse_form, zero_form
+from qbeads.forms import BilinearForm, axiom_failures, form_violations, format_form, format_forms, parse_form, zero_form
 from qbeads import search
 from qbeads.quandle import (
     Quandle,
@@ -59,6 +60,38 @@ def test_every_emitted_form_is_valid():
     for f in res.forms:
         assert form_violations(q, f.blocks, field, 2) == []
     assert verify_search_output(res) == []
+
+
+@pytest.mark.parametrize(
+    "quandle, p, n",
+    [
+        (Quandle.from_table(SWAP3, name="swap3"), 3, 2),
+        (conjugation_quandle(sym3(), name="conj(S3)"), 2, 2),
+    ],
+    ids=["swap3-p3n2", "conjS3-p2n2"],
+)
+def test_verifying_a_search_equals_checking_each_form(quandle, p, n):
+    """verify_search_output decides each (kind, four matrices) tuple
+    once for all the forms; with one entry of every other form
+    mutated, its report equals form_violations run on each form alone,
+    witness and summary lines included."""
+    rng = random.Random(7)
+    field = PrimeField(p)
+    forms = run_search(quandle, p, n).forms
+    m = quandle.order
+    for i in range(0, len(forms), 2):
+        blocks = [list(row) for row in forms[i].blocks]
+        x, y = rng.randrange(m), rng.randrange(m)
+        blocks[x][y] = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+        blocks = tuple(map(tuple, blocks))
+        forms[i] = BilinearForm(quandle, field, n, blocks)
+    alone = [(i, form_violations(quandle, f.blocks, field, n)) for i, f in enumerate(forms)]
+    alone = [(i, v) for i, v in alone if v]
+    assert verify_search_output(SearchResult(forms=forms)) == alone
+    lines = [line for _, v in alone for line in v]
+    assert any(line.startswith("axiom (i) ") for line in lines)
+    assert any(line.startswith("axiom (ii) ") for line in lines)
+    assert any(line.startswith("... and ") for line in lines)
 
 
 def test_zero_form_is_always_found():
