@@ -41,23 +41,17 @@ A run reads one (forward, inverse) table pair per crossing: quandle
 tables for X-colorings, the form's step tables for beads (the
 "propagate" engine).
 
-A plan runs in one of two tiers.  _solve interprets it, one stage per
-seed and a loop over the seed's steps for every value.
-Every run charges its work to the diagram, one unit per seed value
-tried with its steps.  Once a diagram's work passes COMPILE_AFTER,
-_run_plan compiles the plan into one generated function of nested for
-loops with a line per step (compile_plan, a partial evaluation of
-_solve on that plan) and keeps it as LinkDiagram.kernel; the run that
-passed the bound starts again on it, and every later run on the
-diagram calls it.  A kernel returns what _solve returns: the same
-count, the same solutions in the same order, the same weights under
-the same limit.  COMPILE_AFTER is the time of one compile over
-_solve's time per unit, so a plan that stays cold, as in a batch over
-freshly loaded catalog diagrams, never pays for a compile, and a hot
-one pays about as much for it as it has spent interpreting.  A plan of
-more than MAX_KERNEL_SEEDS seeds stays with _solve, as a kernel would
-nest more blocks than CPython compiles.  _solve stays for cold plans
-and as the reference that the kernels are tested against.
+Every run calls LinkDiagram.kernel, the plan compiled into one
+generated function with a nested for loop per seed and a line per step
+(diagram.compile_plan).  A diagram compiles it on its first run, and
+plans with the same source text share one function, compiled once per
+process, so a diagram loaded again compiles nothing.  Its solutions
+come in lexicographic order of the seed values, seeds in ascending arc
+order, so the seeds, not the arc order, fix the order of
+bead_solutions; enumerate_xcolorings sorts its result.  The
+interpreter that a kernel unrolls, one stage per seed and a loop over
+the seed's steps, is kept in tests/plan_reference.py as the reference the
+kernels are tested against.
 
 A bare bead count runs its first two seeds only up to symmetry.  Let g
 be linear with g^T B g = B for every block B the coloring reads (the
@@ -115,191 +109,6 @@ from .forms import BilinearForm
 
 ENGINES = ("oracle", "propagate", "both")
 
-# _run_plan compiles a diagram's plan once _solve has done this many
-# units of work on it (see _solve).  One compile_plan of a catalog or
-# benchmark plan took 360-530 us in the median, and _solve took
-# 0.85-1.04 us per unit over the invariant ladder's items, a ratio of
-# 420-510 (CPython 3.11, shared 2-core x86_64 host)
-COMPILE_AFTER = 500
-
-# CPython refuses more than 20 statically nested blocks, and a kernel
-# nests one for loop per seed
-MAX_KERNEL_SEEDS = 20
-
-
-class _OverBudget(Exception):
-    """_solve's work passed its budget."""
-
-
-def _solve(plan, size, tables, limit, orbits=None, budget=float("inf")):
-    """Run a plan over values 0..size-1; return (count, solutions, work).
-
-    tables[i] is the (forward, inverse) pair of crossing i, indexed
-    [source][over].  Solutions come in lexicographic order of the seed
-    values, taken in plan order (ascending seed arcs for
-    LinkDiagram.plan), the first `limit` of them (all when limit is
-    None).  So the seeds, not the arc order, fix the order of
-    bead_solutions; enumerate_xcolorings sorts its result.  The arcs a
-    seed's steps write are fixed, so its next value just overwrites
-    them: nothing is undone.
-
-    orbits, when given, is (first, second) as quandle.weighted_orbits
-    returns it: the first seed runs over the (value, weight) pairs of
-    first, the second over those of second[first seed's value], each
-    solution counts the product of its weights and is listed as
-    (values, weight).  Without it every value has weight 1.
-
-    work counts the seed values tried, each with its steps, charged
-    once per stage visit: the measure COMPILE_AFTER is set in.  Once it
-    passes budget the run stops and raises _OverBudget.
-    """
-    stages = [
-        (
-            seed,
-            [
-                (target, source, over, tables[i][kind == "backward"], kind == "check")
-                for kind, i, target, source, over in steps
-            ],
-        )
-        for seed, steps in plan
-    ]
-    # every arc is a seed or the target of one derive step
-    values = [0] * sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
-    # each stage's (value, weight) pairs; None reads second
-    pairs = [[(v, 1) for v in range(size)]] * len(stages)
-    if orbits is not None:
-        first, second = orbits
-        pairs[:2] = [first, None]
-        first_seed = stages[0][0]
-    count = work = 0
-    sols = []
-    # weights[d]: the product of the weights of the values of seeds 0..d-1
-    weights = [1] * (len(stages) + 1)
-    # path holds an iterator over the untried pairs of each stage entered:
-    # a loop, not a call per seed, so no plan passes the recursion limit
-    path = []
-    depth = 0
-    while depth >= 0:
-        if depth == len(path):
-            if depth == len(stages):
-                count += weights[depth]
-                if limit is None or len(sols) < limit:
-                    sols.append(tuple(values) if orbits is None else (tuple(values), weights[depth]))
-                depth -= 1
-                continue
-            tried = pairs[depth] or second[values[first_seed]]
-            work += len(tried)
-            if work > budget:
-                raise _OverBudget
-            path.append(iter(tried))
-        seed, steps = stages[depth]
-        for v, k in path[depth]:
-            values[seed] = v
-            for target, source, over, table, check in steps:
-                w = table[values[source]][values[over]]
-                if not check:
-                    values[target] = w
-                elif values[target] != w:
-                    break
-            else:
-                weights[depth + 1] = weights[depth] * k
-                depth += 1
-                break
-        else:
-            path.pop()
-            depth -= 1
-    return count, sols, work
-
-
-def kernel_source(plan):
-    """The source of compile_plan's kernel for a plan.
-
-    Each seed gets one for loop, nested in plan order, and each step
-    one line: an assignment for a derive step, an if and continue for a
-    check.  Arcs are locals a<arc> and each crossing's table is bound
-    once, as t<crossing>.  Only the first two seeds carry weights.  The
-    text is built from int() of the plan's numbers and fixed names
-    alone, so nothing in a diagram can add to it.
-    """
-    arcs = sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
-    lines = ["def kernel(size, tables, limit, orbits):"]
-    lines += [
-        f"    t{int(i)} = tables[{int(i)}][{int(kind == 'backward')}]"
-        for _, steps in plan
-        for kind, i, *_ in steps
-    ]
-    lines += [
-        "    every = range(size)",
-        "    if orbits is None:",
-        "        first = [(v, 1) for v in every]",
-        "        second = [first] * size",
-        "    else:",
-        "        first, second = orbits",
-        "    count = 0",
-        "    sols = []",
-    ]
-    for depth, (seed, steps) in enumerate(plan):
-        pad = "    " * (depth + 1)
-        if depth == 0:
-            lines.append(f"{pad}for a{int(seed)}, k0 in first:")
-        elif depth == 1:
-            lines.append(f"{pad}for a{int(seed)}, k1 in second[a{int(plan[0][0])}]:")
-        else:
-            lines.append(f"{pad}for a{int(seed)} in every:")
-        pad += "    "
-        for kind, i, target, source, over in steps:
-            value = f"t{int(i)}[a{int(source)}][a{int(over)}]"
-            if kind == "check":
-                lines += [f"{pad}if a{int(target)} != {value}:", f"{pad}    continue"]
-            else:
-                lines.append(f"{pad}a{int(target)} = {value}")
-        if depth == 1:
-            lines.append(f"{pad}w = k0 * k1")
-    pad = "    " * (len(plan) + 1)
-    weight = ("1", "k0", "w")[min(len(plan), 2)]
-    solution = "(" + "".join(f"a{a}," for a in range(arcs)) + ")"
-    lines += [
-        f"{pad}count += {weight}",
-        f"{pad}if limit is None or len(sols) < limit:",
-        f"{pad}    sols.append({solution} if orbits is None else ({solution}, {weight}))",
-        "    return count, sols",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def compile_plan(plan):
-    """The plan as one generated function, kernel(size, tables, limit,
-    orbits), which returns what _solve returns for the same arguments,
-    less the work (see kernel_source)."""
-    namespace = {}
-    exec(compile(kernel_source(plan), "<plan kernel>", "exec"), namespace)
-    return namespace["kernel"]
-
-
-def _run_plan(diagram, size, tables, limit, orbits=None):
-    """(count, solutions) of diagram.plan, as _solve finds them.
-
-    Runs diagram.kernel once there is one.  Until then runs _solve and
-    charges its work to diagram.plan_work.  The run in which that work
-    passes COMPILE_AFTER stops there, compiles the plan into
-    diagram.kernel and starts again on it, so it wastes at most about
-    one compile's worth of interpreting.  A plan of more than
-    MAX_KERNEL_SEEDS seeds is never compiled.
-    """
-    plan = diagram.plan
-    if diagram.kernel is None:
-        budget = float("inf")
-        if len(plan) <= MAX_KERNEL_SEEDS:
-            budget = COMPILE_AFTER - diagram.plan_work
-        try:
-            count, sols, work = _solve(plan, size, tables, limit, orbits, budget)
-        except _OverBudget:
-            diagram.kernel = compile_plan(plan)
-        else:
-            diagram.plan_work += work
-            return count, sols
-    return diagram.kernel(size, tables, limit, orbits)
-
 
 def _quandle_tables(diagram, quandle):
     """Each crossing's (forward, inverse) pair of quandle tables, as
@@ -315,7 +124,7 @@ def enumerate_xcolorings(diagram, quandle):
     and its inverse, forward and backward as the crossing sign demands.
     """
     tables = _quandle_tables(diagram, quandle)
-    return sorted(_run_plan(diagram, quandle.order, tables, None)[1])
+    return sorted(diagram.kernel(quandle.order, tables, None, None)[1])
 
 
 def enumerate_weighted_xcolorings(diagram, quandle):
@@ -329,14 +138,14 @@ def enumerate_weighted_xcolorings(diagram, quandle):
     number of X-colorings.  Listed in the plan's order.
     """
     tables = _quandle_tables(diagram, quandle)
-    return _run_plan(diagram, quandle.order, tables, None, quandle.inner_orbits)[1]
+    return diagram.kernel(quandle.order, tables, None, quandle.inner_orbits)[1]
 
 
 def counting_invariant(diagram, quandle):
     """Number of X-colorings of the diagram: the weights of
     enumerate_weighted_xcolorings added up, without listing them."""
     tables = _quandle_tables(diagram, quandle)
-    return _run_plan(diagram, quandle.order, tables, 0, quandle.inner_orbits)[0]
+    return diagram.kernel(quandle.order, tables, 0, quandle.inner_orbits)[0]
 
 
 class BeadCounter:
@@ -499,7 +308,7 @@ class BeadCounter:
             raise InputError(f"block key has {len(key)} ids for {len(self.signs)} crossings")
         orbits = self.form.seed_orbits(frozenset(key))
         tables = self._step_tables(key)
-        return _run_plan(self.diagram, len(self.vectors), tables, 0, orbits)[0]
+        return self.diagram.kernel(len(self.vectors), tables, 0, orbits)[0]
 
     def _count_propagate(self, coloring, limit):
         """Run the diagram's plan over the step tables of the coloring's
@@ -511,7 +320,7 @@ class BeadCounter:
         key = self.block_key(coloring)
         if limit == 0:
             return self.count_key(key), []
-        return _run_plan(self.diagram, len(self.vectors), self._step_tables(key), limit)
+        return self.diagram.kernel(len(self.vectors), self._step_tables(key), limit, None)
 
 
 def sweep_order(diagram):

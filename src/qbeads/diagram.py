@@ -1,4 +1,5 @@
-"""Oriented link diagrams as arcs and crossings, plus PD import.
+"""Oriented link diagrams as arcs and crossings, their propagation plans
+and the plans' compiled kernels, plus PD import.
 
 An arc is a maximal strand segment between consecutive underpasses; a
 component with no underpass at all is a single closed arc.  A crossing
@@ -26,7 +27,7 @@ they replace the inferred sign labels crossing by crossing.
 import re
 import shlex
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 
 from .errors import InputError
@@ -55,10 +56,6 @@ class LinkDiagram:
         )
         self.components = tuple(tuple(comp) for comp in components)
         self.meta = dict(meta or {})
-        # the work coloring._run_plan has interpreted on plan, and the
-        # plan compiled by coloring.compile_plan once that work is large
-        self.plan_work = 0
-        self.kernel = None
 
     def __repr__(self):
         return (
@@ -89,6 +86,11 @@ class LinkDiagram:
     def plan(self):
         """The propagation plan, built on first use: see propagation_plan."""
         return propagation_plan(self)
+
+    @cached_property
+    def kernel(self):
+        """The plan compiled, on first use: see compile_plan."""
+        return compile_plan(self.plan)
 
     def validate(self):
         problems = validate_diagram(self)
@@ -328,6 +330,148 @@ def propagation_plan(diagram):
                     stack.append(step[2])
         plan.append((seed, steps))
     return plan
+
+
+# -- compiled plan ----------------------------------------------------
+
+# CPython compiles at most 20 statically nested blocks in one function,
+# and a kernel nests one for loop per seed: the kernel runs at most this
+# many seeds itself and hands the deeper ones to sibling functions
+MAX_KERNEL_SEEDS = 20
+
+# compile_kernel keeps this many kernels, by source text.  A batch that
+# loads its diagrams afresh each time, like the benchmark's catalog
+# batch (18 links on 8 labellings, 144 distinct plans a pass), cycles
+# through its plans, and a least-recently-used cache smaller than the
+# cycle never hits
+KERNEL_CACHE_SIZE = 256
+
+
+def _known_arcs(plan, start):
+    """The arcs the seeds plan[:start] fix, in ascending order."""
+    return sorted(
+        int(a)
+        for seed, steps in plan[:start]
+        for a in [seed] + [target for kind, _, target, *_ in steps if kind != "check"]
+    )
+
+
+def _loops(plan, start, stop, indent):
+    """The source lines of the nested for loops of seeds plan[start:stop],
+    the first indented by indent levels, and the padding of their body."""
+    lines = []
+    for depth in range(start, stop):
+        seed, steps = plan[depth]
+        pad = "    " * (indent + depth - start)
+        if depth == 0:
+            lines.append(f"{pad}for a{int(seed)}, k0 in first:")
+        elif depth == 1:
+            lines.append(f"{pad}for a{int(seed)}, k1 in second[a{int(plan[0][0])}]:")
+        else:
+            lines.append(f"{pad}for a{int(seed)} in every:")
+        pad += "    "
+        for kind, i, target, source, over in steps:
+            value = f"t{int(i)}[a{int(source)}][a{int(over)}]"
+            if kind == "check":
+                lines += [f"{pad}if a{int(target)} != {value}:", f"{pad}    continue"]
+            else:
+                lines.append(f"{pad}a{int(target)} = {value}")
+        if depth == 1:
+            lines.append(f"{pad}w = k0 * k1")
+    return lines, "    " * (indent + stop - start)
+
+
+def kernel_source(plan):
+    """The source of compile_plan's kernel for a plan.
+
+    Each seed gets one for loop, nested in plan order, and each step
+    one line: an assignment for a derive step, an if and continue for a
+    check.  Arcs are locals a<arc> and each crossing's table is bound
+    once, as t<crossing>.  Only the first two seeds carry weights.  The
+    kernel nests the loops of the first MAX_KERNEL_SEEDS seeds; each
+    further run of at most MAX_KERNEL_SEEDS seeds goes to a function
+    part<k> defined in the kernel, which takes the arcs fixed so far and
+    the weight, and returns its count.  The parts are siblings, each
+    calling the next from its innermost loop, so no function nests more
+    loops, or more indentation, than CPython compiles.  The text is
+    built from int() of the plan's numbers and fixed names alone, so
+    nothing in a diagram can add to it.
+    """
+    arcs = sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
+    # the first seed of each part, and where each run of loops ends
+    starts = list(range(MAX_KERNEL_SEEDS, len(plan), MAX_KERNEL_SEEDS))
+    ends = starts + [len(plan)]
+    lines = ["def kernel(size, tables, limit, orbits):"]
+    lines += [
+        f"    t{int(i)} = tables[{int(i)}][{int(kind == 'backward')}]"
+        for _, steps in plan
+        for kind, i, *_ in steps
+    ]
+    lines += [
+        "    every = range(size)",
+        "    if orbits is None:",
+        "        first = [(v, 1) for v in every]",
+        "        second = [first] * size",
+        "    else:",
+        "        first, second = orbits",
+        "    count = 0",
+        "    sols = []",
+    ]
+    weight = ("1", "k0", "w")[min(len(plan), 2)]
+    solution = "(" + "".join(f"a{a}," for a in range(arcs)) + ")"
+    # the parameters of each part: the arcs fixed before it, and the weight
+    params = ["".join(f"a{a}, " for a in _known_arcs(plan, start)) + "w" for start in starts]
+
+    def innermost(k, pad):
+        """The body of the innermost loop of run k (0 for the kernel's
+        own): a call of the next part, or, after the last seed, the
+        solution counted and listed."""
+        if k < len(starts):
+            return [f"{pad}count += part{k + 1}({params[k]})"]
+        return [
+            f"{pad}count += {weight}",
+            f"{pad}if limit is None or len(sols) < limit:",
+            f"{pad}    sols.append({solution} if orbits is None else ({solution}, {weight}))",
+        ]
+
+    for k, start in enumerate(starts, 1):
+        body, pad = _loops(plan, start, ends[k], 2)
+        lines += [f"    def part{k}({params[k - 1]}):", "        count = 0", *body]
+        lines += innermost(k, pad) + ["        return count"]
+    body, pad = _loops(plan, 0, ends[0], 1)
+    lines += body + innermost(0, pad)
+    lines.append("    return count, sols")
+    return "\n".join(lines) + "\n"
+
+
+def compile_plan(plan):
+    """The plan as one generated function (see kernel_source):
+    kernel(size, tables, limit, orbits) -> (count, solutions).
+
+    It runs the plan over the values 0..size-1.  tables[i] is the
+    (forward, inverse) pair of crossing i, indexed [source][over].
+    Solutions come in lexicographic order of the seed values, taken in
+    plan order (ascending seed arcs for LinkDiagram.plan), the first
+    limit of them (all when limit is None).
+
+    orbits, when given, is (first, second) as quandle.weighted_orbits
+    returns it: the first seed runs over the (value, weight) pairs of
+    first, the second over those of second[first seed's value], each
+    solution counts the product of its weights and is listed as
+    (values, weight).  Without it every value has weight 1.
+
+    Plans with the same source share one function (compile_kernel).
+    """
+    return compile_kernel(kernel_source(plan))
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def compile_kernel(source):
+    """The function that kernel_source's text defines, compiled once
+    per process for each text (up to KERNEL_CACHE_SIZE of them)."""
+    namespace = {}
+    exec(compile(source, "<plan kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 # -- text file format -------------------------------------------------

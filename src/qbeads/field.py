@@ -79,14 +79,6 @@ class PrimeField:
 
     # -- vectors ------------------------------------------------------
 
-    def vec_add(self, u, v):
-        if len(u) != len(v):
-            raise InputError(f"vector length mismatch: {len(u)} vs {len(v)}")
-        return tuple((a + b) % self.p for a, b in zip(u, v))
-
-    def scalar_mul(self, s, v):
-        return tuple((s * a) % self.p for a in v)
-
     def all_vectors(self, n):
         """All p^n vectors in lexicographic order, (0,...,0) first.
 
@@ -141,15 +133,6 @@ class PrimeField:
         per free upper-triangle entry, so the ids alternating_matrix
         takes are range(alternating_count(n))."""
         return self.p ** (n * (n - 1) // 2)
-
-    def bilinear_eval(self, B, u, v):
-        """u^T B v mod p for row vectors u, v."""
-        total = 0
-        for i, ui in enumerate(u):
-            if ui:
-                row = B[i]
-                total += ui * sum(row[j] * vj for j, vj in enumerate(v))
-        return total % self.p
 
     def is_alternating(self, B):
         """Zero diagonal and B^T = -B.

@@ -15,6 +15,7 @@ import functools
 from qbeads.errors import InputError
 from qbeads.forms import axiom_failures
 
+from field_ops import bilinear_eval, scalar_mul, vec_add
 from quandle_ops import op
 
 
@@ -30,7 +31,7 @@ def brute_force_violations(quandle, blocks, field, n):
     blocks = tuple(tuple(field.check_matrix(B, n) for B in row) for row in blocks)
     vectors = field.all_vectors(n)
     # memoised for speed only: the sweep evaluates each (B, u, v) many times
-    ev = functools.lru_cache(maxsize=None)(field.bilinear_eval)
+    ev = functools.lru_cache(maxsize=None)(functools.partial(bilinear_eval, field))
     violations = []
 
     for x in range(m):
@@ -50,8 +51,8 @@ def brute_force_violations(quandle, blocks, field, n):
                     for b in vectors:
                         for c in vectors:
                             left = ev(Bxy, a, b)
-                            a2 = field.vec_add(a, field.scalar_mul(ev(Bxz, a, c), c))
-                            b2 = field.vec_add(b, field.scalar_mul(ev(Byz, b, c), c))
+                            a2 = vec_add(field, a, scalar_mul(field, ev(Bxz, a, c), c))
+                            b2 = vec_add(field, b, scalar_mul(field, ev(Byz, b, c), c))
                             right = ev(Bxz_yz, a2, b2)
                             if left != right:
                                 violations.append(
@@ -90,7 +91,7 @@ def per_instance_violations(quandle, blocks, field, n, cap=20):
     blocks = tuple(tuple(field.check_matrix(B, n) for B in row) for row in blocks)
     vector_tables = field.vector_tables(n)
     vectors = vector_tables.vectors
-    ev = field.bilinear_eval
+    ev = functools.partial(bilinear_eval, field)
 
     violations = []
     total = 0

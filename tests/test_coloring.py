@@ -1,10 +1,11 @@
+import gc
 import itertools
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-import qbeads.coloring
 import qbeads.diagram
 import qbeads.invariant
 from qbeads import catalog
@@ -12,21 +13,29 @@ from qbeads.coloring import (
     ENGINES,
     BeadCounter,
     _quandle_tables,
-    _solve,
     bead_solutions,
-    compile_plan,
     count_beads,
     counting_invariant,
     enumerate_xcolorings,
-    kernel_source,
     sweep_order,
 )
-from qbeads.diagram import Crossing, LinkDiagram, import_pd, load_diagram, seed_arcs
+from qbeads.diagram import (
+    MAX_KERNEL_SEEDS,
+    Crossing,
+    LinkDiagram,
+    compile_plan,
+    import_pd,
+    kernel_source,
+    load_diagram,
+    seed_arcs,
+)
 from qbeads.errors import InputError, QBeadsError
 from qbeads.forms import constant_form, validate_form, zero_form
 from qbeads.invariant import compute_invariant
 from qbeads.quandle import Quandle, alexander_quandle, trivial_quandle
 
+from field_ops import bilinear_eval, scalar_mul, vec_add
+from plan_reference import solve
 from quandle_ops import op_signed
 
 DATA = Path(__file__).parent / "data"
@@ -272,8 +281,8 @@ def test_solutions_satisfy_the_step_equations(swap3):
         for c in HOPF.crossings:
             a, b = sol[c.under_in], sol[c.over]
             block = form.blocks[coloring[c.under_in]][coloring[c.over]]
-            lam = form.field.bilinear_eval(block, a, b)
-            stepped = form.field.vec_add(a, form.field.scalar_mul(lam, b))
+            lam = bilinear_eval(form.field, block, a, b)
+            stepped = vec_add(form.field, a, scalar_mul(form.field, lam, b))
             assert sol[c.under_out] == stepped
 
 
@@ -440,9 +449,10 @@ def test_oracle_sweeps_diagrams_deeper_than_the_recursion_limit(swap3):
 
 
 def test_plans_with_more_seeds_than_the_recursion_limit():
-    # 300 free loops are 300 seeds, past MAX_KERNEL_SEEDS, so _solve runs
-    # them all: a call per seed would pass the limit.  At n = 0 each seed
-    # takes one bead value, and a larger n would enumerate p^(300n) leaves
+    # 300 free loops are 300 seeds: the kernel runs the first
+    # MAX_KERNEL_SEEDS and chains the rest through 14 parts, so the
+    # kernel's calls stay far below the limit.  At n = 0 each seed takes
+    # one bead value, and a larger n would enumerate p^(300n) leaves
     q = trivial_quandle(1)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
@@ -494,7 +504,7 @@ def test_plan_is_built_once_per_diagram(monkeypatch, swap3):
     assert built == ["L6a4"]
 
 
-# -- the compiled tier ------------------------------------------------
+# -- the compiled plan ------------------------------------------------
 
 BENCH_DIAGRAMS = Path(__file__).parent.parent / "perfbench" / "data" / "diagrams"
 
@@ -508,7 +518,7 @@ def every_diagram():
 def assert_kernel_is_solve(kernel, plan, size, tables, orbits, where):
     for limit in (0, 3, None):
         for weights in (None, orbits):
-            expected = _solve(plan, size, tables, limit, weights)[:2]
+            expected = solve(plan, size, tables, limit, weights)
             assert kernel(size, tables, limit, weights) == expected, (where, limit, weights is None)
 
 
@@ -536,47 +546,66 @@ def test_kernel_returns_what_solve_returns():
                 assert_kernel_is_solve(kernel, d.plan, size, tables, orbits, (d.name, form.name, f))
 
 
-def test_a_hot_plan_is_compiled_and_gives_the_same_results(monkeypatch, swap3):
-    forms = [constant_form(swap3, 3, 2, [[0, 1], [2, 0]]), validate_form(swap3, FULL, 2, 2)]
-
-    def results(d):
-        invariants = [compute_invariant(d, swap3, form) for form in forms]
-        listed = enumerate_xcolorings(d, swap3)
-        counter = BeadCounter(d, swap3, forms[0])
-        return (
-            [(r.polynomial, r.colorings, r.counts) for r in invariants],
-            listed,
-            [counter.solutions(f, limit=5) for f in listed],
-        )
-
-    monkeypatch.setattr(qbeads.coloring, "COMPILE_AFTER", float("inf"))
-    cold = catalog.link_diagram("L6a4")
-    interpreted = results(cold)
-    assert cold.kernel is None
-    # each budget runs out inside some run, which starts again on the kernel
-    for budget in (0, 10, cold.plan_work // 2):
-        monkeypatch.setattr(qbeads.coloring, "COMPILE_AFTER", budget)
-        hot = catalog.link_diagram("L6a4")
-        assert results(hot) == interpreted, budget
-        assert hot.kernel is not None
-
-
 def free_loops(n):
     """The unlink of n components drawn as n free loops: n seeds."""
     return LinkDiagram(f"O{n}", n, [], [[a] for a in range(n)]).validate()
 
 
-def test_plans_too_deep_for_a_kernel_stay_interpreted(monkeypatch):
-    monkeypatch.setattr(qbeads.coloring, "COMPILE_AFTER", 0)
-    deepest = free_loops(qbeads.coloring.MAX_KERNEL_SEEDS)
-    assert counting_invariant(deepest, trivial_quandle(1)) == 1
-    assert deepest.kernel is not None
-    # one more for loop is more statically nested blocks than CPython allows
-    with pytest.raises(SyntaxError, match="nested blocks"):
-        compile_plan(free_loops(qbeads.coloring.MAX_KERNEL_SEEDS + 1).plan)
-    deep = free_loops(qbeads.coloring.MAX_KERNEL_SEEDS + 1)
-    assert counting_invariant(deep, trivial_quandle(1)) == 1
-    assert deep.kernel is None
+def clasp_chain(n):
+    """n components, with a seed at arc a of component a: components 0, 1
+    and n - 1 are free loops, and for 2 <= a <= n - 2 component a is the
+    arcs a and n + a - 2, each passing under arc a + 1 into the other.
+    So seed a + 1 derives arc n + a - 2 and checks the other crossing,
+    and every part of a deep kernel takes derived arcs as well as seeds."""
+    crossings, components = [], [[0], [1]]
+    for a in range(2, n - 1):
+        b = n + a - 2
+        crossings += [Crossing(1, a, a + 1, b), Crossing(1, b, a + 1, a)]
+        components.append([a, b])
+    return LinkDiagram(f"C{n}", 2 * n - 3, crossings, components + [[n - 1]]).validate()
+
+
+def test_the_kernel_runs_plans_of_every_depth():
+    """Plans past MAX_KERNEL_SEEDS run on chained parts, with the
+    reference's counts, solutions, order, weights and limits.  At size 2
+    n free loops have 2^n solutions, too many to list, so that size runs
+    on clasp chains instead: with the table (a, b) -> a xor b at one
+    crossing of each clasp and (a, b) -> a at the other, arcs 3 to n - 1
+    must be 0, which leaves 8 solutions."""
+    one = ([(0, 3)], [[(0, 2)]])
+    two = ([(0, 2), (1, 1)], [[(0, 1), (1, 3)], [(1, 2)]])
+    xor, keep = [[0, 1], [1, 0]], [[0, 0], [1, 1]]
+    cases = [(free_loops(n), 1, one, []) for n in (19, 20, 21, 40, 41, 300)]
+    cases += [(clasp_chain(n), 2, two, [(xor, xor), (keep, keep)] * (n - 3)) for n in (19, 20, 21, 40, 41)]
+    for d, size, orbits, tables in cases:
+        assert [seed for seed, _ in d.plan] == list(range(len(d.components)))
+        assert_kernel_is_solve(d.kernel, d.plan, size, tables, orbits, (d.name, size))
+    chain = clasp_chain(41)
+    assert chain.kernel(2, [(xor, xor), (keep, keep)] * 38, None, None)[0] == 8
+
+
+def test_loads_of_one_link_share_one_kernel():
+    first, second = catalog.link_diagram("L6a4"), catalog.link_diagram("L6a4")
+    assert first is not second
+    assert first.kernel is second.kernel
+
+
+def test_the_kernel_cache_holds_no_diagram(swap3):
+    d = catalog.link_diagram("L7n1")
+    alive = weakref.ref(d)
+    result = compute_invariant(d, swap3, validate_form(swap3, FULL, 2, 2))
+    del d, result
+    gc.collect()
+    assert alive() is None
+
+
+def test_plans_of_at_most_max_kernel_seeds_have_no_parts():
+    """So their kernels keep every name a fast local, with no closure."""
+    for d in every_diagram() + [free_loops(n) for n in range(1, MAX_KERNEL_SEEDS + 1)]:
+        assert len(d.plan) <= MAX_KERNEL_SEEDS
+        assert "def part" not in kernel_source(d.plan), d.name
+    deeper = kernel_source(free_loops(2 * MAX_KERNEL_SEEDS + 1).plan)
+    assert deeper.count("def part") == 2
 
 
 class Hostile(int):
@@ -599,4 +628,4 @@ def test_kernel_source_reads_no_text_from_the_diagram(swap3):
     assert any(isinstance(a, Hostile) for _, steps in hostile.plan for _, _, *arcs in steps for a in arcs)
     assert kernel_source(hostile.plan) == kernel_source(d.plan)
     tables = _quandle_tables(d, swap3)
-    assert compile_plan(hostile.plan)(3, tables, None, None) == _solve(d.plan, 3, tables, None)[:2]
+    assert compile_plan(hostile.plan)(3, tables, None, None) == solve(d.plan, 3, tables, None)

@@ -5,6 +5,7 @@ from qbeads.errors import InputError
 import qbeads.field
 from qbeads.field import MAX_VECTORS, PrimeField, VectorTables, is_prime
 
+from field_ops import bilinear_eval, scalar_mul, vec_add
 from search_oracle import all_matrices, alternating_matrices
 
 # a 19-digit prime: trial division would take about 10^9 steps
@@ -62,17 +63,17 @@ def test_all_vectors_is_lexicographic():
 
 def test_vector_arithmetic():
     f = PrimeField(3)
-    assert f.vec_add((1, 2), (2, 2)) == (0, 1)
-    assert f.scalar_mul(2, (1, 2)) == (2, 1)
+    assert vec_add(f, (1, 2), (2, 2)) == (0, 1)
+    assert scalar_mul(f, 2, (1, 2)) == (2, 1)
 
 
 def test_bilinear_eval():
     f = PrimeField(2)
     S = ((0, 1), (1, 0))
     # u^T S v = u1*v2 + u2*v1
-    assert f.bilinear_eval(S, (1, 0), (0, 1)) == 1
-    assert f.bilinear_eval(S, (1, 0), (1, 0)) == 0
-    assert f.bilinear_eval(S, (1, 1), (1, 1)) == 0
+    assert bilinear_eval(f, S, (1, 0), (0, 1)) == 1
+    assert bilinear_eval(f, S, (1, 0), (1, 0)) == 0
+    assert bilinear_eval(f, S, (1, 1), (1, 1)) == 0
 
 
 def test_alternating_detection():
@@ -91,7 +92,7 @@ def test_alternating_matches_vanishing_quadratic():
     # structural test; checked exhaustively over all 2x2 matrices mod 2
     f = PrimeField(2)
     for B in all_matrices(f, 2):
-        vanishes = all(f.bilinear_eval(B, v, v) == 0 for v in f.all_vectors(2))
+        vanishes = all(bilinear_eval(f, B, v, v) == 0 for v in f.all_vectors(2))
         assert f.is_alternating(B) == vanishes
 
 
@@ -135,10 +136,10 @@ def test_vector_tables(p, n):
     assert all(sum(a * p ** (n - 1 - k) for k, a in enumerate(v)) == i for i, v in enumerate(vs))
     for i, u in enumerate(vs):
         for j, v in enumerate(vs):
-            assert vs[t.vadd[i][j]] == f.vec_add(u, v)
+            assert vs[t.vadd[i][j]] == vec_add(f, u, v)
             assert t.dot[i][j] == sum(a * b for a, b in zip(u, v)) % p
     for s in range(p):
-        assert [vs[k] for k in t.smul[s]] == [f.scalar_mul(s, v) for v in vs]
+        assert [vs[k] for k in t.smul[s]] == [scalar_mul(f, s, v) for v in vs]
     units = sorted((0,) * k + (1,) + (0,) * (n - k - 1) for k in range(n))
     assert [vs[k] for k in t.units] == units
     assert t.units == sorted(t.units)
@@ -155,4 +156,4 @@ def test_bilinear_table_matches_eval(data):
     )
     t = VectorTables(f, n)
     table = t.bilinear_table(B)
-    assert table == [[f.bilinear_eval(B, u, v) for v in t.vectors] for u in t.vectors]
+    assert table == [[bilinear_eval(f, B, u, v) for v in t.vectors] for u in t.vectors]

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from qbeads.forms import (
 )
 from qbeads.quandle import Quandle, trivial_quandle
 
+from field_ops import bilinear_eval, scalar_mul, vec_add
 from quandle_ops import op
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
@@ -46,7 +48,7 @@ def test_zero_and_constant(swap3):
 
 def test_eval_and_table(swap3):
     f = validate_form(swap3, PARTIAL, 2, 2)
-    ev = f.field.bilinear_eval
+    ev = partial(bilinear_eval, f.field)
     assert ev(f.blocks[0][1], (1, 0), (0, 1)) == 1
     assert ev(f.blocks[2][2], (1, 0), (0, 1)) == 0
     t = f.eval_table()
@@ -119,9 +121,9 @@ def test_translation_identity(x, y, ui, vi):
     f = validate_form(q, FULL, 2, 2)
     vs = f.field.all_vectors(2)
     a, b = vs[ui], vs[vi]
-    lam = f.field.bilinear_eval(f.blocks[x][y], a, b)
-    a2 = f.field.vec_add(a, f.field.scalar_mul(lam, b))
-    assert f.field.bilinear_eval(f.blocks[op(q, x, y)][y], a2, b) == lam
+    lam = bilinear_eval(f.field, f.blocks[x][y], a, b)
+    a2 = vec_add(f.field, a, scalar_mul(f.field, lam, b))
+    assert bilinear_eval(f.field, f.blocks[op(q, x, y)][y], a2, b) == lam
 
 
 def test_parse_format_round_trip(swap3):

@@ -9,14 +9,16 @@ import pytest
 import qbeads.field
 import qbeads.forms
 from qbeads import catalog
-from qbeads.coloring import BeadCounter, _solve, bead_solutions, enumerate_xcolorings
+from qbeads.coloring import BeadCounter, bead_solutions, enumerate_xcolorings
 from qbeads.diagram import import_pd, load_diagram
 from qbeads.field import PrimeField
 from qbeads.forms import constant_form, zero_form
 from qbeads.invariant import compute_invariant
 from qbeads.quandle import conjugation_quandle, weighted_orbits
 
+from field_ops import bilinear_eval
 from group_listing import closure, listed_weighted_orbits
+from plan_reference import solve
 from search_oracle import all_matrices
 from test_quandle import sym3
 
@@ -31,7 +33,8 @@ def diagrams():
 
 
 def unreduced_count(counter, f):
-    """_solve over every value of every seed, each of weight 1."""
+    """The reference solver over every value of every seed, each of
+    weight 1."""
     form = counter.form
     tables = [
         (
@@ -40,7 +43,7 @@ def unreduced_count(counter, f):
         )
         for c in counter.diagram.crossings
     ]
-    return _solve(counter.diagram.plan, len(counter.vectors), tables, 0)[0]
+    return solve(counter.diagram.plan, len(counter.vectors), tables, 0)[0]
 
 
 def assert_counts_exact(quandle, form, diagrams, oracle_arcs=None):
@@ -101,8 +104,8 @@ def brute_force_isometries(field, n, blocks):
         if len(set(image)) < len(vectors):
             continue
         if all(
-            field.bilinear_eval(B, vectors[image[u]], vectors[image[v]])
-            == field.bilinear_eval(B, vectors[u], vectors[v])
+            bilinear_eval(field, B, vectors[image[u]], vectors[image[v]])
+            == bilinear_eval(field, B, vectors[u], vectors[v])
             for B in blocks
             for u in range(len(vectors))
             for v in range(len(vectors))

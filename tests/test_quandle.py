@@ -17,6 +17,7 @@ from qbeads.quandle import (
     trivial_quandle,
 )
 
+from field_ops import bilinear_eval, scalar_mul, vec_add
 from quandle_ops import inv_op, op, op_signed
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
@@ -187,7 +188,7 @@ def test_symplectic_quandle_is_the_tuple_definition(p, n):
     f = PrimeField(p)
     vs = f.all_vectors(n)
     expected = tuple(
-        tuple(vs.index(f.vec_add(x, f.scalar_mul(f.bilinear_eval(S, x, y), y))) for y in vs)
+        tuple(vs.index(vec_add(f, x, scalar_mul(f, bilinear_eval(f, S, x, y), y))) for y in vs)
         for x in vs
     )
     assert symplectic_quandle(p, n, S).table == expected

@@ -12,10 +12,11 @@ on the diagonal at p = 3, n = 4 for p^n = 81:
 
 Each cell is the median of REPEAT compute_invariant calls, each on a
 freshly built diagram and a freshly validated form, as a one-shot
-`qbeads invariant` runs it: each call includes the diagram's plan, the
-interpreted runs and the compile of its kernel (see the coloring
-module), the isometry group and its seed orbits, but not the vector
-tables.
+`qbeads invariant` runs it: each call includes the diagram's plan,
+its kernel, the isometry group and its seed orbits, but not the vector
+tables.  Kernels are kept by their source text (see
+diagram.compile_plan), so the fresh diagrams of one construction share
+one kernel, compiled on the first call in the process.
 
 The hard case times BilinearForm.isometries, and then seed_orbits,
 which builds the isometries and their weighted orbits, the same way
@@ -45,6 +46,15 @@ Each run is followed by one of `qbeads form-search --allow-large
 cell records the seconds of its cli.main call (the median, as for the
 search), its peak RSS and the SHA-256 of its stdout, which must be the
 same in every run.
+
+The batch section runs `qbeads batch --quandle swap3 --form swap3-full
+--format json` BATCH_REPEAT times, each in a fresh process, so every
+run pays the imports' first calls, the catalog reads and the compile of
+every kernel, as a one-shot command does: the cost a benchmark's median
+pass over a warm process does not see.  The cell records the median
+seconds of the cli.main call, the largest peak RSS and the SHA-256 of
+stdout with its "elapsed" fields removed, which must be the same in
+every run.
 
 Run from the repository root:
 
@@ -96,6 +106,8 @@ TABLE_SIZES = [(2, 4), (3, 4), (11, 2), (1021, 1), (2, 10)]
 SEARCHES = [("swap3", 3, 3), ("conj(S3)", 2, 3), ("swap3", 7, 2), ("swap3", 2, 4), ("swap3", 5, 3)]
 SEARCH_REPEAT = 3
 ONE_SHOT_AFTER = 10.0
+BATCH_ARGV = ["batch", "--quandle", "swap3", "--form", "swap3-full", "--format", "json"]
+BATCH_REPEAT = 9
 
 
 def timed(build, run):
@@ -211,7 +223,15 @@ def search_quandle(name):
 
 
 def peak_rss_mb():
-    # ru_maxrss is in KiB on Linux
+    """This process's peak RSS.  Linux keeps ru_maxrss across exec, so a
+    cell process started by a larger one would read the larger one's
+    peak; VmHWM in /proc/self/status is the cell's own.  Both are in
+    KiB."""
+    status = Path("/proc/self/status")
+    if status.is_file():
+        for line in status.read_text().splitlines():
+            if line.startswith("VmHWM:"):
+                return round(int(line.split()[1]) / 1024, 1)
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
@@ -239,12 +259,10 @@ def search_cell(name, p, n, verify):
     print(json.dumps(cell))
 
 
-def cli_cell(quandle_path, p, n):
-    """One timed `qbeads form-search --allow-large --format json`, in
-    all mode, through cli.main with stdout captured; run in a process
-    of its own.  Prints the call's seconds, the process's peak RSS and
-    the SHA-256 of the captured stdout as a JSON line."""
-    argv = ["form-search", quandle_path, "--p", str(p), "--n", str(n), "--allow-large", "--format", "json"]
+def cli_line(argv, output=lambda text: text):
+    """Run cli.main(argv) with stdout captured, and print its seconds,
+    the process's peak RSS and the SHA-256 of output(stdout) as a JSON
+    line; exit on a nonzero exit code."""
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
@@ -255,9 +273,31 @@ def cli_cell(quandle_path, p, n):
     cell = {
         "seconds": round(seconds, 6),
         "peak_rss_mb": peak_rss_mb(),
-        "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "sha256": hashlib.sha256(output(out.getvalue()).encode()).hexdigest(),
     }
     print(json.dumps(cell))
+
+
+def cli_cell(quandle_path, p, n):
+    """One timed `qbeads form-search --allow-large --format json`, in
+    all mode, through cli.main; run in a process of its own."""
+    argv = ["form-search", quandle_path, "--p", str(p), "--n", str(n), "--allow-large", "--format", "json"]
+    cli_line(argv)
+
+
+def without_elapsed(value):
+    """A JSON value with every "elapsed" field dropped, at any depth."""
+    if isinstance(value, dict):
+        return {k: without_elapsed(v) for k, v in value.items() if k != "elapsed"}
+    if isinstance(value, list):
+        return [without_elapsed(v) for v in value]
+    return value
+
+
+def batch_cell():
+    """One timed BATCH_ARGV through cli.main, hashed without its elapsed
+    fields; run in a fresh process of its own."""
+    cli_line(BATCH_ARGV, lambda text: json.dumps(without_elapsed(json.loads(text))))
 
 
 def child(*args, cwd=None):
@@ -310,11 +350,23 @@ def search_cell_record(name, p, n, runs, cli_runs):
     return cell
 
 
+def run_batch():
+    runs = [child("--batch-cell") for _ in range(BATCH_REPEAT)]
+    assert len({run["sha256"] for run in runs}) == 1, "the batch printed different outputs"
+    cell = {"argv": BATCH_ARGV, "seconds": sorted(run["seconds"] for run in runs)[BATCH_REPEAT // 2]}
+    cell["peak_rss_mb"] = max(run["peak_rss_mb"] for run in runs)
+    cell["sha256"] = runs[0]["sha256"]
+    cell["runs"] = [{key: run[key] for key in ("seconds", "peak_rss_mb")} for run in runs]
+    print(f"one-shot batch: {cell['seconds'] * 1000:.1f} ms, {cell['peak_rss_mb']} MB", file=sys.stderr)
+    return cell
+
+
 SECTIONS = {
     "rungs": run_rungs,
     "hard_case": run_hard_case,
     "tables": run_tables,
     "search": run_searches,
+    "batch": run_batch,
 }
 
 
@@ -325,6 +377,9 @@ def main():
         return
     if sys.argv[1:2] == ["--cli-cell"]:
         cli_cell(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
+        return
+    if sys.argv[1:2] == ["--batch-cell"]:
+        batch_cell()
         return
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
