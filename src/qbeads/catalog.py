@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from .diagram import load_diagram
-from .errors import InputError
+from .errors import InputError, read_text
 from .forms import parse_form
 from .invariant import InvariantPolynomial
 from .quandle import load_quandle as _load_quandle_file
@@ -76,7 +76,7 @@ def _read_form(name):
         raise InputError(
             f"unknown catalog form {name!r}; available: {', '.join(list_forms())}"
         )
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     m = re.search(r"^#\s*quandle\s*:\s*(\S+)", text, re.MULTILINE)
     if not m:
         raise InputError(f"form file {path} lacks a '# quandle: <id>' comment")
@@ -101,11 +101,14 @@ def expected_table(form_name):
     path = catalog_root() / "expected" / f"{form_name}.json"
     if not path.is_file():
         return None
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return {
-        link: InvariantPolynomial.from_term_list(terms)
-        for link, terms in data["expected"].items()
-    }
+    text = read_text(path)
+    try:
+        return {
+            link: InvariantPolynomial.from_term_list(terms)
+            for link, terms in json.loads(text)["expected"].items()
+        }
+    except (ValueError, TypeError, KeyError, AttributeError) as e:
+        raise InputError(f"expected file {path} is not a table of term lists: {e}") from None
 
 
 @dataclass

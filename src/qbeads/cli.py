@@ -16,7 +16,7 @@ import time
 
 from . import catalog
 from .coloring import ENGINES
-from .errors import AxiomError, InputError, QBeadsError
+from .errors import AxiomError, InputError, QBeadsError, read_text
 from .forms import format_forms, load_form
 from .diagram import load_diagram
 from .invariant import InvariantPolynomial, compute_invariant
@@ -72,8 +72,7 @@ def cmd_quandle_check(args):
     path = args.file
     if not os.path.isfile(path):
         raise InputError(f"no such file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     # malformed files raise InputError (exit 2); only axiom failures
     # count as "invalid" (exit 1)
     try:

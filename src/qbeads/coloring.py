@@ -43,15 +43,17 @@ tables for X-colorings, the form's step tables for beads (the
 
 Every run calls LinkDiagram.kernel, the plan compiled into one
 generated function with a nested for loop per seed and a line per step
-(diagram.compile_plan).  A diagram compiles it on its first run, and
-plans with the same source text share one function, compiled once per
-process, so a diagram loaded again compiles nothing.  Its solutions
-come in lexicographic order of the seed values, seeds in ascending arc
-order, so the seeds, not the arc order, fix the order of
-bead_solutions; enumerate_xcolorings sorts its result.  The
-interpreter that a kernel unrolls, one stage per seed and a loop over
-the seed's steps, is kept in tests/plan_reference.py as the reference the
-kernels are tested against.
+(diagram.compile_plan).  A diagram looks its plan and kernel up on its
+first run, by its structure: the arc count, the crossings in order and
+the number of components, which are all that the plan reads
+(diagram.compile_structure).  Each structure is planned and compiled
+once per process, so a diagram loaded again plans and compiles
+nothing.  Its solutions come in lexicographic order of the seed
+values, seeds in ascending arc order, so the seeds, not the arc order,
+fix the order of bead_solutions; enumerate_xcolorings sorts its
+result.  The interpreter that a kernel unrolls, one stage per seed and
+a loop over the seed's steps, is kept in tests/plan_reference.py as the
+reference the kernels are tested against.
 
 A bare bead count runs its first two seeds only up to symmetry.  Let g
 be linear with g^T B g = B for every block B the coloring reads (the

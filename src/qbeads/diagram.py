@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 
-from .errors import InputError
+from .errors import InputError, read_text
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ class Crossing:
 
 
 class LinkDiagram:
-    """A closed oriented link diagram."""
+    """A closed oriented link diagram.  Diagrams compare and hash by
+    identity."""
 
     def __init__(self, name, arc_count, crossings, components, meta=None):
         self.name = name
@@ -63,34 +64,21 @@ class LinkDiagram:
             f"{self.arc_count} arcs, {len(self.crossings)} crossings>"
         )
 
-    def canonical_key(self):
-        """Structure key ignoring crossing order, component order, and
-        the rotation of each component cycle (but not arc numbering)."""
-        comps = []
-        for comp in self.components:
-            k = comp.index(min(comp))
-            comps.append(comp[k:] + comp[:k])
-        return (
-            self.arc_count,
-            tuple(sorted((c.sign, c.under_in, c.over, c.under_out) for c in self.crossings)),
-            tuple(sorted(comps)),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, LinkDiagram) and other.canonical_key() == self.canonical_key()
-
-    def __hash__(self):
-        return hash(self.canonical_key())
+    @cached_property
+    def _planned(self):
+        """(plan, kernel), looked up once per diagram: see compile_structure."""
+        return compile_structure(self.arc_count, self.crossings, len(self.components))
 
     @cached_property
     def plan(self):
-        """The propagation plan, built on first use: see propagation_plan."""
-        return propagation_plan(self)
+        """The propagation plan, shared by every diagram of the same
+        structure: see propagation_plan."""
+        return self._planned[0]
 
     @cached_property
     def kernel(self):
-        """The plan compiled, on first use: see compile_plan."""
-        return compile_plan(self.plan)
+        """The plan compiled, shared like the plan: see compile_plan."""
+        return self._planned[1]
 
     def validate(self):
         problems = validate_diagram(self)
@@ -243,11 +231,14 @@ def seed_arcs(diagram):
     fixes every arc wins.  Above that bound the seeds need not be a
     minimum set.
     """
-    n = diagram.arc_count
+    return _seed_arcs(diagram.arc_count, diagram.crossings, len(diagram.components))
+
+
+def _seed_arcs(n, crossings, component_count):
+    """seed_arcs of a diagram with n arcs, these crossings and
+    component_count components: all that the seeds depend on."""
     full = (1 << n) - 1
-    relations = [
-        (1 << c.over, 1 << c.under_in | 1 << c.under_out) for c in diagram.crossings
-    ]
+    relations = [(1 << c.over, 1 << c.under_in | 1 << c.under_out) for c in crossings]
     ends = 0
     for _, bits in relations:
         ends |= bits
@@ -259,7 +250,7 @@ def seed_arcs(diagram):
         return _closure(relations, base | sum(1 << a for a in seeds)) == full
 
     over_degree = [0] * n
-    for c in diagram.crossings:
+    for c in crossings:
         over_degree[c.over] += 1
     seeds, known = [], base
     for a in sorted(arcs, key=lambda a: (-over_degree[a], a)):
@@ -279,7 +270,7 @@ def seed_arcs(diagram):
             break
         seeds = better
     if len(arcs) <= MAX_EXHAUSTIVE_ARCS:
-        for k in range(len(diagram.components) - len(forced), len(seeds)):
+        for k in range(component_count - len(forced), len(seeds)):
             smaller = next((c for c in combinations(arcs, k) if closes(c)), None)
             if smaller is not None:
                 seeds = list(smaller)
@@ -288,7 +279,7 @@ def seed_arcs(diagram):
 
 
 def propagation_plan(diagram):
-    """The order in which the seeds fix every arc: [(seed arc, steps)].
+    """The order in which the seeds fix every arc: ((seed arc, steps), ...).
 
     The seeds are seed_arcs(diagram), in order.  A seed's steps are the
     crossings its value makes decidable once the seeds before it are
@@ -297,10 +288,16 @@ def propagation_plan(diagram):
     under_out, and "check" compares under_out with the forward value.
     Every crossing gets exactly one step, and every arc is a seed or
     the target of exactly one forward or backward step.  The plan
-    depends on the diagram alone, so LinkDiagram.plan builds it once.
+    reads only the arc count, the crossings in their order and the
+    number of components, so diagrams that share those share one plan
+    (compile_structure), and it is a tuple of tuples, never changed.
     """
-    n_arcs = diagram.arc_count
-    crossings = diagram.crossings
+    return _propagation_plan(diagram.arc_count, diagram.crossings, len(diagram.components))
+
+
+def _propagation_plan(n_arcs, crossings, component_count):
+    """propagation_plan of a diagram with n_arcs arcs, these crossings
+    and component_count components."""
     by_arc = [[] for _ in range(n_arcs)]
     for i, c in enumerate(crossings):
         for a in {c.under_in, c.over, c.under_out}:
@@ -308,7 +305,7 @@ def propagation_plan(diagram):
     known = [False] * n_arcs
     planned = [False] * len(crossings)
     plan = []
-    for seed in seed_arcs(diagram):
+    for seed in _seed_arcs(n_arcs, crossings, component_count):
         known[seed] = True
         steps, stack = [], [seed]
         while stack:
@@ -328,8 +325,8 @@ def propagation_plan(diagram):
                 if not known[step[2]]:
                     known[step[2]] = True
                     stack.append(step[2])
-        plan.append((seed, steps))
-    return plan
+        plan.append((seed, tuple(steps)))
+    return tuple(plan)
 
 
 # -- compiled plan ----------------------------------------------------
@@ -339,11 +336,11 @@ def propagation_plan(diagram):
 # many seeds itself and hands the deeper ones to sibling functions
 MAX_KERNEL_SEEDS = 20
 
-# compile_kernel keeps this many kernels, by source text.  A batch that
-# loads its diagrams afresh each time, like the benchmark's catalog
-# batch (18 links on 8 labellings, 144 distinct plans a pass), cycles
-# through its plans, and a least-recently-used cache smaller than the
-# cycle never hits
+# compile_structure keeps the plans and kernels of this many diagram
+# structures.  A batch that loads its diagrams afresh each time, like
+# the benchmark's catalog batch (18 links on 8 labellings, up to 144
+# distinct structures a pass), cycles through its structures, and a
+# least-recently-used cache smaller than the cycle never hits
 KERNEL_CACHE_SIZE = 256
 
 
@@ -460,18 +457,26 @@ def compile_plan(plan):
     solution counts the product of its weights and is listed as
     (values, weight).  Without it every value has weight 1.
 
-    Plans with the same source share one function (compile_kernel).
+    Each call compiles afresh; LinkDiagram.kernel compiles once per
+    diagram structure (compile_structure).
     """
-    return compile_kernel(kernel_source(plan))
+    namespace = {}
+    exec(compile(kernel_source(plan), "<plan kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def compile_kernel(source):
-    """The function that kernel_source's text defines, compiled once
-    per process for each text (up to KERNEL_CACHE_SIZE of them)."""
-    namespace = {}
-    exec(compile(source, "<plan kernel>", "exec"), namespace)
-    return namespace["kernel"]
+def compile_structure(arc_count, crossings, component_count):
+    """(plan, kernel) of every diagram with these arcs, these crossings
+    in this order and this many components, which are all that the
+    plan reads: the plan built (propagation_plan) and compiled
+    (compile_plan) once per process for each structure, up to
+    KERNEL_CACHE_SIZE of them.  So a diagram loaded again plans and
+    compiles nothing.  The key holds ints and Crossings, never a
+    diagram; it must keep the crossing order, since the plan's steps
+    name crossings by index."""
+    plan = _propagation_plan(arc_count, crossings, component_count)
+    return plan, compile_plan(plan)
 
 
 # -- text file format -------------------------------------------------
@@ -606,8 +611,7 @@ def format_diagram(diagram):
 
 
 def load_diagram(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_diagram(fh.read())
+    return parse_diagram(read_text(path))
 
 
 # -- planar diagram (PD) import ---------------------------------------

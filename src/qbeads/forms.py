@@ -48,7 +48,7 @@ import itertools
 import os
 from functools import cached_property
 
-from .errors import AxiomError, InputError
+from .errors import AxiomError, InputError, read_text
 from .field import PrimeField
 from .quandle import weighted_orbits
 
@@ -482,8 +482,7 @@ def format_form(form):
 
 
 def load_form(path, quandle, name=None):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     inferred = name if name is not None else os.path.splitext(os.path.basename(path))[0]
     return parse_form(text, quandle, name=inferred)
 

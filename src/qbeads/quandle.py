@@ -13,7 +13,7 @@ import collections
 import operator
 from functools import cached_property
 
-from .errors import AxiomError, InputError
+from .errors import AxiomError, InputError, read_text
 from .field import PrimeField, search_orbits
 
 
@@ -399,8 +399,7 @@ def format_quandle(quandle):
 
 
 def load_quandle(path, name=None):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     import os
 
     inferred = name if name is not None else os.path.splitext(os.path.basename(path))[0]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qbeads import catalog, cli
+from qbeads.errors import InputError, read_text
 from qbeads.field import VectorTables
 from qbeads.quandle import format_quandle, trivial_quandle
 from qbeads.cli import (
@@ -424,6 +425,63 @@ def test_form_search_negative_dimension(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# -- unreadable files -------------------------------------------------------
+
+# argv with BAD for a file that is not UTF-8, and the catalog file, if
+# any, that is replaced by one; every subcommand that reads a file
+UNDECODABLE = [
+    (["quandle-check", "BAD"], None),
+    (["form-check", "swap3", "BAD"], None),
+    (["form-check", "BAD", "swap3-full"], None),
+    (["form-search", "BAD", "--p", "2", "--n", "2"], None),
+    (["invariant", "--link", "BAD", "--quandle", "swap3", "--form", "swap3-full"], None),
+    (["invariant", "--link", "L2a1", "--quandle", "swap3", "--form", "BAD"], None),
+    (["batch", "--quandle", "swap3", "--form", "BAD"], None),
+    (["batch", "--quandle", "swap3", "--form", "swap3-full"], "forms/swap3-full.form"),
+    (["batch", "--quandle", "swap3", "--form", "swap3-full"], "expected/swap3-full.json"),
+    (["invariant", "--link", "L2a1", "--quandle", "swap3", "--form", "swap3-full"], "links/L2a1.diagram"),
+    (["invariant", "--link", "L2a1", "--quandle", "swap3", "--form", "swap3-full"], "quandles/swap3.quandle"),
+]
+
+
+@pytest.mark.parametrize("argv, replaced", UNDECODABLE)
+def test_undecodable_files_are_input_errors(tmp_path, argv, replaced):
+    """A file that is not UTF-8 exits 2 with its path named and no
+    traceback, in a fresh process as a user runs it."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"quandle 1\n\xff")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    if replaced is not None:
+        shutil.copytree(catalog.catalog_root(), tmp_path / "cat")
+        bad = tmp_path / "cat" / replaced
+        bad.write_bytes(bad.read_bytes() + b"\xff")
+        env[catalog.CATALOG_ENV] = str(tmp_path / "cat")
+    argv = [str(bad) if token == "BAD" else token for token in argv]
+    run = subprocess.run([sys.executable, "-m", "qbeads.cli", *argv], capture_output=True, text=True, env=env)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr == f"error: {bad} is not UTF-8 text: invalid start byte at byte {bad.stat().st_size - 1}\n"
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("content", ["{", "[]", '{"expected": {"L2a1": 5}}', '{"other": {}}'])
+def test_a_corrupt_expected_table_is_an_input_error(tmp_path, monkeypatch, capsys, content):
+    shutil.copytree(catalog.catalog_root(), tmp_path / "cat")
+    expected = tmp_path / "cat" / "expected" / "swap3-full.json"
+    expected.write_text(content)
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(tmp_path / "cat"))
+    code, _, err = run(capsys, "batch", "--quandle", "swap3", "--form", "swap3-full", "--links", "L2a1")
+    assert code == 2
+    assert err.startswith(f"error: expected file {expected} is not a table of term lists")
+
+
+def test_an_unreadable_path_is_an_input_error(tmp_path, capsys):
+    code, _, err = run(capsys, "invariant", "--link", "L2a1", "--quandle", "swap3", "--form", str(tmp_path / "missing"))
+    assert code == 2
+    (tmp_path / "dir.form").mkdir()
+    with pytest.raises(InputError, match="cannot read .*dir.form"):
+        read_text(tmp_path / "dir.form")
 
 
 # -- catalog-list -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import itertools
 import sys
 import weakref
@@ -20,13 +21,16 @@ from qbeads.coloring import (
     sweep_order,
 )
 from qbeads.diagram import (
+    KERNEL_CACHE_SIZE,
     MAX_KERNEL_SEEDS,
     Crossing,
     LinkDiagram,
     compile_plan,
+    compile_structure,
     import_pd,
     kernel_source,
     load_diagram,
+    propagation_plan,
     seed_arcs,
 )
 from qbeads.errors import InputError, QBeadsError
@@ -34,6 +38,7 @@ from qbeads.forms import constant_form, validate_form, zero_form
 from qbeads.invariant import compute_invariant
 from qbeads.quandle import Quandle, alexander_quandle, trivial_quandle
 
+from diagram_ops import canonical_key
 from field_ops import bilinear_eval, scalar_mul, vec_add
 from plan_reference import solve
 from quandle_ops import op_signed
@@ -481,27 +486,31 @@ def test_exhaustive_search_finds_fewer_seeds_than_greedy(monkeypatch):
     assert len(seed_arcs(d)) == 3
 
 
-def test_plan_is_built_once_per_diagram(monkeypatch, swap3):
+def test_plan_is_built_once_per_structure(monkeypatch, swap3):
+    """Two loads of one link, every engine and three forms: one plan
+    built and one kernel compiled."""
     built = []
-    original = qbeads.diagram.propagation_plan
+    original = qbeads.diagram._propagation_plan
 
-    def counted(d):
-        built.append(d.name)
-        return original(d)
+    def counted(*structure):
+        built.append(structure)
+        return original(*structure)
 
-    monkeypatch.setattr(qbeads.diagram, "propagation_plan", counted)
-    d = catalog.link_diagram("L6a4")
-    for form in (
-        validate_form(swap3, PARTIAL, 2, 2),
-        validate_form(swap3, FULL, 2, 2),
-        constant_form(swap3, 3, 2, [[0, 1], [2, 0]]),
-    ):
-        for engine in ("propagate", "both"):
-            compute_invariant(d, swap3, form, engine=engine)
-        counter = BeadCounter(d, swap3, form)
-        for f in enumerate_xcolorings(d, swap3):
-            counter.count(f)
-    assert built == ["L6a4"]
+    monkeypatch.setattr(qbeads.diagram, "_propagation_plan", counted)
+    compile_structure.cache_clear()
+    for d in (catalog.link_diagram("L6a4"), catalog.link_diagram("L6a4")):
+        for form in (
+            validate_form(swap3, PARTIAL, 2, 2),
+            validate_form(swap3, FULL, 2, 2),
+            constant_form(swap3, 3, 2, [[0, 1], [2, 0]]),
+        ):
+            for engine in ENGINES:
+                compute_invariant(d, swap3, form, engine=engine)
+            counter = BeadCounter(d, swap3, form)
+            for f in enumerate_xcolorings(d, swap3):
+                counter.count(f)
+    assert built == [(d.arc_count, d.crossings, len(d.components))]
+    assert compile_structure.cache_info().misses == 1
 
 
 # -- the compiled plan ------------------------------------------------
@@ -599,6 +608,44 @@ def test_the_kernel_cache_holds_no_diagram(swap3):
     assert alive() is None
 
 
+def load_relabel():
+    """perfbench/relabel.py, which relabels the benchmark's diagrams."""
+    spec = importlib.util.spec_from_file_location("relabel", BENCH_DIAGRAMS.parent.parent / "relabel.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shared_plans_are_the_plans_of_their_diagrams():
+    """Every diagram and 8 relabellings of each, as the benchmark makes
+    them, in one process: the plan read through the structure cache is
+    the one propagation_plan builds for the diagram, and immutable, and
+    a second copy of a relabelling shares its plan and kernel."""
+    relabel = load_relabel()
+    for base in every_diagram():
+        for v in range(8):
+            d, twin = (relabel.relabel_diagram(base, relabel.rng_for(1, v, base.name)) for _ in "ab")
+            for e in (base, d):
+                assert e.plan == propagation_plan(e), (e.name, v)
+                assert isinstance(e.plan, tuple) and all(isinstance(steps, tuple) for _, steps in e.plan)
+            assert twin.plan is d.plan and twin.kernel is d.kernel
+    assert compile_structure.cache_info().maxsize == KERNEL_CACHE_SIZE
+
+
+def test_crossing_order_is_part_of_the_structure():
+    """The plan names crossings by index, so a diagram with its
+    crossings reordered, equal up to canonical_key, plans afresh."""
+    d = catalog.link_diagram("L6a4")
+    turned = LinkDiagram("turned", d.arc_count, d.crossings[::-1], d.components).validate()
+    assert canonical_key(turned) == canonical_key(d)
+    compile_structure.cache_clear()
+    assert turned.plan != d.plan
+    assert turned.kernel is not d.kernel
+    assert compile_structure.cache_info().misses == 2
+    assert (turned.plan, d.plan) == (propagation_plan(turned), propagation_plan(d))
+    check_plan(turned)
+
+
 def test_plans_of_at_most_max_kernel_seeds_have_no_parts():
     """So their kernels keep every name a fast local, with no closure."""
     for d in every_diagram() + [free_loops(n) for n in range(1, MAX_KERNEL_SEEDS + 1)]:
@@ -625,7 +672,10 @@ def test_kernel_source_reads_no_text_from_the_diagram(swap3):
         [Crossing(c.sign, *map(Hostile, (c.under_in, c.over, c.under_out))) for c in d.crossings],
         [list(map(Hostile, comp)) for comp in d.components],
     )
-    assert any(isinstance(a, Hostile) for _, steps in hostile.plan for _, _, *arcs in steps for a in arcs)
-    assert kernel_source(hostile.plan) == kernel_source(d.plan)
+    # built afresh: Hostile ints hash and compare as ints, so hostile.plan
+    # may be the plan of d, shared through the structure cache
+    plan = propagation_plan(hostile)
+    assert any(isinstance(a, Hostile) for _, steps in plan for _, _, *arcs in steps for a in arcs)
+    assert kernel_source(plan) == kernel_source(d.plan)
     tables = _quandle_tables(d, swap3)
-    assert compile_plan(hostile.plan)(3, tables, None, None) == solve(d.plan, 3, tables, None)
+    assert compile_plan(plan)(3, tables, None, None) == solve(d.plan, 3, tables, None)

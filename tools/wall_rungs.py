@@ -12,11 +12,12 @@ on the diagonal at p = 3, n = 4 for p^n = 81:
 
 Each cell is the median of REPEAT compute_invariant calls, each on a
 freshly built diagram and a freshly validated form, as a one-shot
-`qbeads invariant` runs it: each call includes the diagram's plan,
-its kernel, the isometry group and its seed orbits, but not the vector
-tables.  Kernels are kept by their source text (see
-diagram.compile_plan), so the fresh diagrams of one construction share
-one kernel, compiled on the first call in the process.
+`qbeads invariant` runs it: each call includes the isometry group and
+its seed orbits, but not the vector tables.  Plans and kernels are
+kept by diagram structure (see diagram.compile_structure), so the
+fresh diagrams of one construction share one plan and one kernel,
+built and compiled on the first call in the process: a cell pays for
+the plan only on its first call, which the median leaves out.
 
 The hard case times BilinearForm.isometries, and then seed_orbits,
 which builds the isometries and their weighted orbits, the same way
@@ -49,12 +50,18 @@ same in every run.
 
 The batch section runs `qbeads batch --quandle swap3 --form swap3-full
 --format json` BATCH_REPEAT times, each in a fresh process, so every
-run pays the imports' first calls, the catalog reads and the compile of
-every kernel, as a one-shot command does: the cost a benchmark's median
-pass over a warm process does not see.  The cell records the median
-seconds of the cli.main call, the largest peak RSS and the SHA-256 of
-stdout with its "elapsed" fields removed, which must be the same in
-every run.
+run pays the imports' first calls, the catalog reads and the plan and
+compile of every diagram structure, as a one-shot command does: the
+cost a benchmark's median pass over a warm process does not see.  The
+cell records the median seconds of the cli.main call, the largest peak
+RSS and the SHA-256 of stdout with its "elapsed" fields removed, which
+must be the same in every run.  The warm cell then runs the batches of
+both catalog forms, swap3-full and swap3-partial, WARM_REPEAT times in
+one fresh process, as a long-lived caller does.  It records the
+seconds of every run, the first of which plans and compiles every
+structure, the median of the later runs, which plan and compile
+nothing, and the SHA-256 of each form's stdout, which must be the same
+in every run, and for swap3-full the same as the one-shot cell's.
 
 Run from the repository root:
 
@@ -108,6 +115,8 @@ SEARCH_REPEAT = 3
 ONE_SHOT_AFTER = 10.0
 BATCH_ARGV = ["batch", "--quandle", "swap3", "--form", "swap3-full", "--format", "json"]
 BATCH_REPEAT = 9
+WARM_FORMS = ("swap3-full", "swap3-partial")
+WARM_REPEAT = 21
 
 
 def timed(build, run):
@@ -259,10 +268,8 @@ def search_cell(name, p, n, verify):
     print(json.dumps(cell))
 
 
-def cli_line(argv, output=lambda text: text):
-    """Run cli.main(argv) with stdout captured, and print its seconds,
-    the process's peak RSS and the SHA-256 of output(stdout) as a JSON
-    line; exit on a nonzero exit code."""
+def run_cli(argv):
+    """(seconds, stdout) of cli.main(argv); exit on a nonzero exit code."""
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
@@ -270,10 +277,18 @@ def cli_line(argv, output=lambda text: text):
     seconds = time.perf_counter() - start
     if code != 0:
         sys.exit(f"qbeads {' '.join(argv)} exited {code}")
+    return seconds, out.getvalue()
+
+
+def cli_line(argv, output=lambda text: text):
+    """Run cli.main(argv) with stdout captured, and print its seconds,
+    the process's peak RSS and the SHA-256 of output(stdout) as a JSON
+    line."""
+    seconds, text = run_cli(argv)
     cell = {
         "seconds": round(seconds, 6),
         "peak_rss_mb": peak_rss_mb(),
-        "sha256": hashlib.sha256(output(out.getvalue()).encode()).hexdigest(),
+        "sha256": hashlib.sha256(output(text).encode()).hexdigest(),
     }
     print(json.dumps(cell))
 
@@ -294,10 +309,34 @@ def without_elapsed(value):
     return value
 
 
+def batch_text(text):
+    """A batch's JSON stdout without its elapsed fields."""
+    return json.dumps(without_elapsed(json.loads(text)))
+
+
 def batch_cell():
     """One timed BATCH_ARGV through cli.main, hashed without its elapsed
     fields; run in a fresh process of its own."""
-    cli_line(BATCH_ARGV, lambda text: json.dumps(without_elapsed(json.loads(text))))
+    cli_line(BATCH_ARGV, batch_text)
+
+
+def warm_batch_cell():
+    """WARM_REPEAT runs of the batches of WARM_FORMS through cli.main,
+    all in this one process, as a JSON line: the seconds of each run,
+    the process's peak RSS and each form's SHA-256, which must be the
+    same in every run."""
+    runs, digests = [], set()
+    for _ in range(WARM_REPEAT):
+        seconds, digest = 0.0, {}
+        for form in WARM_FORMS:
+            took, text = run_cli(["batch", "--quandle", "swap3", "--form", form, "--format", "json"])
+            seconds += took
+            digest[form] = hashlib.sha256(batch_text(text).encode()).hexdigest()
+        runs.append(round(seconds, 6))
+        digests.add(tuple(digest.items()))
+    if len(digests) != 1:
+        sys.exit("the warm batches printed different outputs")
+    print(json.dumps({"runs": runs, "peak_rss_mb": peak_rss_mb(), "sha256": digest}))
 
 
 def child(*args, cwd=None):
@@ -358,6 +397,22 @@ def run_batch():
     cell["sha256"] = runs[0]["sha256"]
     cell["runs"] = [{key: run[key] for key in ("seconds", "peak_rss_mb")} for run in runs]
     print(f"one-shot batch: {cell['seconds'] * 1000:.1f} ms, {cell['peak_rss_mb']} MB", file=sys.stderr)
+    warm = child("--warm-batch-cell")
+    assert warm["sha256"]["swap3-full"] == cell["sha256"], "the warm batch printed another output"
+    later = sorted(warm["runs"][1:])
+    cell["warm"] = {
+        "forms": list(WARM_FORMS),
+        "first_seconds": warm["runs"][0],
+        "seconds": later[len(later) // 2],
+        "peak_rss_mb": warm["peak_rss_mb"],
+        "sha256": warm["sha256"],
+        "runs": warm["runs"],
+    }
+    print(
+        f"warm batches of {', '.join(WARM_FORMS)}: first {warm['runs'][0] * 1000:.1f} ms, "
+        f"then {cell['warm']['seconds'] * 1000:.1f} ms, {warm['peak_rss_mb']} MB",
+        file=sys.stderr,
+    )
     return cell
 
 
@@ -380,6 +435,9 @@ def main():
         return
     if sys.argv[1:2] == ["--batch-cell"]:
         batch_cell()
+        return
+    if sys.argv[1:2] == ["--warm-batch-cell"]:
+        warm_batch_cell()
         return
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
