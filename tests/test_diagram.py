@@ -122,15 +122,111 @@ def test_arcs_outside_every_component_are_one_problem():
     assert len(str(e.value)) < 200
 
 
+# (text, the exact message of the InputError that parse_diagram raises):
+# every error path of parse_diagram and validate_diagram, and those of
+# import_pd that a pd line reaches
+_H = "link a\n"
+PARSE_ERRORS = [
+    ('link "open\n', "line 1: No closing quotation"),
+    ("# only: a comment\n\n", "empty diagram file"),
+    ("arcs 2\n", "missing 'link <name>' line"),
+    ("link\narcs 1\n", "line 1: expected 'link <name>'"),
+    ("link a b\n", "line 1: expected 'link <name>'"),
+    (_H + "arcs\n", "line 2: expected 'arcs <count>'"),
+    (_H + "arcs two\n", "line 2: arc count 'two' is not an integer"),
+    (_H + "arcs 1\nx + 1 1\ncomponent 1\n", "line 3: expected 'x <sign> <under_in> <over> <under_out>'"),
+    (_H + "arcs 1\nx ? 1 1 1\ncomponent 1\n", "line 3: sign must be + or -, got '?'"),
+    (_H + "arcs 1\nx + 1 one 1\ncomponent 1\n", "line 3: crossing arcs must be integers"),
+    (_H + "arcs 1\nx - 1 0 1\ncomponent 1\n", "line 3: arcs are 1-based, got [1, 0, 1]"),
+    (_H + "arcs 1\nx + 1 1 -2\ncomponent 1\n", "line 3: arcs are 1-based, got [1, 1, -2]"),
+    (_H + "arcs 1\ncomponent\n", "line 3: component line lists at least one arc"),
+    (_H + "arcs 1\ncomponent 1 b\n", "line 3: component arcs must be integers"),
+    (_H + "arcs 2\ncomponent 0 2\n", "line 3: arcs are 1-based, got [0, 2]"),
+    (_H + "pd\n", "line 2: expected 'pd \"<code>\" [signs <+->]'"),
+    (_H + 'pd "X[1,2,2,1]" sign +\n', "line 2: expected 'pd \"<code>\" [signs <+->]'"),
+    (_H + 'pd "X[1,2,2,1]" signs\n', "line 2: expected 'pd \"<code>\" [signs <+->]'"),
+    (_H + "knot 3\n", "line 2: unrecognized line 'knot 3'"),
+    (_H + 'pd "X[1,2,2,1]"\nx + 1 1 1\n', "a pd line cannot be mixed with x/component lines"),
+    (_H + 'component 1\npd "X[1,2,2,1]"\n', "a pd line cannot be mixed with x/component lines"),
+    (_H + "component 1\n", "missing 'arcs <count>' line"),
+    (_H + "arcs 1\n", "missing component lines"),
+    # validate_diagram, in the order it checks
+    (_H + "arcs 0\ncomponent 1\n", "invalid diagram 'a': diagram has no arcs"),
+    (
+        _H + "arcs 2\nx + 3 1 2\nx + 1 2 1\ncomponent 1 2\n",
+        "invalid diagram 'a': crossing 0: under_in arc 2 out of range 0..1",
+    ),
+    (
+        _H + "arcs 2\nx + 1 4 2\nx + 2 1 5\ncomponent 1 2\n",
+        "invalid diagram 'a': crossing 0: over arc 3 out of range 0..1; "
+        "crossing 1: under_out arc 4 out of range 0..1",
+    ),
+    (_H + "arcs 2\ncomponent 1 3\ncomponent 2\n", "invalid diagram 'a': component 0: arc 2 out of range"),
+    (_H + "arcs 2\ncomponent 1 2 2\n", "invalid diagram 'a': arc 1 appears in components 0 and 0"),
+    (_H + "arcs 2\ncomponent 1\ncomponent 2 1\n", "invalid diagram 'a': arc 0 appears in components 0 and 1"),
+    (
+        _H + "arcs 6\ncomponent 1\ncomponent 3\n",
+        "invalid diagram 'a': 4 of the 6 arcs belong to no component "
+        "(the components list 2): arcs 1, 3, 4, ...",
+    ),
+    (
+        _H + "arcs 2\nx + 1 2 1\nx + 1 2 2\ncomponent 1\ncomponent 2\n",
+        "invalid diagram 'a': arc 0 is under_in at crossings 0 and 1",
+    ),
+    (
+        _H + "arcs 2\nx + 1 2 1\nx + 2 1 1\ncomponent 1\ncomponent 2\n",
+        "invalid diagram 'a': arc 0 is under_out at crossings 0 and 1",
+    ),
+    (
+        _H + "arcs 2\ncomponent 1 2\n",
+        "invalid diagram 'a': component 0 has 2 arcs but no underpass; "
+        "a free loop must be a single closed arc",
+    ),
+    (
+        _H + "arcs 2\nx + 2 1 1\ncomponent 1\ncomponent 2\n",
+        "invalid diagram 'a': arc 0 is under_out of a crossing but never under_in; "
+        "component 1: under_in 1 leads to under_out 0, but the component order expects 1",
+    ),
+    (
+        _H + "arcs 2\nx + 1 1 2\ncomponent 1 2\n",
+        "invalid diagram 'a': component 0: arc 1 has no crossing with under_in = 1",
+    ),
+    (
+        _H + "arcs 3\nx + 1 3 2\nx + 2 1 3\nx + 3 2 1\ncomponent 1 3 2\n",
+        "invalid diagram 'a': "
+        "component 0: under_in 0 leads to under_out 1, but the component order expects 2; "
+        "component 0: under_in 2 leads to under_out 0, but the component order expects 1; "
+        "component 0: under_in 1 leads to under_out 2, but the component order expects 0",
+    ),
+    # import_pd, through a pd line
+    (_H + 'pd "Y[1,2,2,1]"\n', "no X[a,b,c,d] crossings found in 'Y[1,2,2,1]'"),
+    (_H + 'pd "X[1,2,2,1] junk"\n', "unrecognized PD content: 'junk'"),
+    (_H + 'pd "X[1,2,2,1]" signs +x\n', "sign list '+x' may only contain + and -"),
+    (_H + 'pd "X[1,2,2,1]" signs +-\n', "sign list has 2 entries for 1 crossings"),
+    (_H + 'pd "X[1,2,2,3]"\n', "edge 1 appears 1 times in the PD code, expected 2"),
+    (_H + 'pd "X[1,2,3,4] X[1,4,3,2]"\n', "inconsistent strand orientation at crossing 1 (edge 3)"),
+    (
+        _H + 'pd "X[1,3,2,4] X[2,4,1,3]"\n',
+        "over-strand direction at crossing(s) 1, 2 cannot be inferred from the PD code; "
+        "supply an explicit sign list",
+    ),
+]
+
+
 def test_parse_rejects_malformed_input():
-    with pytest.raises(InputError):
-        parse_diagram("arcs 2\n")  # missing link header
-    with pytest.raises(InputError):
-        parse_diagram("link a\narcs 1\nx + 1 1\ncomponent 1\n")
-    with pytest.raises(InputError):
-        parse_diagram("link a\narcs 1\nx ? 1 1 1\ncomponent 1\n")
-    with pytest.raises(InputError):
-        parse_diagram("link a\narcs 2\ncomponent 1 2 2\n")
+    wrong = []
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(InputError) as e:
+            parse_diagram(text)
+        if str(e.value) != message:
+            wrong.append((text, str(e.value), message))
+    assert wrong == []
+    # a component line lists at least one arc, so only a diagram built
+    # in code can hold an empty component
+    assert validate_diagram(LinkDiagram("b", 1, [], [[]])) == [
+        "component 0 is empty",
+        "1 of the 1 arcs belong to no component (the components list 0): arcs 0",
+    ]
 
 
 # -- PD import ---------------------------------------------------------
