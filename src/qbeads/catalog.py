@@ -41,11 +41,22 @@ def catalog_root():
     return _PACKAGE_CATALOG
 
 
-def _names(subdir, suffix):
+def _paths(subdir, suffix):
+    """{name: path} of the catalog's files in subdir with this suffix,
+    in order of name, from one listing."""
     root = catalog_root() / subdir
     if not root.is_dir():
-        return []
-    return sorted(p.stem for p in root.glob(f"*{suffix}"))
+        return {}
+    return dict(sorted((p.stem, p) for p in root.glob(f"*{suffix}")))
+
+
+def _names(subdir, suffix):
+    return list(_paths(subdir, suffix))
+
+
+def link_paths():
+    """{name: path} of every catalog link, in list_links order."""
+    return _paths("links", ".diagram")
 
 
 def list_links():

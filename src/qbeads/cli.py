@@ -170,7 +170,8 @@ def render_batch(record):
 def cmd_batch(args):
     quandle = _resolve_quandle(args.quandle)
     form = _resolve_form(args, quandle)
-    names = catalog.list_links()
+    paths = catalog.link_paths()
+    names = list(paths)
     if args.links is not None:
         wanted = [s.strip() for s in args.links.split(",") if s.strip()]
         if not wanted:
@@ -187,9 +188,7 @@ def cmd_batch(args):
     polynomials = {}
     results = []
     for name in names:
-        result = compute_invariant(
-            catalog.link_diagram(name), quandle, form, engine=args.engine
-        )
+        result = compute_invariant(load_diagram(paths[name]), quandle, form, engine=args.engine)
         polynomials[name] = result.polynomial
         record = result.record()
         record["link"] = name

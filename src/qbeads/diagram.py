@@ -6,7 +6,9 @@ component with no underpass at all is a single closed arc.  A crossing
 is recorded as (sign, under_in, over, under_out): walking the
 under-strand in its orientation you arrive on arc under_in, pass below
 arc over, and leave on arc under_out.  Arcs are 0-based ints in the
-API; the text formats are 1-based.
+API; the text formats are 1-based.  A Crossing is that 4-tuple, with
+named fields and a checked sign: it compares equal to, and hashes as,
+the plain tuple.
 
 A diagram also carries its components: one tuple of arcs per link
 component, listed in orientation order (the starting arc of the cycle
@@ -26,23 +28,24 @@ they replace the inferred sign labels crossing by crossing.
 
 import re
 import shlex
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 
 from .errors import InputError, read_text
 
 
-@dataclass(frozen=True)
-class Crossing:
-    sign: int
-    under_in: int
-    over: int
-    under_out: int
+class Crossing(namedtuple("Crossing", "sign under_in over under_out")):
+    """One crossing, (sign, under_in, over, under_out): a tuple, so it
+    compares equal to, and hashes as, its plain 4-tuple.  The sign is +1
+    or -1."""
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise InputError(f"crossing sign must be +1 or -1, got {self.sign!r}")
+    __slots__ = ()
+
+    def __new__(cls, sign, under_in, over, under_out):
+        if sign not in (1, -1):
+            raise InputError(f"crossing sign must be +1 or -1, got {sign!r}")
+        return tuple.__new__(cls, (sign, under_in, over, under_out))
 
 
 class LinkDiagram:
@@ -104,13 +107,11 @@ def validate_diagram(diagram):
         problems.append("diagram has no arcs")
         return problems
 
-    def in_range(a):
-        return 0 <= a < n
-
-    for i, c in enumerate(diagram.crossings):
-        for label, a in (("under_in", c.under_in), ("over", c.over), ("under_out", c.under_out)):
-            if not in_range(a):
-                problems.append(f"crossing {i}: {label} arc {a} out of range 0..{n - 1}")
+    for i, (_, under_in, over, under_out) in enumerate(diagram.crossings):
+        if not (0 <= under_in < n and 0 <= over < n and 0 <= under_out < n):
+            for label, a in (("under_in", under_in), ("over", over), ("under_out", under_out)):
+                if not 0 <= a < n:
+                    problems.append(f"crossing {i}: {label} arc {a} out of range 0..{n - 1}")
     if problems:
         return problems
 
@@ -119,7 +120,7 @@ def validate_diagram(diagram):
         if not comp:
             problems.append(f"component {ci} is empty")
         for a in comp:
-            if not in_range(a):
+            if not 0 <= a < n:
                 problems.append(f"component {ci}: arc {a} out of range")
             elif a in seen:
                 problems.append(f"arc {a} appears in components {seen[a]} and {ci}")
@@ -139,19 +140,19 @@ def validate_diagram(diagram):
 
     under_in_at = {}
     under_out_at = {}
-    for i, c in enumerate(diagram.crossings):
-        if c.under_in in under_in_at:
+    for i, (_, under_in, _, under_out) in enumerate(diagram.crossings):
+        if under_in in under_in_at:
             problems.append(
-                f"arc {c.under_in} is under_in at crossings {under_in_at[c.under_in]} and {i}"
+                f"arc {under_in} is under_in at crossings {under_in_at[under_in]} and {i}"
             )
         else:
-            under_in_at[c.under_in] = i
-        if c.under_out in under_out_at:
+            under_in_at[under_in] = i
+        if under_out in under_out_at:
             problems.append(
-                f"arc {c.under_out} is under_out at crossings {under_out_at[c.under_out]} and {i}"
+                f"arc {under_out} is under_out at crossings {under_out_at[under_out]} and {i}"
             )
         else:
-            under_out_at[c.under_out] = i
+            under_out_at[under_out] = i
     if problems:
         return problems
 
@@ -493,6 +494,10 @@ def _tokens(line):
     return shlex.split(line)
 
 
+# a "# key: value" comment, whose pair goes into the diagram's meta
+_META = re.compile(r"#\s*([A-Za-z][\w-]*)\s*:\s*(.*\S)\s*$")
+
+
 def parse_diagram(text, name=None):
     """Parse the diagram file format.
 
@@ -500,63 +505,58 @@ def parse_diagram(text, name=None):
     <over> <under_out>`` per crossing and one ``component <arc...>`` per
     component, all arcs 1-based.  Alternatively a single
     ``pd "<X[...] ...>" [signs <+->]`` line may replace the arcs/x/
-    component lines.  ``#`` starts a comment; ``# key: value`` comments
-    are collected into the diagram's meta dict.
+    component lines.  The link, arcs and pd lines appear at most once
+    each.  ``#`` starts a comment; ``# key: value`` comments are
+    collected into the diagram's meta dict.
     """
     meta = {}
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            m = re.match(r"#\s*([A-Za-z][\w-]*)\s*:\s*(.*\S)\s*$", stripped)
-            if m:
-                meta[m.group(1)] = m.group(2)
-            continue
-        lines.append((lineno, stripped))
-    if not lines:
-        raise InputError("empty diagram file")
-
     link_name = name
     arc_count = None
     crossings = []
     components = []
     pd_text = None
     pd_signs = None
-    for lineno, line in lines:
+    first = {}  # the line of each link, arcs and pd line
+
+    def once(key, lineno):
+        if key in first:
+            raise InputError(f"line {lineno}: repeated {key!r} line, first on line {first[key]}")
+        first[key] = lineno
+        if "arcs" in first and "pd" in first:
+            raise InputError(f"line {lineno}: a pd line cannot be mixed with an arcs line")
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            m = _META.match(line)
+            if m:
+                meta[m.group(1)] = m.group(2)
+            continue
         try:
             parts = _tokens(line)
         except ValueError as e:
             raise InputError(f"line {lineno}: {e}")
         key = parts[0]
-        if key == "link":
-            if len(parts) != 2:
-                raise InputError(f"line {lineno}: expected 'link <name>'")
-            link_name = parts[1]
-        elif key == "arcs":
-            if len(parts) != 2:
-                raise InputError(f"line {lineno}: expected 'arcs <count>'")
-            try:
-                arc_count = int(parts[1])
-            except ValueError:
-                raise InputError(f"line {lineno}: arc count {parts[1]!r} is not an integer")
-        elif key == "x":
+        if key == "x":
             if len(parts) != 5:
                 raise InputError(
                     f"line {lineno}: expected 'x <sign> <under_in> <over> <under_out>'"
                 )
-            sign_token = parts[1]
-            if sign_token not in ("+", "-"):
-                raise InputError(f"line {lineno}: sign must be + or -, got {sign_token!r}")
+            sign = parts[1]
+            if sign != "+" and sign != "-":
+                raise InputError(f"line {lineno}: sign must be + or -, got {sign!r}")
             try:
-                arcs = [int(t) for t in parts[2:5]]
+                under_in, over, under_out = int(parts[2]), int(parts[3]), int(parts[4])
             except ValueError:
                 raise InputError(f"line {lineno}: crossing arcs must be integers")
-            if any(a < 1 for a in arcs):
-                raise InputError(f"line {lineno}: arcs are 1-based, got {arcs}")
+            if min(under_in, over, under_out) < 1:
+                raise InputError(
+                    f"line {lineno}: arcs are 1-based, got {[under_in, over, under_out]}"
+                )
             crossings.append(
-                Crossing(1 if sign_token == "+" else -1, arcs[0] - 1, arcs[1] - 1, arcs[2] - 1)
+                Crossing(1 if sign == "+" else -1, under_in - 1, over - 1, under_out - 1)
             )
         elif key == "component":
             if len(parts) < 2:
@@ -565,10 +565,24 @@ def parse_diagram(text, name=None):
                 comp = [int(t) for t in parts[1:]]
             except ValueError:
                 raise InputError(f"line {lineno}: component arcs must be integers")
-            if any(a < 1 for a in comp):
+            if min(comp) < 1:
                 raise InputError(f"line {lineno}: arcs are 1-based, got {comp}")
-            components.append(tuple(a - 1 for a in comp))
+            components.append(tuple([a - 1 for a in comp]))
+        elif key == "link":
+            once(key, lineno)
+            if len(parts) != 2:
+                raise InputError(f"line {lineno}: expected 'link <name>'")
+            link_name = parts[1]
+        elif key == "arcs":
+            once(key, lineno)
+            if len(parts) != 2:
+                raise InputError(f"line {lineno}: expected 'arcs <count>'")
+            try:
+                arc_count = int(parts[1])
+            except ValueError:
+                raise InputError(f"line {lineno}: arc count {parts[1]!r} is not an integer")
         elif key == "pd":
+            once(key, lineno)
             if len(parts) not in (2, 4) or (len(parts) == 4 and parts[2] != "signs"):
                 raise InputError(
                     f'line {lineno}: expected \'pd "<code>" [signs <+->]\''
@@ -578,6 +592,9 @@ def parse_diagram(text, name=None):
                 pd_signs = parts[3]
         else:
             raise InputError(f"line {lineno}: unrecognized line {line!r}")
+    # every other line raised or was recorded
+    if not (first or crossings or components):
+        raise InputError("empty diagram file")
 
     if link_name is None:
         raise InputError("missing 'link <name>' line")

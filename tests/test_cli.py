@@ -338,6 +338,38 @@ def test_batch_detects_mismatch(tmp_path, monkeypatch, capsys):
     assert "computed u^16 + 4u^10" in out
 
 
+def test_batch_lists_links_as_catalog_list_does(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "cat"
+    shutil.copytree(catalog.catalog_root(), root)
+    links = root / "links"
+    shutil.rmtree(links)
+    links.mkdir()
+    # "a" sorts before "a-b", but "a-b.diagram" before "a.diagram"
+    for name, source in (("a", "L2a1"), ("a-b", "L4a1")):
+        shutil.copy(catalog.catalog_root() / "links" / f"{source}.diagram", links / f"{name}.diagram")
+    (links / "README.txt").write_text("not a diagram\n")
+    (links / ".a.diagram.swp").write_bytes(b"\xff")
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(root))
+    _, out, _ = run(capsys, "catalog-list", "--format", "json")
+    assert json.loads(out)["links"] == ["a", "a-b"]
+    code, out, _ = run(
+        capsys, "batch", "--quandle", "swap3", "--form", "swap3-full", "--format", "json"
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["links"] == ["a", "a-b"]
+    assert [r["link"] for r in record["results"]] == ["a", "a-b"]
+    alone = []
+    for name in record["links"]:
+        _, out, _ = run(
+            capsys, "invariant", "--link", name, "--quandle", "swap3",
+            "--form", "swap3-full", "--format", "json",
+        )
+        alone.append(json.loads(out)["terms"])
+    assert [r["terms"] for r in record["results"]] == alone
+    assert alone[0] != alone[1]
+
+
 def test_batch_file_form_has_no_expectations(tmp_path, capsys):
     local = tmp_path / "f.form"
     local.write_text(

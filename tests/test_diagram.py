@@ -10,6 +10,7 @@ from qbeads.diagram import (
     Crossing,
     LinkDiagram,
     _tokens,
+    compile_structure,
     format_diagram,
     import_pd,
     load_diagram,
@@ -148,6 +149,11 @@ PARSE_ERRORS = [
     (_H + "knot 3\n", "line 2: unrecognized line 'knot 3'"),
     (_H + 'pd "X[1,2,2,1]"\nx + 1 1 1\n', "a pd line cannot be mixed with x/component lines"),
     (_H + 'component 1\npd "X[1,2,2,1]"\n', "a pd line cannot be mixed with x/component lines"),
+    (_H + "link b\narcs 1\ncomponent 1\n", "line 2: repeated 'link' line, first on line 1"),
+    (_H + "arcs 1\ncomponent 1\narcs 2\n", "line 4: repeated 'arcs' line, first on line 2"),
+    (_H + 'pd "X[1,2,2,1]"\n# c\npd "X[1,2,2,1]"\n', "line 4: repeated 'pd' line, first on line 2"),
+    (_H + 'arcs 3\npd "X[1,2,2,1]"\n', "line 3: a pd line cannot be mixed with an arcs line"),
+    (_H + 'pd "X[1,2,2,1]"\narcs 1\n', "line 3: a pd line cannot be mixed with an arcs line"),
     (_H + "component 1\n", "missing 'arcs <count>' line"),
     (_H + "arcs 1\n", "missing component lines"),
     # validate_diagram, in the order it checks
@@ -227,6 +233,36 @@ def test_parse_rejects_malformed_input():
         "component 0 is empty",
         "1 of the 1 arcs belong to no component (the components list 0): arcs 0",
     ]
+
+
+def test_crossing_is_a_named_tuple_with_a_checked_sign():
+    assert Crossing._fields == ("sign", "under_in", "over", "under_out")
+    c = Crossing(-1, 0, 2, 1)
+    assert (c.sign, c.under_in, c.over, c.under_out) == (-1, 0, 2, 1)
+    assert c == (-1, 0, 2, 1)
+    assert hash(c) == hash((-1, 0, 2, 1))
+    assert Crossing(sign=1, under_in=0, over=2, under_out=1) == (1, 0, 2, 1)
+    for sign in (0, 2, "+", None):
+        with pytest.raises(InputError) as e:
+            Crossing(sign, 0, 1, 0)
+        assert str(e.value) == f"crossing sign must be +1 or -1, got {sign!r}"
+    with pytest.raises(AttributeError):
+        c.sign = 1
+    with pytest.raises(AttributeError):
+        c.label = "a"
+    assert c == (-1, 0, 2, 1)
+
+
+def test_diagrams_from_plain_tuples_share_the_structure():
+    compile_structure.cache_clear()
+    crossings = [(1, 0, 1, 0), (1, 1, 0, 1)]
+    plain = LinkDiagram("plain", 2, crossings, [[0], [1]])
+    named = LinkDiagram("named", 2, [Crossing(*c) for c in crossings], [[0], [1]])
+    assert all(type(c) is Crossing for c in plain.crossings)
+    assert plain.crossings == named.crossings == tuple(crossings)
+    assert plain.plan is named.plan
+    assert plain.kernel is named.kernel
+    assert compile_structure.cache_info().misses == 1
 
 
 # -- PD import ---------------------------------------------------------
