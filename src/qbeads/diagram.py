@@ -47,6 +47,11 @@ class Crossing(namedtuple("Crossing", "sign under_in over under_out")):
             raise InputError(f"crossing sign must be +1 or -1, got {sign!r}")
         return tuple.__new__(cls, (sign, under_in, over, under_out))
 
+    @classmethod
+    def _make(cls, iterable):
+        """namedtuple's _make, and so _replace, through the sign check."""
+        return cls(*iterable)
+
 
 class LinkDiagram:
     """A closed oriented link diagram.  Diagrams compare and hash by
@@ -473,9 +478,9 @@ def compile_structure(arc_count, crossings, component_count):
     plan reads: the plan built (propagation_plan) and compiled
     (compile_plan) once per process for each structure, up to
     KERNEL_CACHE_SIZE of them.  So a diagram loaded again plans and
-    compiles nothing.  The key holds ints and Crossings, never a
-    diagram; it must keep the crossing order, since the plan's steps
-    name crossings by index."""
+    compiles nothing.  The key holds ints and Crossings, tuples of
+    ints that hash and compare in C, never a diagram; it must keep the
+    crossing order, since the plan's steps name crossings by index."""
     plan = _propagation_plan(arc_count, crossings, component_count)
     return plan, compile_plan(plan)
 

@@ -251,6 +251,10 @@ def test_crossing_is_a_named_tuple_with_a_checked_sign():
     with pytest.raises(AttributeError):
         c.label = "a"
     assert c == (-1, 0, 2, 1)
+    assert c._replace(sign=1) == Crossing._make((1, 0, 2, 1))
+    for made in (lambda: c._replace(sign=0), lambda: Crossing._make((0, 0, 2, 1))):
+        with pytest.raises(InputError, match="got 0"):
+            made()
 
 
 def test_diagrams_from_plain_tuples_share_the_structure():

@@ -63,6 +63,15 @@ structure, the median of the later runs, which plan and compile
 nothing, and the SHA-256 of each form's stdout, which must be the same
 in every run, and for swap3-full the same as the one-shot cell's.
 
+The load section times diagram.load_diagram, which reads, parses and
+validates a file and builds no plan, on the closures of the 4-braid
+(s1 s2^-1 s3 s2^-1)^k with LOAD_SIZES crossings, written by
+format_diagram with their PD code in a comment.  Each size runs in a
+fresh process of its own; a cell is the median of REPEAT loads of one
+file, with the process's peak RSS and the SHA-256 of the file, which
+is the same in every checkout whose import_pd and format_diagram agree.
+Its microseconds per crossing show whether loading scales linearly.
+
 Run from the repository root:
 
     python3 tools/wall_rungs.py --label change --out BENCH_walls.json
@@ -94,7 +103,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 from gen_catalog import braid_closure, pretzel_link  # noqa: E402
 from qbeads import catalog, cli, compute_invariant, constant_form, trivial_quandle  # noqa: E402
-from qbeads.diagram import import_pd  # noqa: E402
+from qbeads.diagram import format_diagram, import_pd, load_diagram  # noqa: E402
 from qbeads.field import PrimeField, VectorTables  # noqa: E402
 from qbeads.quandle import conjugation_quandle, format_quandle  # noqa: E402
 from qbeads.search import run_search, verify_search_output  # noqa: E402
@@ -117,6 +126,8 @@ BATCH_ARGV = ["batch", "--quandle", "swap3", "--form", "swap3-full", "--format",
 BATCH_REPEAT = 9
 WARM_FORMS = ("swap3-full", "swap3-partial")
 WARM_REPEAT = 21
+# crossings of the braid closures of the load section
+LOAD_SIZES = (100, 1000, 10000)
 
 
 def timed(build, run):
@@ -416,12 +427,51 @@ def run_batch():
     return cell
 
 
+def load_file(crossings, folder):
+    """The closure of (s1 s2^-1 s3 s2^-1)^(crossings / 4) as a diagram
+    file in folder."""
+    name = f"braid{crossings}"
+    pd, signs = braid_closure(4, [1, -2, 3, -2] * (crossings // 4)).pd_string()
+    path = Path(folder) / f"{name}.diagram"
+    path.write_text(format_diagram(import_pd(pd, signs=signs, name=name)))
+    return path
+
+
+def load_cell(path):
+    """REPEAT timed load_diagram calls on one file, as a JSON line; run
+    in a fresh process of its own."""
+    seconds, runs, diagram = timed(lambda: path, load_diagram)
+    cell = {"seconds": seconds, "runs": runs, "peak_rss_mb": peak_rss_mb()}
+    cell["arcs"], cell["crossings"] = diagram.arc_count, len(diagram.crossings)
+    print(json.dumps(cell))
+
+
+def run_loads():
+    cells = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for crossings in LOAD_SIZES:
+            path = load_file(crossings, tmp)
+            cell = {"file": path.name, "bytes": path.stat().st_size}
+            cell["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            cell.update(child("--load-cell", path))
+            assert cell["crossings"] == crossings, f"{path.name} has {cell['crossings']} crossings"
+            cell["us_per_crossing"] = round(cell["seconds"] / crossings * 1e6, 3)
+            cells.append(cell)
+            print(
+                f"load {path.name}: {cell['seconds'] * 1000:.2f} ms, "
+                f"{cell['us_per_crossing']} us a crossing, {cell['peak_rss_mb']} MB",
+                file=sys.stderr,
+            )
+    return cells
+
+
 SECTIONS = {
     "rungs": run_rungs,
     "hard_case": run_hard_case,
     "tables": run_tables,
     "search": run_searches,
     "batch": run_batch,
+    "load": run_loads,
 }
 
 
@@ -438,6 +488,9 @@ def main():
         return
     if sys.argv[1:2] == ["--warm-batch-cell"]:
         warm_batch_cell()
+        return
+    if sys.argv[1:2] == ["--load-cell"]:
+        load_cell(Path(sys.argv[2]))
         return
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
