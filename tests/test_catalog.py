@@ -65,12 +65,17 @@ def test_entry_expected_values():
 
 
 def test_unknown_names():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as e:
         catalog.load("L9z9")
-    with pytest.raises(InputError):
+    assert str(e.value) == "unknown catalog link 'L9z9'; available: " + ", ".join(ALL_LINKS)
+    with pytest.raises(InputError) as e:
         catalog.load_quandle("nope")
-    with pytest.raises(InputError):
+    assert str(e.value) == "unknown catalog quandle 'nope'; available: swap3"
+    with pytest.raises(InputError) as e:
         catalog.load_form("nope")
+    assert str(e.value) == (
+        "unknown catalog form 'nope'; available: swap3-full, swap3-partial, swap3-zero"
+    )
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import hashlib
+import importlib.util
+import random
 import shlex
 from pathlib import Path
 
@@ -22,6 +25,12 @@ from qbeads.errors import InputError
 from diagram_ops import canonical_key
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+SHIPPED_DIAGRAM_DIRS = [
+    ROOT / "src" / "qbeads" / "catalog" / "links",
+    ROOT / "perfbench" / "data" / "catalog" / "links",
+    ROOT / "perfbench" / "data" / "diagrams",
+]
 
 HOPF = LinkDiagram(
     "hopf", 2, [Crossing(1, 0, 1, 0), Crossing(1, 1, 0, 1)], [[0], [1]]
@@ -334,15 +343,72 @@ def test_import_pd_rejects_bad_edge_multiplicity():
 
 
 def test_import_pd_catalog_round_trip():
-    # every catalog diagram carries its source PD; re-importing it must
-    # reproduce the stored diagram exactly
-    from qbeads import catalog
+    # every shipped diagram that records its source PD was written from
+    # import_pd's output, so re-importing the PD must give the same arc
+    # count, crossings in order and components in order
+    shipped = [
+        path
+        for root in SHIPPED_DIAGRAM_DIRS
+        for path in sorted(root.glob("*.diagram"))
+        if "\n# pd:" in "\n" + path.read_text(encoding="utf-8")
+    ]
+    assert len(shipped) == 46
+    for path in shipped:
+        d = load_diagram(path)
+        again = import_pd(d.meta["pd"], signs=d.meta.get("pd-signs"))
+        assert again.arc_count == d.arc_count, path
+        assert again.crossings == d.crossings, path
+        assert again.components == d.components, path
+        assert again.meta["pd"] == d.meta["pd"], path
 
-    for name in catalog.list_links():
-        entry = catalog.load(name)
-        signs = "".join("+" if c.sign == 1 else "-" for c in entry.diagram.crossings)
-        again = import_pd(entry.pd, signs=signs, name=name)
-        assert canonical_key(again) == canonical_key(entry.diagram), name
+
+def _gen_catalog():
+    spec = importlib.util.spec_from_file_location("gen_catalog", ROOT / "tools" / "gen_catalog.py")
+    gen_catalog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_catalog)
+    return gen_catalog
+
+
+def pd_corpus(rng):
+    """(pd, signs) pairs: the PD codes and natural signs of tools/
+    gen_catalog.py braid closures of 2 to 7 strands, pretzels and
+    rationals, then random codes of 1 to 5 crossings in which every
+    label appears twice, half of them with a random sign list."""
+    gen = _gen_catalog()
+    twists = (-3, -2, -1, 1, 2, 3)
+    for _ in range(60):
+        strands = rng.randint(2, 7)
+        word = [k * rng.choice((1, -1)) for k in range(1, strands)]
+        word += [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(word)
+        yield gen.braid_closure(strands, word).pd_string()
+    for _ in range(20):
+        yield gen.pretzel_link([rng.choice(twists) for _ in range(rng.randint(2, 4))]).pd_string()
+    for _ in range(20):
+        yield gen.rational_link([rng.choice(twists) for _ in range(rng.randint(1, 4))]).pd_string()
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        labels = list(range(1, 2 * n + 1)) * 2
+        rng.shuffle(labels)
+        pd = " ".join("X[%d,%d,%d,%d]" % tuple(labels[i : i + 4]) for i in range(0, 4 * n, 4))
+        yield pd, "".join(rng.choice("+-") for _ in range(n)) if rng.random() < 0.5 else None
+
+
+def test_import_pd_outputs_are_pinned():
+    # the diagram text, or the exact error message, of every code of a
+    # seeded corpus: arc numbering, crossing and component order, signs
+    # and meta all reach the shipped files that import_pd writes
+    digest = hashlib.sha256()
+    imported = 0
+    for pd, signs in pd_corpus(random.Random(31)):
+        try:
+            text = format_diagram(import_pd(pd, signs=signs))
+            imported += 1
+        except InputError as e:
+            text = f"InputError: {e}\n"
+        digest.update(text.encode())
+    assert imported == 1331
+    assert digest.hexdigest() == "189818150955ea378231e7015daa5059c62e38a19514a3344d3fe04cf49175be"
 
 
 def test_canonical_key_ignores_labelling_order():
