@@ -23,7 +23,10 @@ exactly one of slots b/d is incoming, and each edge label is incoming
 at exactly one of its two occurrences.  Propagating those constraints
 orients every edge except over-strands that never pass under anything;
 those need the explicit sign list.  When explicit signs are supplied
-they replace the inferred sign labels crossing by crossing.
+they replace the inferred sign labels crossing by crossing.  The code is
+then read as a strand walk, a signed Gauss code (Kauffman, "Virtual
+knot theory", 1999): each component is walked from its least edge
+label, and an arc is cut where the walk passes under a crossing.
 """
 
 import re
@@ -668,6 +671,13 @@ def import_pd(pd_text, signs=None, name="pd-link"):
     when given, is a string of + and - (or a list of +1/-1), one per
     crossing in order; it overrides the inferred sign labels and is
     required when some over-strand's direction cannot be inferred.
+
+    Components come in the order of their least edge labels.  Each is
+    walked from that edge, and its arcs are numbered in walk order: an
+    edge that is some crossing's under-in edge a ends its arc, the run
+    after the last underpass is the arc the walk began on, and a
+    component with no underpass is one arc.  Crossings keep the order
+    of the code.
     """
     matches = list(_PD_CROSSING.finditer(pd_text))
     if not matches:
@@ -743,74 +753,44 @@ def import_pd(pd_text, signs=None, name="pd-link"):
         inferred_signs.append(1 if direction[(ci, 3)] else -1)
     final_signs = sign_overrides if sign_overrides is not None else inferred_signs
 
-    # successor of each edge along its strand
+    # successor of each edge along its strand; an edge that is some
+    # crossing's under-in edge a ends its arc
     succ = {}
-    over_in_edge = {}
     for ci, (a, b, c, d) in enumerate(quads):
         succ[a] = c
         if direction[(ci, 3)]:
             succ[d] = b
-            over_in_edge[ci] = d
         else:
             succ[b] = d
-            over_in_edge[ci] = b
+    ends = {a for a, _, _, _ in quads}
 
-    # arcs: over-passages keep the arc alive, underpasses break it
-    parent = {e: e for e in occurrences}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def union(e, f):
-        re_, rf = find(e), find(f)
-        if re_ != rf:
-            parent[re_] = rf
-
-    for ci in range(n):
-        union(over_in_edge[ci], succ[over_in_edge[ci]])
-
-    # walk components in edge order, numbering arcs as first encountered
-    arc_id = {}
+    # walk each component from its least edge, numbering its arcs in
+    # walk order; the run after its last underpass is the arc the walk
+    # began on, and a component with no underpass is one arc
+    arc_of = {}
     components = []
-    visited = set()
+    arcs = 0
     for start in sorted(occurrences):
-        if start in visited:
+        if start in arc_of:
             continue
-        cycle = []
-        e = start
-        while True:
-            visited.add(e)
-            cycle.append(e)
-            e = succ[e]
-            if e == start:
-                break
-        comp_arcs = []
+        cycle = [start]
+        while succ[cycle[-1]] != start:
+            cycle.append(succ[cycle[-1]])
+        cuts = sum(e in ends for e in cycle) or 1
+        passed = 0
         for e in cycle:
-            root = find(e)
-            if root not in arc_id:
-                arc_id[root] = len(arc_id)
-            a = arc_id[root]
-            if not comp_arcs or comp_arcs[-1] != a:
-                comp_arcs.append(a)
-        if len(comp_arcs) > 1 and comp_arcs[0] == comp_arcs[-1]:
-            comp_arcs.pop()
-        components.append(tuple(comp_arcs))
+            arc_of[e] = arcs + passed % cuts
+            passed += e in ends
+        components.append(tuple(range(arcs, arcs + cuts)))
+        arcs += cuts
 
-    crossings = []
-    for ci, (a, b, c, d) in enumerate(quads):
-        crossings.append(
-            Crossing(
-                final_signs[ci],
-                arc_id[find(a)],
-                arc_id[find(over_in_edge[ci])],
-                arc_id[find(c)],
-            )
-        )
+    # both over edges b and d lie on the over arc
+    crossings = [
+        Crossing(final_signs[ci], arc_of[a], arc_of[b], arc_of[c])
+        for ci, (a, b, c, _) in enumerate(quads)
+    ]
     meta = {"pd": " ".join("X[%d,%d,%d,%d]" % q for q in quads)}
     if sign_overrides is not None:
         meta["pd-signs"] = "".join("+" if s == 1 else "-" for s in final_signs)
-    d = LinkDiagram(name, len(arc_id), crossings, components, meta=meta)
+    d = LinkDiagram(name, arcs, crossings, components, meta=meta)
     return d.validate()
