@@ -41,52 +41,53 @@ def catalog_root():
     return _PACKAGE_CATALOG
 
 
-def _paths(subdir, suffix):
-    """{name: path} of the catalog's files in subdir with this suffix,
-    in order of name, from one listing."""
-    root = catalog_root() / subdir
+def _paths(kind):
+    """{name: path} of the catalog's files of a kind, link, quandle or
+    form, in order of name, from one listing."""
+    root = catalog_root() / f"{kind}s"
     if not root.is_dir():
         return {}
+    suffix = ".diagram" if kind == "link" else f".{kind}"
     return dict(sorted((p.stem, p) for p in root.glob(f"*{suffix}")))
 
 
-def _names(subdir, suffix):
-    return list(_paths(subdir, suffix))
+def _path(kind, name):
+    """The path of the named catalog file of a kind, link, quandle or
+    form, checked to exist: one stat, and a listing only to name the
+    available ones when it does not."""
+    suffix = ".diagram" if kind == "link" else f".{kind}"
+    path = catalog_root() / f"{kind}s" / f"{name}{suffix}"
+    if not path.is_file():
+        raise InputError(
+            f"unknown catalog {kind} {name!r}; available: {', '.join(_paths(kind))}"
+        )
+    return path
 
 
 def link_paths():
     """{name: path} of every catalog link, in list_links order."""
-    return _paths("links", ".diagram")
+    return _paths("link")
 
 
 def list_links():
-    return _names("links", ".diagram")
+    return list(_paths("link"))
 
 
 def list_quandles():
-    return _names("quandles", ".quandle")
+    return list(_paths("quandle"))
 
 
 def list_forms():
-    return _names("forms", ".form")
+    return list(_paths("form"))
 
 
 def load_quandle(name):
-    path = catalog_root() / "quandles" / f"{name}.quandle"
-    if not path.is_file():
-        raise InputError(
-            f"unknown catalog quandle {name!r}; available: {', '.join(list_quandles())}"
-        )
-    return _load_quandle_file(path, name=name)
+    return _load_quandle_file(_path("quandle", name), name=name)
 
 
 def _read_form(name):
     """(text, quandle id) of a catalog form file, read once."""
-    path = catalog_root() / "forms" / f"{name}.form"
-    if not path.is_file():
-        raise InputError(
-            f"unknown catalog form {name!r}; available: {', '.join(list_forms())}"
-        )
+    path = _path("form", name)
     text = read_text(path)
     m = re.search(r"^#\s*quandle\s*:\s*(\S+)", text, re.MULTILINE)
     if not m:
@@ -133,12 +134,7 @@ class CatalogEntry:
 
 def link_diagram(name):
     """Load one catalog link's diagram, validated by the parser."""
-    path = catalog_root() / "links" / f"{name}.diagram"
-    if not path.is_file():
-        raise InputError(
-            f"unknown catalog link {name!r}; available: {', '.join(list_links())}"
-        )
-    return load_diagram(path)
+    return load_diagram(_path("link", name))
 
 
 def load(name):
