@@ -764,9 +764,8 @@ def import_pd(pd_text, signs=None, name="pd-link"):
             succ[b] = d
     ends = {a for a, _, _, _ in quads}
 
-    # walk each component from its least edge, numbering its arcs in
-    # walk order; the run after its last underpass is the arc the walk
-    # began on, and a component with no underpass is one arc
+    # the run after a component's last underpass wraps round to the arc
+    # the walk began on
     arc_of = {}
     components = []
     arcs = 0
