@@ -47,7 +47,6 @@ def test_workload_ends_with_a_result(workload):
 def test_traced_workload_ends_with_every_per_layer_metric(workload):
     result, stderr = run_workload(workload, 1)
     assert result["correct"] is True and result["failed"] == 0, result
-    # the tracer warns on stderr of a traced name it cannot find
     assert stderr == ""
     assert set(result["metrics"]) == {m["name"] for m in BENCHMARK["per_layer"]}
     for name, metric in result["metrics"].items():
