@@ -150,18 +150,62 @@ def test_format_form_text(swap3):
     assert parse_form(format_form(empty), swap3).blocks == empty.blocks
 
 
+# (text, the exact message of the InputError that parse_form raises on
+# it against the one-element quandle): every error path of parse_form,
+# and those of PrimeField and the vector-count guard that a header reaches
+_B = "form 1 1 2\nB 1 1\n"
+PARSE_ERRORS = [
+    ("", "empty form file"),
+    ("# only: a comment\n\n", "empty form file"),
+    ("form 1 1\n", "line 1: expected header 'form m n p', got 'form 1 1'"),
+    ("forms 1 1 2\n", "line 1: expected header 'form m n p', got 'forms 1 1 2'"),
+    ("form 1 one 2\n", "line 1: m, n, p must be integers"),
+    ("form 2 1 2\n", "form is indexed by 2 elements but the quandle has 1"),
+    ("form 1 1 2000\n", "field order 2000 exceeds the largest supported, 1024"),
+    ("form 1 1 4\n", "field order must be prime, got 4"),
+    ("form 1 2 1009\nB 1 1\n0 0\n0 0\n", "F_1009^2 has more than 1024 vectors, the most supported"),
+    ("form 1 1 2\nC 1 1\n0\n", "line 2: expected a 'B x y' block header"),
+    ("form 1 1 2\nB 1\n0\n", "line 2: expected a 'B x y' block header"),
+    ("form 1 1 2\nB 1 a\n0\n", "line 2: block labels must be integers"),
+    ("form 1 1 2\nB 1 2\n0\n", "line 2: block label (1,2) out of range 1..1"),
+    ("form 1 1 2\nB 0 1\n0\n", "line 2: block label (0,1) out of range 1..1"),
+    (_B + "0\nB 1 1\n0\n", "line 4: duplicate block (1,1)"),
+    ("form 1 2 2\nB 1 1\n0 1\n", "line 2: block (1,1) is missing matrix rows"),
+    ("form 1 2 2\nB 1 1\n0 1 1\n1 0\n", "line 3: expected 2 entries, found 3"),
+    (_B + "x\n", "line 3: matrix entries must be integers"),
+    (_B + "2\n", "line 3: entries must lie in 0..1"),
+    ("form 1 1 3\nB 1 1\n-1\n", "line 3: entries must lie in 0..2"),
+    ("form 1 1 2\n", "missing blocks for pairs: [(1, 1)]"),
+]
+
+
 def test_parse_errors(swap3):
-    with pytest.raises(InputError):
-        parse_form("form 2 2 2\n", swap3)  # m mismatch
+    q = trivial_quandle(1)
+    wrong = []
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(InputError) as e:
+            parse_form(text, q)
+        if str(e.value) != message:
+            wrong.append((text, str(e.value), message))
+    assert wrong == []
     good = format_form(validate_form(swap3, PARTIAL, 2, 2))
-    # drop the final block -> missing matrix
-    trimmed = "\n".join(good.strip().splitlines()[:-3])
-    with pytest.raises(InputError):
-        parse_form(trimmed, swap3)
-    with pytest.raises(InputError):
-        parse_form(good.replace("B 1 1", "B 1 1\nB 1 1", 1), swap3)
-    with pytest.raises(InputError):
-        parse_form(good.replace("0 1", "0 7", 1), swap3)
+    # drop the final block, repeat a header, put 7 in F_2
+    for text, message in [
+        ("\n".join(good.strip().splitlines()[:-3]), "missing blocks for pairs: [(3, 3)]"),
+        (good.replace("B 1 1", "B 1 1\nB 1 1", 1), "line 3: expected 2 entries, found 3"),
+        (good.replace("0 1", "0 7", 1), "line 3: entries must lie in 0..1"),
+    ]:
+        with pytest.raises(InputError) as e:
+            parse_form(text, swap3)
+        assert str(e.value) == message
+    # a well-formed file whose blocks fail an axiom
+    with pytest.raises(AxiomError) as e:
+        parse_form(_B + "1\n", q)
+    assert str(e.value) == "form axioms fail (2 reported)"
+    assert e.value.violations == [
+        "axiom (i) fails at x=0, a=(1,): [a,a] = 1",
+        "axiom (ii) fails at (x,y,z)=(0,0,0), a=(1,), b=(1,), c=(1,): 1 != 0",
+    ]
 
 
 def test_form_requires_matching_quandle(swap3):
