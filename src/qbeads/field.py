@@ -150,35 +150,6 @@ class PrimeField:
                     return False
         return True
 
-    def matrix_rank(self, B):
-        """Rank over F_p by Gaussian elimination."""
-        rows = [list(r) for r in B]
-        if not rows:
-            return 0
-        ncols = len(rows[0])
-        rank = 0
-        col = 0
-        for col in range(ncols):
-            pivot = None
-            for r in range(rank, len(rows)):
-                if rows[r][col] % self.p != 0:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = pow(rows[rank][col], self.p - 2, self.p)
-            rows[rank] = [(a * inv) % self.p for a in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col] % self.p != 0:
-                    f = rows[r][col]
-                    rows[r] = [(a - f * b) % self.p for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
-
-    def is_nondegenerate(self, B):
-        return self.matrix_rank(B) == len(B)
-
 
 class VectorTables:
     """Index tables over the vectors of F_p^n, shared by every loop that
@@ -189,6 +160,9 @@ class VectorTables:
     and dot[i][j] is vectors[i] . vectors[j] mod p.  units holds the
     indices of the unit vectors e_1, ..., e_n in ascending index order,
     so a loop over them visits a subsequence of a loop over all vectors.
+    bilinear_table, step_table and isometries build on these tables:
+    the values of a bilinear form, the bead step a -> a + s [a, b] b
+    it defines, and the form's isometries, all over vector indices.
 
     The index of a vector has its coordinates as base-p digits, the
     first most significant, so index c*p^k + x of F_p^(k+1) is c
@@ -260,6 +234,22 @@ class VectorTables:
                 k = k * p + b
             functionals = [vadd[f][smul[a][k]] for f in functionals for a in range(p)]
         return list(map(self.dot.__getitem__, functionals))
+
+    def step_table(self, table, sign):
+        """t[i][j] is the index of a + sign [a, b] b, for a = vectors[i],
+        b = vectors[j] and [a, b] = table[i][j], a bilinear table.
+
+        With sign +-1 it is the bead step at a crossing of that sign
+        whose under-in and over arcs read table's block (see
+        forms._StepPairs); with sign 1 and a nondegenerate alternating
+        block, the symplectic quandle operation (Navas and Nelson 2008;
+        see quandle.symplectic_quandle).  sign is read mod p.
+        """
+        p, vadd, smul = self.p, self.vadd, self.smul
+        return [
+            [vadd[i][smul[(sign * b) % p][j]] for j, b in enumerate(row)]
+            for i, row in enumerate(table)
+        ]
 
     def isometries(self, tables, cap):
         """Generators of the group H of invertible linear maps g with

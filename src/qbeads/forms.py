@@ -172,9 +172,9 @@ class _StepPairs(dict):
     tables of a crossing of that sign whose under-in and over arcs read
     that block: the step table of that sign and the one of the opposite
     sign, which undoes it (see the coloring module).  Both are built
-    from the block's bilinear table on the first read of either sign
-    and kept, so a bead count fetches each crossing's pair with one
-    subscript.  It holds the form's tables, not the form, so a form is
+    from the block's bilinear table (VectorTables.step_table) on the
+    first read of either sign and kept, so a bead count fetches each
+    crossing's pair with one subscript.  It holds the form's tables, not the form, so a form is
     freed as soon as its last reference goes."""
 
     def __init__(self, vector_tables, bilinear_tables):
@@ -184,13 +184,8 @@ class _StepPairs(dict):
 
     def __missing__(self, key):
         block_id, sign = key
-        t = self.vector_tables
-        vadd, smul, p = t.vadd, t.smul, t.p
-        rows = tuple(enumerate(self.bilinear_tables[block_id]))
-        forward, inverse = (
-            [[vadd[i][smul[(s * b) % p][j]] for j, b in enumerate(row)] for i, row in rows]
-            for s in (sign, -sign)
-        )
+        table = self.bilinear_tables[block_id]
+        forward, inverse = (self.vector_tables.step_table(table, s) for s in (sign, -sign))
         self[block_id, -sign] = inverse, forward
         pair = self[key] = forward, inverse
         return pair
@@ -348,14 +343,14 @@ def form_violations(quandle, blocks, field, n, cap=20, memo=None):
     return violations
 
 
-def validate_form(quandle, blocks, p, n, name="", cap=20):
+def validate_form(quandle, blocks, p, n, name=""):
     """Validate blocks against the quandle; return a BilinearForm.
 
     Raises AxiomError carrying the violation report when any axiom
     instance fails, InputError on shape or range problems.
     """
     field = PrimeField(p)
-    violations = form_violations(quandle, blocks, field, n, cap=cap)
+    violations = form_violations(quandle, blocks, field, n)
     if violations:
         raise AxiomError(f"form axioms fail ({len(violations)} reported)", violations)
     # form_violations has checked every block; only the containers change
@@ -383,7 +378,7 @@ def constant_form(quandle, p, n, B, name="constant"):
 def parse_form(text, quandle, name=""):
     """Parse the form file format against a given quandle.
 
-    Line 1: ``form m n p``.  Then one block per pair: a ``B x y`` line
+    Line 1: ``form m n p``, n >= 0.  Then one block per pair: a ``B x y`` line
     (1-based labels) followed by n rows of n entries in 0..p-1.  Every
     pair must appear exactly once.  Validates the axioms before
     returning.
@@ -404,6 +399,8 @@ def parse_form(text, quandle, name=""):
         m, n, p = (int(t) for t in parts[1:])
     except ValueError:
         raise InputError(f"line {lineno}: m, n, p must be integers")
+    if n < 0:
+        raise InputError(f"line {lineno}: matrix dimension must be >= 0, got {n}")
     if m != quandle.order:
         raise InputError(
             f"form is indexed by {m} elements but the quandle has {quandle.order}"

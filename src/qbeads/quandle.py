@@ -10,7 +10,9 @@ is 1-based (see parse_quandle / format_quandle).
 """
 
 import collections
+import math
 import operator
+import os
 from functools import cached_property
 
 from .errors import AxiomError, InputError, read_text
@@ -263,23 +265,20 @@ def group_table_violations(table):
 
 
 def _group_inverses(table):
-    m = len(table)
-    identity = next(
-        e for e in range(m) if all(table[e][x] == x and table[x][e] == x for x in range(m))
-    )
-    inv = [None] * m
-    for x in range(m):
-        inv[x] = next(y for y in range(m) if table[x][y] == identity)
-    return inv
+    """The inverse of each element of a Cayley table; InputError
+    unless the table is a group's."""
+    problems = group_table_violations(table)
+    if problems:
+        raise InputError("not a group table: " + "; ".join(problems))
+    # e e = e forces e = 1 in a group, so the identity is its only idempotent
+    identity = next(e for e, row in enumerate(table) if row[e] == e)
+    return [row.index(identity) for row in table]
 
 
 def conjugation_quandle(group_table, name=None):
     """x ▷ y = y^-1 x y on the elements of a finite group."""
-    problems = group_table_violations(group_table)
-    if problems:
-        raise InputError("not a group table: " + "; ".join(problems))
-    m = len(group_table)
     inv = _group_inverses(group_table)
+    m = len(group_table)
     table = [
         [group_table[group_table[inv[y]][x]][y] for y in range(m)] for x in range(m)
     ]
@@ -288,11 +287,8 @@ def conjugation_quandle(group_table, name=None):
 
 def core_quandle(group_table, name=None):
     """x ▷ y = y x^-1 y on the elements of a finite group."""
-    problems = group_table_violations(group_table)
-    if problems:
-        raise InputError("not a group table: " + "; ".join(problems))
-    m = len(group_table)
     inv = _group_inverses(group_table)
+    m = len(group_table)
     table = [
         [group_table[group_table[y][inv[x]]][y] for y in range(m)] for x in range(m)
     ]
@@ -307,8 +303,6 @@ def alexander_quandle(n, t, name=None):
     if n < 1:
         raise InputError(f"modulus must be positive, got {n}")
     t = t % n
-    import math
-
     if math.gcd(t, n) != 1:
         raise InputError(f"t = {t} is not a unit mod {n}")
     table = [[(t * x + (1 - t) * y) % n for y in range(n)] for x in range(n)]
@@ -318,7 +312,9 @@ def alexander_quandle(n, t, name=None):
 def symplectic_quandle(p, n, S, name=None):
     """x ▷ y = x + (x^T S y) y on the vectors of F_p^n.
 
-    S must be alternating (zero diagonal, S^T = -S) and nondegenerate.
+    S must be alternating (zero diagonal, S^T = -S) and nondegenerate:
+    no nonzero vector's row of its bilinear table is all zero.  The
+    operation is VectorTables.step_table of that table with sign 1.
     Elements are indexed by position in PrimeField(p).all_vectors(n).
     """
     field = PrimeField(p)
@@ -327,15 +323,12 @@ def symplectic_quandle(p, n, S, name=None):
     S = field.check_matrix(S, n)
     if not field.is_alternating(S):
         raise InputError("S is not alternating (need zero diagonal and S^T = -S)")
-    if not field.is_nondegenerate(S):
-        raise InputError("S is degenerate")
     tables = field.vector_tables(n)
-    vadd, smul = tables.vadd, tables.smul
-    table = [
-        [vadd[x][smul[s][y]] for y, s in enumerate(row)]
-        for x, row in enumerate(tables.bilinear_table(S))
-    ]
-    return Quandle.from_table(table, name=name or f"symplectic({p},{n})")
+    bilinear = tables.bilinear_table(S)
+    # index 0 is the zero vector, whose row is always zero
+    if not all(map(any, bilinear[1:])):
+        raise InputError("S is degenerate")
+    return Quandle.from_table(tables.step_table(bilinear, 1), name=name or f"symplectic({p},{n})")
 
 
 # -- file format ------------------------------------------------------
@@ -400,7 +393,5 @@ def format_quandle(quandle):
 
 def load_quandle(path, name=None):
     text = read_text(path)
-    import os
-
     inferred = name if name is not None else os.path.splitext(os.path.basename(path))[0]
     return parse_quandle(text, name=inferred)

@@ -3,6 +3,8 @@ from the coordinates.  Only the tests and their oracles call them, as
 references independent of the index tables (field.VectorTables) that
 the package reads."""
 
+import itertools
+
 from qbeads.errors import InputError
 
 
@@ -24,3 +26,12 @@ def bilinear_eval(field, B, u, v):
             row = B[i]
             total += ui * sum(row[j] * vj for j, vj in enumerate(v))
     return total % field.p
+
+
+def is_nondegenerate(field, B):
+    """No nonzero u has u^T B v = 0 for every v: a brute-force radical
+    test over every pair of vectors of F_p^n."""
+    vectors = list(itertools.product(range(field.p), repeat=len(B)))
+    return not any(
+        any(u) and all(bilinear_eval(field, B, u, v) == 0 for v in vectors) for u in vectors
+    )

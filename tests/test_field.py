@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -96,15 +98,6 @@ def test_alternating_matches_vanishing_quadratic():
         assert f.is_alternating(B) == vanishes
 
 
-def test_rank_and_nondegeneracy():
-    f = PrimeField(2)
-    assert f.matrix_rank(((0, 1), (1, 0))) == 2
-    assert f.matrix_rank(((0, 0), (0, 0))) == 0
-    assert f.matrix_rank(((1, 1), (1, 1))) == 1
-    assert f.is_nondegenerate(((0, 1), (1, 0)))
-    assert not f.is_nondegenerate(((1, 1), (1, 1)))
-
-
 def test_all_matrices_count():
     f = PrimeField(2)
     mats = list(all_matrices(f, 2))
@@ -157,3 +150,22 @@ def test_bilinear_table_matches_eval(data):
     t = VectorTables(f, n)
     table = t.bilinear_table(B)
     assert table == [[bilinear_eval(f, B, u, v) for v in t.vectors] for u in t.vectors]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 1)])
+@pytest.mark.parametrize("seed", range(3))
+def test_step_table_is_the_tuple_arithmetic(p, n, seed):
+    # random B, most of them neither alternating nor symmetric; a sign
+    # is read mod p, so signs past +-1 pin that reduction
+    f = PrimeField(p)
+    rng = random.Random(f"{p},{n},{seed}")
+    B = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    t = VectorTables(f, n)
+    vs = t.vectors
+    table = t.bilinear_table(B)
+    for sign in (1, -1, 2, -2, p + 1):
+        expected = [
+            [vs.index(vec_add(f, a, scalar_mul(f, sign * bilinear_eval(f, B, a, b), b))) for b in vs]
+            for a in vs
+        ]
+        assert t.step_table(table, sign) == expected, (B, sign)

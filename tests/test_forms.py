@@ -160,6 +160,8 @@ PARSE_ERRORS = [
     ("form 1 1\n", "line 1: expected header 'form m n p', got 'form 1 1'"),
     ("forms 1 1 2\n", "line 1: expected header 'form m n p', got 'forms 1 1 2'"),
     ("form 1 one 2\n", "line 1: m, n, p must be integers"),
+    ("form 1 -1 2\nB 1 1\n", "line 1: matrix dimension must be >= 0, got -1"),
+    ("form 1 -2 2\nB 1 1\n", "line 1: matrix dimension must be >= 0, got -2"),
     ("form 2 1 2\n", "form is indexed by 2 elements but the quandle has 1"),
     ("form 1 1 2000\n", "field order 2000 exceeds the largest supported, 1024"),
     ("form 1 1 4\n", "field order must be prime, got 4"),
@@ -188,6 +190,7 @@ def test_parse_errors(swap3):
         if str(e.value) != message:
             wrong.append((text, str(e.value), message))
     assert wrong == []
+    assert parse_form("form 1 0 2\nB 1 1\n", q).n == 0
     good = format_form(validate_form(swap3, PARTIAL, 2, 2))
     # drop the final block, repeat a header, put 7 in F_2
     for text, message in [

@@ -17,8 +17,9 @@ from qbeads.quandle import (
     trivial_quandle,
 )
 
-from field_ops import bilinear_eval, scalar_mul, vec_add
+from field_ops import bilinear_eval, is_nondegenerate, scalar_mul, vec_add
 from quandle_ops import inv_op, op, op_signed
+from search_oracle import alternating_matrices
 
 SWAP3 = [[0, 0, 1], [1, 1, 0], [2, 2, 2]]
 
@@ -179,19 +180,42 @@ def test_symplectic_quandle():
         symplectic_quandle(2, 2, [[0, 0], [0, 0]])  # degenerate
 
 
-@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (2, 4)])
+SYMPLECTIC_SIZES = [(2, 2), (3, 2), (5, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("p, n", SYMPLECTIC_SIZES)
+def test_symplectic_quandle_refuses_exactly_the_degenerate_forms(p, n):
+    f = PrimeField(p)
+    accepted = []
+    for S in alternating_matrices(f, n):
+        if is_nondegenerate(f, S):
+            symplectic_quandle(p, n, S)
+            accepted.append(S)
+        else:
+            with pytest.raises(InputError) as e:
+                symplectic_quandle(p, n, S)
+            assert str(e.value) == "S is degenerate"
+    # a 2x2 alternating S is degenerate only when zero; at n = 4 over
+    # F_2, 28 of the 64 have a nonzero Pfaffian
+    assert len(accepted) == {2: p - 1, 4: 28}[n]
+
+
+@pytest.mark.parametrize("p, n", SYMPLECTIC_SIZES)
 def test_symplectic_quandle_is_the_tuple_definition(p, n):
-    # the standard symplectic form: e_{2i} . e_{2i+1} = 1 = -(e_{2i+1} . e_{2i})
-    S = [[0] * n for _ in range(n)]
-    for i in range(0, n, 2):
-        S[i][i + 1], S[i + 1][i] = 1, p - 1
+    # every nondegenerate alternating S, the standard form among them
     f = PrimeField(p)
     vs = f.all_vectors(n)
-    expected = tuple(
-        tuple(vs.index(vec_add(f, x, scalar_mul(f, bilinear_eval(f, S, x, y), y))) for y in vs)
-        for x in vs
-    )
-    assert symplectic_quandle(p, n, S).table == expected
+    forms = [S for S in alternating_matrices(f, n) if is_nondegenerate(f, S)]
+    standard = [[0] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        standard[i][i + 1], standard[i + 1][i] = 1, p - 1
+    assert tuple(map(tuple, standard)) in forms
+    for S in forms:
+        expected = tuple(
+            tuple(vs.index(vec_add(f, x, scalar_mul(f, bilinear_eval(f, S, x, y), y))) for y in vs)
+            for x in vs
+        )
+        assert symplectic_quandle(p, n, S).table == expected, S
 
 
 def _closure_orbits(q):
