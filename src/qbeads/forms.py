@@ -174,8 +174,9 @@ class _StepPairs(dict):
     sign, which undoes it (see the coloring module).  Both are built
     from the block's bilinear table (VectorTables.step_table) on the
     first read of either sign and kept, so a bead count fetches each
-    crossing's pair with one subscript.  It holds the form's tables, not the form, so a form is
-    freed as soon as its last reference goes."""
+    crossing's pair with one subscript.  It holds the form's tables,
+    not the form, so a form is freed as soon as its last reference
+    goes."""
 
     def __init__(self, vector_tables, bilinear_tables):
         super().__init__()
@@ -378,9 +379,9 @@ def constant_form(quandle, p, n, B, name="constant"):
 def parse_form(text, quandle, name=""):
     """Parse the form file format against a given quandle.
 
-    Line 1: ``form m n p``, n >= 0.  Then one block per pair: a ``B x y`` line
-    (1-based labels) followed by n rows of n entries in 0..p-1.  Every
-    pair must appear exactly once.  Validates the axioms before
+    Line 1: ``form m n p`` with n >= 0.  Then one block per pair: a
+    ``B x y`` line (1-based labels) followed by n rows of n entries in
+    0..p-1.  Every pair must appear exactly once.  Validates the axioms before
     returning.
     """
     lines = []

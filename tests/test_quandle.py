@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 
@@ -156,6 +157,21 @@ def test_core_quandles(table):
     assert q.table == q.inv_table
 
 
+@pytest.mark.parametrize(
+    "table, problem",
+    [
+        ([[0, 0], [0, 0]], "no two-sided identity element"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "associativity fails at (1,1,2)"),
+        ([[0, 1], [1, 1]], "element 1 has no inverse"),
+    ],
+)
+def test_group_constructors_refuse_non_groups(table, problem):
+    for construct in (conjugation_quandle, core_quandle):
+        with pytest.raises(InputError) as e:
+            construct(table)
+        assert str(e.value) == "not a group table: " + problem
+
+
 def test_alexander_quandles():
     for n, t in [(3, 2), (5, 2), (5, 3), (5, 4), (7, 3), (8, 3), (9, 2)]:
         check_axioms(alexander_quandle(n, t))
@@ -202,15 +218,10 @@ def test_symplectic_quandle_refuses_exactly_the_degenerate_forms(p, n):
 
 @pytest.mark.parametrize("p, n", SYMPLECTIC_SIZES)
 def test_symplectic_quandle_is_the_tuple_definition(p, n):
-    # every nondegenerate alternating S, the standard form among them
+    # every nondegenerate alternating S, not only the standard form
     f = PrimeField(p)
     vs = f.all_vectors(n)
-    forms = [S for S in alternating_matrices(f, n) if is_nondegenerate(f, S)]
-    standard = [[0] * n for _ in range(n)]
-    for i in range(0, n, 2):
-        standard[i][i + 1], standard[i + 1][i] = 1, p - 1
-    assert tuple(map(tuple, standard)) in forms
-    for S in forms:
+    for S in filter(partial(is_nondegenerate, f), alternating_matrices(f, n)):
         expected = tuple(
             tuple(vs.index(vec_add(f, x, scalar_mul(f, bilinear_eval(f, S, x, y), y))) for y in vs)
             for x in vs
