@@ -43,21 +43,34 @@ def catalog_root():
 
 def _paths(kind):
     """{name: path} of the catalog's files of a kind, link, quandle or
-    form, in order of name, from one listing."""
+    form, in order of name, from one directory scan: exactly the names
+    that _path resolves, so regular files (through symlinks) with a
+    non-empty name before the suffix."""
     root = catalog_root() / f"{kind}s"
-    if not root.is_dir():
-        return {}
     suffix = ".diagram" if kind == "link" else f".{kind}"
-    return dict(sorted((p.stem, p) for p in root.glob(f"*{suffix}")))
+    try:
+        entries = os.scandir(root)
+    except (FileNotFoundError, NotADirectoryError):
+        return {}
+    except OSError as e:
+        raise InputError(f"cannot list {root}: {e.strerror or e}") from None
+    with entries:
+        found = [
+            (entry.name[: -len(suffix)], entry.path)
+            for entry in entries
+            if entry.name.endswith(suffix) and entry.name != suffix and entry.is_file()
+        ]
+    return dict(sorted(found))
 
 
 def _path(kind, name):
     """The path of the named catalog file of a kind, link, quandle or
     form, checked to exist: one stat, and a listing only to name the
-    available ones when it does not."""
+    available ones when it does not.  A name is not empty and names no
+    subdirectory, as no listed name does."""
     suffix = ".diagram" if kind == "link" else f".{kind}"
     path = catalog_root() / f"{kind}s" / f"{name}{suffix}"
-    if not path.is_file():
+    if not name or os.sep in name or not path.is_file():
         raise InputError(
             f"unknown catalog {kind} {name!r}; available: {', '.join(_paths(kind))}"
         )

@@ -5,14 +5,19 @@ catalog-list.  Exit codes: 0 success/valid, 1 axiom violation or
 expected-value mismatch (including engine disagreement), 2 input error.
 Text output for every subcommand is a pure function of its JSON output
 (minus timing fields), so the two formats always agree.
+
+--format json prints a record through to_json, which writes what
+json.dumps(record, indent=2, sort_keys=True) writes, byte for byte.
+With indent set, CPython's json runs its pure-Python encoder; to_json
+walks the record once and quotes strings with the C encoder instead.
 """
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
+from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import catalog
 from .coloring import ENGINES
@@ -50,9 +55,68 @@ def _resolve_link(token):
     return catalog.link_diagram(token)
 
 
+def to_json(value):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
+    values made of dicts with str keys, lists, tuples (written as
+    lists), str, int, float, bool and None."""
+    parts = []
+    _write_json(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, newline, put):
+    """Put the JSON text of value, its nested lines starting with
+    newline plus two spaces."""
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            put("NaN")
+        elif value == INFINITY:
+            put("Infinity")
+        elif value == -INFINITY:
+            put("-Infinity")
+        else:
+            put(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            put(separator)
+            _write_json(item, inner, put)
+            separator = "," + inner
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, put)
+            separator = "," + inner
+        put(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, record, render):
     if args.format == "json":
-        print(json.dumps(record, indent=2, sort_keys=True))
+        sys.stdout.write(to_json(record) + "\n")
     else:
         sys.stdout.write(render(record))
 

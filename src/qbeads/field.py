@@ -270,8 +270,10 @@ class VectorTables:
         later coordinates are zero, in all_vectors order, so the span
         after the last column is the permutation.  Once more than cap
         partial maps have been accepted the search returns the maps
-        found so far, which generate a subgroup of H.
+        found so far, which generate a subgroup of H.  A table that is
+        all zero constrains no map, so the search leaves it out.
         """
+        tables = [t for t in tables if any(map(any, t))]
         p, vadd, smul = self.p, self.vadd, self.smul
         basis = sorted(self.units, reverse=True)  # e_1, ..., e_n
         grams = [(t, [[t[i][j] for j in basis] for i in basis]) for t in tables]

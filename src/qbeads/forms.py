@@ -79,6 +79,7 @@ class BilinearForm:
         self.blocks = blocks
         self.name = name
         self._seed_orbits = {}  # frozenset of block ids -> seed_orbits
+        self._generator_orbits = {}  # tuple of isometry generators -> seed_orbits
 
     @property
     def vector_tables(self):
@@ -153,6 +154,10 @@ class BilinearForm:
         (w, |Stab_H(v) w|) the same way for the stabiliser of v
         (quandle.weighted_orbits).  Built on first use and kept, one
         per distinct ids, which are checked on that first use.
+
+        Ids whose isometries have the same generators share their
+        orbits, so weighted_orbits runs once per distinct generator
+        list of the form: at p^n = 4 every catalog id set has the same.
         """
         orbits = self._seed_orbits.get(ids)
         if orbits is None:
@@ -162,8 +167,12 @@ class BilinearForm:
                     f"block ids {sorted(map(repr, unknown))} are not among this "
                     f"form's {len(self.bilinear_tables)} blocks"
                 )
-            size = len(self.vector_tables.vectors)
-            orbits = self._seed_orbits[ids] = weighted_orbits(self.isometries(ids), size)
+            generators = self.isometries(ids)
+            key = tuple(map(tuple, generators))
+            if key not in self._generator_orbits:
+                size = len(self.vector_tables.vectors)
+                self._generator_orbits[key] = weighted_orbits(generators, size)
+            orbits = self._seed_orbits[ids] = self._generator_orbits[key]
         return orbits
 
 

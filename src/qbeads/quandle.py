@@ -228,6 +228,10 @@ def _stabiliser_orbits(v, moves, size):
 
 
 # -- standard constructions -------------------------------------------
+#
+# Each construction is a quandle by theorem once its inputs are checked,
+# so it builds Quandle(table) without from_table's m^3 axiom sweep;
+# tests/test_quandle.py runs that sweep on each over small inputs.
 
 
 def trivial_quandle(m, name=None):
@@ -235,7 +239,7 @@ def trivial_quandle(m, name=None):
     if m < 1:
         raise InputError(f"order must be positive, got {m}")
     table = [[x] * m for x in range(m)]
-    return Quandle.from_table(table, name=name or f"trivial{m}")
+    return Quandle(table, name=name or f"trivial{m}")
 
 
 def group_table_violations(table):
@@ -282,7 +286,7 @@ def conjugation_quandle(group_table, name=None):
     table = [
         [group_table[group_table[inv[y]][x]][y] for y in range(m)] for x in range(m)
     ]
-    return Quandle.from_table(table, name=name or f"conj{m}")
+    return Quandle(table, name=name or f"conj{m}")
 
 
 def core_quandle(group_table, name=None):
@@ -292,7 +296,7 @@ def core_quandle(group_table, name=None):
     table = [
         [group_table[group_table[y][inv[x]]][y] for y in range(m)] for x in range(m)
     ]
-    return Quandle.from_table(table, name=name or f"core{m}")
+    return Quandle(table, name=name or f"core{m}")
 
 
 def alexander_quandle(n, t, name=None):
@@ -306,7 +310,7 @@ def alexander_quandle(n, t, name=None):
     if math.gcd(t, n) != 1:
         raise InputError(f"t = {t} is not a unit mod {n}")
     table = [[(t * x + (1 - t) * y) % n for y in range(n)] for x in range(n)]
-    return Quandle.from_table(table, name=name or f"alexander({n},{t})")
+    return Quandle(table, name=name or f"alexander({n},{t})")
 
 
 def symplectic_quandle(p, n, S, name=None):
@@ -328,7 +332,7 @@ def symplectic_quandle(p, n, S, name=None):
     # index 0 is the zero vector, whose row is always zero
     if not all(map(any, bilinear[1:])):
         raise InputError("S is degenerate")
-    return Quandle.from_table(tables.step_table(bilinear, 1), name=name or f"symplectic({p},{n})")
+    return Quandle(tables.step_table(bilinear, 1), name=name or f"symplectic({p},{n})")
 
 
 # -- file format ------------------------------------------------------

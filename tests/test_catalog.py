@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from qbeads import catalog
@@ -91,3 +93,29 @@ def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(catalog.CATALOG_ENV, str(tmp_path / "missing"))
     with pytest.raises(InputError):
         catalog.list_links()
+
+
+def test_listing_gives_exactly_the_names_lookup_resolves(tmp_path, monkeypatch):
+    """A listed name is a regular file, through symlinks, with a name
+    before its suffix; every listed name resolves and no other does."""
+    links = tmp_path / "links"
+    links.mkdir()
+    text = "link loop\narcs 1\ncomponent 1\n"
+    (links / "loop.diagram").write_text(text)
+    (links / "target.txt").write_text(text)
+    (links / "linked.diagram").symlink_to(links / "target.txt")
+    (links / "dangling.diagram").symlink_to(links / "missing.txt")
+    (links / "zz.diagram").mkdir()
+    (links / ".diagram").write_text(text)
+    (links / "sub").mkdir()
+    (links / "sub" / "x.diagram").write_text(text)
+    monkeypatch.setenv(catalog.CATALOG_ENV, str(tmp_path))
+    assert catalog.list_links() == ["linked", "loop"]
+    assert list(catalog.link_paths()) == ["linked", "loop"]
+    for name, path in catalog.link_paths().items():
+        assert catalog.link_diagram(name).arc_count == 1
+        assert os.path.samefile(path, links / f"{name}.diagram")
+    for name in ("zz", "dangling", "", ".diagram", "sub/x", "target"):
+        with pytest.raises(InputError) as e:
+            catalog.link_diagram(name)
+        assert str(e.value) == f"unknown catalog link {name!r}; available: linked, loop"

@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbeads import catalog, cli
+from qbeads import forms as forms_module
 from qbeads.errors import InputError, read_text
 from qbeads.field import VectorTables
 from qbeads.quandle import format_quandle, trivial_quandle
@@ -26,6 +28,9 @@ DATA = Path(__file__).parent / "data"
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
+    if out.out and "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        # the writer prints what json.dumps prints, byte for byte
+        assert out.out == json.dumps(json.loads(out.out), indent=2, sort_keys=True) + "\n"
     return code, out.out, out.err
 
 
@@ -209,9 +214,11 @@ def test_batch_full_catalog_matches_expected(capsys):
 
 def test_batch_builds_tables_once_per_form(monkeypatch, capsys):
     """A batch counts every link on its one form's tables: one
-    VectorTables, and at most 2m^2 step tables built once each."""
-    vector_tables, bilinear, forms = [], [], []
+    VectorTables, at most 2m^2 step tables built once each, and one
+    weighted_orbits per distinct list of isometry generators."""
+    vector_tables, bilinear, forms, searched, weighted = [], [], [], [], []
     init, table = VectorTables.__init__, VectorTables.bilinear_table
+    isometries, orbits = VectorTables.isometries, forms_module.weighted_orbits
     compute = cli.compute_invariant
 
     def counted_init(self, field, n):
@@ -226,13 +233,29 @@ def test_batch_builds_tables_once_per_form(monkeypatch, capsys):
         forms.append(form)
         return compute(diagram, quandle, form, **kwargs)
 
+    def counted_isometries(self, tables, cap):
+        generators = isometries(self, tables, cap)
+        searched.append(tuple(map(tuple, generators)))
+        return generators
+
+    def counted_orbits(generators, size):
+        weighted.append(tuple(map(tuple, generators)))
+        return orbits(generators, size)
+
     monkeypatch.setattr(VectorTables, "__init__", counted_init)
     monkeypatch.setattr(VectorTables, "bilinear_table", counted_table)
+    monkeypatch.setattr(VectorTables, "isometries", counted_isometries)
+    monkeypatch.setattr(forms_module, "weighted_orbits", counted_orbits)
     monkeypatch.setattr(cli, "compute_invariant", recorded)
     for name in ("swap3-partial", "swap3-full"):
-        del vector_tables[:], bilinear[:], forms[:]
-        code, _, _ = run(capsys, "batch", "--quandle", "swap3", "--form", name)
-        assert code == 0
+        del vector_tables[:], bilinear[:], forms[:], searched[:], weighted[:]
+        code, out, _ = run(capsys, "batch", "--quandle", "swap3", "--form", name)
+        # every link's polynomial is the shipped expected one
+        assert code == 0 and out.endswith("diff: none\n")
+        # one weighted_orbits per distinct generator list of the
+        # isometry searches: at p^n = 4 every id set has the same
+        assert searched and sorted(weighted) == sorted(set(searched))
+        assert len(weighted) == 1
         form = forms[0]
         assert len(forms) == len(catalog.list_links())
         assert all(f is form for f in forms)
@@ -533,3 +556,32 @@ def test_render_check_shape():
     assert render_check({"valid": True, "violations": []}) == "valid\n"
     out = render_check({"valid": False, "violations": ["a", "b"]})
     assert out.splitlines() == ["invalid: 2 violation(s)", "a", "b"]
+
+
+# -- the JSON writer --------------------------------------------------------
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(lambda i: i * 10**30),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, -1e-300, float("nan"), float("inf"), float("-inf")]),
+    st.text(),
+    st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té \U0001f600\ud800a')),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_writer_writes_what_json_dumps_writes(value):
+    assert cli.to_json(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from functools import partial
 
 import pytest
@@ -227,6 +228,35 @@ def test_symplectic_quandle_is_the_tuple_definition(p, n):
             for x in vs
         )
         assert symplectic_quandle(p, n, S).table == expected, S
+
+
+def _constructions():
+    """(id, construction) for every named constructor over small inputs:
+    every order and every unit t mod n up to 12, the groups S3 and Z_n,
+    and every nondegenerate alternating S at three sizes."""
+    for m in range(1, 13):
+        yield f"trivial{m}", partial(trivial_quandle, m)
+        for t in range(m):
+            if math.gcd(t, m) == 1:
+                yield f"alexander({m},{t})", partial(alexander_quandle, m, t)
+    for label, table in [("S3", sym3())] + [(f"Z{m}", cyclic(m)) for m in range(1, 13)]:
+        yield f"conj({label})", partial(conjugation_quandle, table)
+        yield f"core({label})", partial(core_quandle, table)
+    for p, n in [(2, 2), (3, 2), (2, 4)]:
+        f = PrimeField(p)
+        for S in filter(partial(is_nondegenerate, f), alternating_matrices(f, n)):
+            entries = "".join(str(v) for row in S for v in row)
+            yield f"symplectic({p},{n},{entries})", partial(symplectic_quandle, p, n, S)
+
+
+CONSTRUCTIONS = dict(_constructions())
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS)
+def test_constructors_build_quandles(construction):
+    # the constructors skip from_table's sweep, as each is a quandle by
+    # theorem; the sweep here is what they leave out
+    assert quandle_violations(construction().table) == []
 
 
 def _closure_orbits(q):
