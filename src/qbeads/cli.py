@@ -104,8 +104,6 @@ def _write_json(value, newline, put):
         inner = newline + "  "
         separator = "{" + inner
         for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
             put(separator + encode_basestring_ascii(key) + ": ")
             _write_json(item, inner, put)
             separator = "," + inner
