@@ -36,10 +36,13 @@ seeds are a minimum Wirtinger set, the fewest arcs whose values fix all
 the others; their number is the diagram's Wirtinger number (Blair,
 Kjuchukova, Velazquez and Villanueva, "Wirtinger systems of generators
 of knot groups"; see diagram.seed_arcs, which finds it up to 20
-candidate arcs).  A count enumerates the values of the seeds only.
-A run reads one (forward, inverse) table pair per crossing: quandle
-tables for X-colorings, the form's step tables for beads (the
-"propagate" engine).
+candidate arcs).  A count enumerates the values of the seeds only,
+in the plan's cost order (diagram.propagation_plan), and from the
+third seed on a seed that is the over arc of a check whose under ends
+are already fixed runs only over the values that pass it
+(diagram.keyed_checks).  A run reads one (forward, inverse, preimages)
+table triple per crossing: quandle tables for X-colorings, the form's
+step tables for beads (the "propagate" engine).
 
 Every run calls LinkDiagram.kernel, the plan compiled into one
 generated function with a nested for loop per seed and a line per step
@@ -49,11 +52,12 @@ the number of components, which are all that the plan reads
 (diagram.compile_structure).  Each structure is planned and compiled
 once per process, so a diagram loaded again plans and compiles
 nothing.  Its solutions come in lexicographic order of the seed
-values, seeds in ascending arc order, so the seeds, not the arc order,
-fix the order of bead_solutions; enumerate_xcolorings sorts its
-result.  The interpreter that a kernel unrolls, one stage per seed and
-a loop over the seed's steps, is kept in tests/plan_reference.py as the
-reference the kernels are tested against.
+values, seeds taken in plan order, which need not be ascending arc
+order: so the plan, not the arc order, fixes the order of
+bead_solutions; enumerate_xcolorings sorts its result.  The
+interpreter that a kernel unrolls, one stage per seed and a loop over
+the seed's steps, is kept in tests/plan_reference.py as the reference
+the kernels are tested against.
 
 A bare bead count runs its first two seeds only up to symmetry.  Let g
 be linear with g^T B g = B for every block B the coloring reads (the
@@ -113,10 +117,12 @@ ENGINES = ("oracle", "propagate", "both")
 
 
 def _quandle_tables(diagram, quandle):
-    """Each crossing's (forward, inverse) pair of quandle tables, as
-    the crossing sign demands."""
+    """Each crossing's (forward, inverse, preimages) triple of quandle
+    tables, as the crossing sign demands: preimages indexes the forward
+    table (Quandle.preimages)."""
     q, inv = quandle.table, quandle.inv_table
-    return [(q, inv) if c.sign > 0 else (inv, q) for c in diagram.crossings]
+    pq, pinv = quandle.preimages
+    return [(q, inv, pq) if c.sign > 0 else (inv, q, pinv) for c in diagram.crossings]
 
 
 def enumerate_xcolorings(diagram, quandle):
@@ -155,7 +161,7 @@ class BeadCounter:
     diagram's plan and the form's step tables, both built once.
 
     The propagate engine reads a coloring only through its block key
-    (block_key): the step-table pair of each crossing is one subscript
+    (block_key): the step-table triple of each crossing is one subscript
     of form.step_pairs by that crossing's block id and sign, and a bare
     count's seed orbits are form.seed_orbits of the key's set of ids.
     So colorings with one block key have one count, count_key(key),
@@ -183,7 +189,7 @@ class BeadCounter:
         counter that counts only by key never builds it."""
         return [
             (c.under_in, c.over, c.under_out, forward)
-            for c, (forward, _) in zip(
+            for c, (forward, *_) in zip(
                 self.diagram.crossings, _quandle_tables(self.diagram, self.quandle)
             )
         ]
@@ -290,8 +296,8 @@ class BeadCounter:
         return count, sols if limit is None else sols[:limit]
 
     def _step_tables(self, key):
-        """Each crossing's (forward, inverse) step-table pair under the
-        block key key."""
+        """Each crossing's (forward, inverse, preimages) step-table triple
+        under the block key key."""
         return list(map(self.form.step_pairs.__getitem__, zip(key, self.signs)))
 
     def count_key(self, key):
@@ -359,7 +365,13 @@ def count_beads(diagram, quandle, form, coloring, engine="propagate"):
 
 
 def bead_solutions(diagram, quandle, form, coloring, engine="propagate", limit=None):
-    """The bead colorings themselves, as tuples of vectors per arc."""
+    """The bead colorings themselves, as tuples of vectors per arc.
+
+    The propagate engine lists them in lexicographic order of the
+    vector indices at the seeds, the seeds taken in plan order
+    (diagram.plan), which need not be ascending arc order; the oracle,
+    and "both", in lexicographic order of the indices at every arc.  A
+    limit keeps the first limit of that order."""
     return BeadCounter(diagram, quandle, form).solutions(
         coloring, engine=engine, limit=limit
     )

@@ -14,6 +14,17 @@ A diagram also carries its components: one tuple of arcs per link
 component, listed in orientation order (the starting arc of the cycle
 is arbitrary but fixed).
 
+Colorings are counted along a propagation plan (propagation_plan): a
+minimum set of seed arcs (seed_arcs), run one after another, each
+seed's stage deriving the arcs its value fixes and checking the
+crossings it closes.  A check passes about one value in size, so the
+seeds run in a cost order that closes checks early: on P(3,3,3,3,3)
+that turns a size^5 count into a size^3 one.  The plan is compiled
+into a kernel with one nested for loop per seed (kernel_source).  From
+the third seed on, a seed that is the over arc of a check whose under
+ends are already fixed loops over the preimages that pass the check,
+not over every value (keyed_checks).
+
 PD import convention: a planar-diagram crossing X[a,b,c,d] lists the
 four edge ends counterclockwise starting from the incoming under-strand
 edge a, so the under-strand runs a -> c.  The over-strand runs d -> b
@@ -290,18 +301,47 @@ def _seed_arcs(n, crossings, component_count):
 def propagation_plan(diagram):
     """The order in which the seeds fix every arc: ((seed arc, steps), ...).
 
-    The seeds are seed_arcs(diagram), in order.  A seed's steps are the
-    crossings its value makes decidable once the seeds before it are
-    known.  A step is (kind, crossing, target, source, over): "forward"
-    sets under_out from under_in, "backward" sets under_in from
-    under_out, and "check" compares under_out with the forward value.
-    Every crossing gets exactly one step, and every arc is a seed or
-    the target of exactly one forward or backward step.  The plan
-    reads only the arc count, the crossings in their order and the
-    number of components, so diagrams that share those share one plan
-    (compile_structure), and it is a tuple of tuples, never changed.
+    The seeds are seed_arcs(diagram).  A seed's steps are the crossings
+    its value makes decidable once the seeds before it are known.  A
+    step is (kind, crossing, target, source, over): "forward" sets
+    under_out from under_in, "backward" sets under_in from under_out,
+    and "check" compares under_out with the forward value.  Every
+    crossing gets exactly one step, and every arc is a seed or the
+    target of exactly one forward or backward step.
+
+    The seeds run in the order of a cost model.  A kernel runs stage k
+    about size^(k + 1 - C) times, C the checks of stages 0..k-1, since
+    each check passes about one value in size; so a count costs about
+    size to the largest such exponent, and early checks lower it.  The
+    next seed is the one whose stage has a keyed check (see
+    keyed_checks: from the third seed on, such a stage loops over the
+    few values that pass the check instead of all size of them), then
+    the one whose stage closes the most checks, then the one that fixes
+    the most arcs, then the least arc.  On P(3,3,3,3,3) ascending seeds
+    leave all five checks to the last stage, a size^5 count; this order
+    closes one at each of stages 2 and 3 and three at stage 4, a size^3
+    count.  The order is greedy, so it need not reach the least
+    exponent.
+
+    The plan reads only the arc count, the crossings in their order and
+    the number of components, so diagrams that share those share one
+    plan (compile_structure), and it is a tuple of tuples, never changed.
     """
     return _propagation_plan(diagram.arc_count, diagram.crossings, len(diagram.components))
+
+
+def _key_step(seed, steps, fixed):
+    """The index in steps, the steps of seed's stage, of the first check
+    whose over arc is seed and whose under ends are fixed[arc] before
+    the stage, or None."""
+    return next(
+        (
+            j
+            for j, (kind, _, target, source, over) in enumerate(steps)
+            if kind == "check" and over == seed and fixed[source] and fixed[target]
+        ),
+        None,
+    )
 
 
 def _propagation_plan(n_arcs, crossings, component_count):
@@ -313,29 +353,74 @@ def _propagation_plan(n_arcs, crossings, component_count):
             by_arc[a].append(i)
     known = [False] * n_arcs
     planned = [False] * len(crossings)
-    plan = []
-    for seed in _seed_arcs(n_arcs, crossings, component_count):
-        known[seed] = True
+
+    def stage(seed):
+        """The steps of seed's stage if it ran next, and the arcs they fix;
+        known and planned are left as they are."""
+        fixed, stepped = {seed}, set()
+
+        def is_known(a):
+            return known[a] or a in fixed
+
         steps, stack = [], [seed]
         while stack:
             for i in by_arc[stack.pop()]:
                 c = crossings[i]
-                if planned[i] or not known[c.over]:
+                if planned[i] or i in stepped or not is_known(c.over):
                     continue
-                if known[c.under_in]:
-                    kind = "check" if known[c.under_out] else "forward"
+                if is_known(c.under_in):
+                    kind = "check" if is_known(c.under_out) else "forward"
                     step = (kind, i, c.under_out, c.under_in, c.over)
-                elif known[c.under_out]:
+                elif is_known(c.under_out):
                     step = ("backward", i, c.under_in, c.under_out, c.over)
                 else:
                     continue
-                planned[i] = True
+                stepped.add(i)
                 steps.append(step)
-                if not known[step[2]]:
-                    known[step[2]] = True
+                if not is_known(step[2]):
+                    fixed.add(step[2])
                     stack.append(step[2])
-        plan.append((seed, tuple(steps)))
+        return tuple(steps), fixed
+
+    def cost(seed, steps, fixed):
+        keyed = len(plan) >= 2 and _key_step(seed, steps, known) is not None
+        checks = sum(kind == "check" for kind, *_ in steps)
+        return keyed, checks, len(fixed), -seed
+
+    plan = []
+    seeds = _seed_arcs(n_arcs, crossings, component_count)
+    while seeds:
+        stages = {seed: stage(seed) for seed in seeds}
+        seed = max(seeds, key=lambda s: cost(s, *stages[s]))
+        steps, fixed = stages[seed]
+        for a in fixed:
+            known[a] = True
+        for step in steps:
+            planned[step[1]] = True
+        seeds.remove(seed)
+        plan.append((seed, steps))
     return tuple(plan)
+
+
+def keyed_checks(plan):
+    """Per stage of plan, the index in its steps of the check its kernel
+    loop is keyed by, or None.
+
+    From the third seed on, a stage may hold a check a_t != t[a_s][seed]
+    whose a_s and a_t the earlier seeds fixed: the seed is the check's
+    over arc.  Only the values in row a_s of that forward table that
+    map to a_t pass it, so the stage loops over those preimages of a_t,
+    in ascending order, and drops the check (see kernel_source).  The
+    first two seeds run over their weighted orbits and are never keyed.
+    """
+    fixed = [False] * sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
+    keys = []
+    for depth, (seed, steps) in enumerate(plan):
+        keys.append(_key_step(seed, steps, fixed) if depth >= 2 else None)
+        fixed[seed] = True
+        for kind, _, target, *_ in steps:
+            fixed[target] = True
+    return tuple(keys)
 
 
 # -- compiled plan ----------------------------------------------------
@@ -362,9 +447,10 @@ def _known_arcs(plan, start):
     )
 
 
-def _loops(plan, start, stop, indent):
+def _loops(plan, keys, start, stop, indent):
     """The source lines of the nested for loops of seeds plan[start:stop],
-    the first indented by indent levels, and the padding of their body."""
+    keyed as keys (keyed_checks) says, the first indented by indent
+    levels, and the padding of their body."""
     lines = []
     for depth in range(start, stop):
         seed, steps = plan[depth]
@@ -373,10 +459,15 @@ def _loops(plan, start, stop, indent):
             lines.append(f"{pad}for a{int(seed)}, k0 in first:")
         elif depth == 1:
             lines.append(f"{pad}for a{int(seed)}, k1 in second[a{int(plan[0][0])}]:")
-        else:
+        elif keys[depth] is None:
             lines.append(f"{pad}for a{int(seed)} in every:")
+        else:
+            _, i, target, source, _ = steps[keys[depth]]
+            lines.append(f"{pad}for a{int(seed)} in p{int(i)}[a{int(source)}][a{int(target)}]:")
         pad += "    "
-        for kind, i, target, source, over in steps:
+        for j, (kind, i, target, source, over) in enumerate(steps):
+            if j == keys[depth]:
+                continue
             value = f"t{int(i)}[a{int(source)}][a{int(over)}]"
             if kind == "check":
                 lines += [f"{pad}if a{int(target)} != {value}:", f"{pad}    continue"]
@@ -393,26 +484,34 @@ def kernel_source(plan):
     Each seed gets one for loop, nested in plan order, and each step
     one line: an assignment for a derive step, an if and continue for a
     check.  Arcs are locals a<arc> and each crossing's table is bound
-    once, as t<crossing>.  Only the first two seeds carry weights.  The
-    kernel nests the loops of the first MAX_KERNEL_SEEDS seeds; each
-    further run of at most MAX_KERNEL_SEEDS seeds goes to a function
-    part<k> defined in the kernel, which takes the arcs fixed so far and
-    the weight, and returns its count.  The parts are siblings, each
-    calling the next from its innermost loop, so no function nests more
-    loops, or more indentation, than CPython compiles.  The text is
-    built from int() of the plan's numbers and fixed names alone, so
-    nothing in a diagram can add to it.
+    once, as t<crossing>.  Only the first two seeds carry weights.  A
+    stage that keyed_checks keys loops over the ascending preimages of
+    its check's target in row source of the check's forward table,
+    read from the third member of the crossing's tables, bound as
+    p<crossing> (see quandle.Preimages), and has no line for that
+    check.  A bare count (limit 0) tests that it lists nothing once per
+    call, not once per solution.  The kernel nests the loops of the
+    first MAX_KERNEL_SEEDS seeds; each further run of at most
+    MAX_KERNEL_SEEDS seeds goes to a function part<k> defined in the
+    kernel, which takes the arcs fixed so far and the weight, and
+    returns its count.  The parts are siblings, each calling the next
+    from its innermost loop, so no function nests more loops, or more
+    indentation, than CPython compiles.  The text is built from int()
+    of the plan's numbers and fixed names alone, so nothing in a
+    diagram can add to it.
     """
     arcs = sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
+    keys = keyed_checks(plan)
     # the first seed of each part, and where each run of loops ends
     starts = list(range(MAX_KERNEL_SEEDS, len(plan), MAX_KERNEL_SEEDS))
     ends = starts + [len(plan)]
     lines = ["def kernel(size, tables, limit, orbits):"]
-    lines += [
-        f"    t{int(i)} = tables[{int(i)}][{int(kind == 'backward')}]"
-        for _, steps in plan
-        for kind, i, *_ in steps
-    ]
+    for (_, steps), key in zip(plan, keys):
+        for j, (kind, i, *_) in enumerate(steps):
+            if j == key:
+                lines.append(f"    p{int(i)} = tables[{int(i)}][2]")
+            else:
+                lines.append(f"    t{int(i)} = tables[{int(i)}][{int(kind == 'backward')}]")
     lines += [
         "    every = range(size)",
         "    if orbits is None:",
@@ -420,6 +519,7 @@ def kernel_source(plan):
         "        second = [first] * size",
         "    else:",
         "        first, second = orbits",
+        "    listing = limit is None or limit > 0",
         "    count = 0",
         "    sols = []",
     ]
@@ -436,15 +536,15 @@ def kernel_source(plan):
             return [f"{pad}count += part{k + 1}({params[k]})"]
         return [
             f"{pad}count += {weight}",
-            f"{pad}if limit is None or len(sols) < limit:",
+            f"{pad}if listing and (limit is None or len(sols) < limit):",
             f"{pad}    sols.append({solution} if orbits is None else ({solution}, {weight}))",
         ]
 
     for k, start in enumerate(starts, 1):
-        body, pad = _loops(plan, start, ends[k], 2)
+        body, pad = _loops(plan, keys, start, ends[k], 2)
         lines += [f"    def part{k}({params[k - 1]}):", "        count = 0", *body]
         lines += innermost(k, pad) + ["        return count"]
-    body, pad = _loops(plan, 0, ends[0], 1)
+    body, pad = _loops(plan, keys, 0, ends[0], 1)
     lines += body + innermost(0, pad)
     lines.append("    return count, sols")
     return "\n".join(lines) + "\n"
@@ -455,10 +555,13 @@ def compile_plan(plan):
     kernel(size, tables, limit, orbits) -> (count, solutions).
 
     It runs the plan over the values 0..size-1.  tables[i] is the
-    (forward, inverse) pair of crossing i, indexed [source][over].
-    Solutions come in lexicographic order of the seed values, taken in
-    plan order (ascending seed arcs for LinkDiagram.plan), the first
-    limit of them (all when limit is None).
+    (forward, inverse, preimages) triple of crossing i: the tables are
+    indexed [source][over], and preimages indexes the forward table by
+    value as quandle.Preimages does; a kernel reads it only at the
+    crossings of keyed checks (keyed_checks).  Solutions come in
+    lexicographic order of the seed values, taken in plan order, which
+    is propagation_plan's cost order and need not be ascending, the
+    first limit of them (all when limit is None).
 
     orbits, when given, is (first, second) as quandle.weighted_orbits
     returns it: the first seed runs over the (value, weight) pairs of

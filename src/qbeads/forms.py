@@ -50,7 +50,7 @@ from functools import cached_property
 
 from .errors import AxiomError, InputError, read_text
 from .field import PrimeField
-from .quandle import weighted_orbits
+from .quandle import Preimages, weighted_orbits
 
 # the most partial maps an isometry search accepts; past it
 # BilinearForm.isometries returns the generators found so far
@@ -94,8 +94,8 @@ class BilinearForm:
 
     @cached_property
     def step_pairs(self):
-        """step_pairs[block id, sign]: the (forward, inverse) pair of
-        step tables, built on first read (see _StepPairs)."""
+        """step_pairs[block id, sign]: the (forward, inverse, preimages)
+        triple of step tables, built on first read (see _StepPairs)."""
         return _StepPairs(self.vector_tables, self.bilinear_tables)
 
     @cached_property
@@ -155,9 +155,11 @@ class BilinearForm:
         (quandle.weighted_orbits).  Built on first use and kept, one
         per distinct ids, which are checked on that first use.
 
-        Ids whose isometries have the same generators share their
-        orbits, so weighted_orbits runs once per distinct generator
-        list of the form: at p^n = 4 every catalog id set has the same.
+        A zero block constrains no map, so ids share the orbits of their
+        nonzero ids: a catalog batch reads {S}, {Z} and {S, Z} and runs
+        one isometry search, on {S}.  Nonzero ids whose isometries have
+        the same generators share their orbits too, so weighted_orbits
+        runs once per distinct generator list of the form.
         """
         orbits = self._seed_orbits.get(ids)
         if orbits is None:
@@ -167,23 +169,35 @@ class BilinearForm:
                     f"block ids {sorted(map(repr, unknown))} are not among this "
                     f"form's {len(self.bilinear_tables)} blocks"
                 )
-            generators = self.isometries(ids)
-            key = tuple(map(tuple, generators))
-            if key not in self._generator_orbits:
-                size = len(self.vector_tables.vectors)
-                self._generator_orbits[key] = weighted_orbits(generators, size)
-            orbits = self._seed_orbits[ids] = self._generator_orbits[key]
+            nonzero = ids - self._zero_ids
+            orbits = self._seed_orbits.get(nonzero)
+            if orbits is None:
+                generators = self.isometries(nonzero)
+                key = tuple(map(tuple, generators))
+                if key not in self._generator_orbits:
+                    size = len(self.vector_tables.vectors)
+                    self._generator_orbits[key] = weighted_orbits(generators, size)
+                orbits = self._seed_orbits[nonzero] = self._generator_orbits[key]
+            self._seed_orbits[ids] = orbits
         return orbits
+
+    @cached_property
+    def _zero_ids(self):
+        """The ids of the blocks that are zero matrices."""
+        distinct = dict.fromkeys(B for row in self.blocks for B in row)
+        return frozenset(i for i, B in enumerate(distinct) if not any(map(any, B)))
 
 
 class _StepPairs(dict):
-    """step_pairs[block id, sign] is the (forward, inverse) pair of step
-    tables of a crossing of that sign whose under-in and over arcs read
-    that block: the step table of that sign and the one of the opposite
-    sign, which undoes it (see the coloring module).  Both are built
-    from the block's bilinear table (VectorTables.step_table) on the
-    first read of either sign and kept, so a bead count fetches each
-    crossing's pair with one subscript.  It holds the form's tables,
+    """step_pairs[block id, sign] is the (forward, inverse, preimages)
+    triple of step tables of a crossing of that sign whose under-in and
+    over arcs read that block: the step table of that sign, the one of
+    the opposite sign, which undoes it (see the coloring module), and
+    the forward table's quandle.Preimages, whose rows a plan kernel's
+    keyed loops build on first read.  Both tables are built from the
+    block's bilinear table (VectorTables.step_table) on the first read
+    of either sign and kept, so a bead count fetches each crossing's
+    triple with one subscript.  It holds the form's tables,
     not the form, so a form is freed as soon as its last reference
     goes."""
 
@@ -196,8 +210,8 @@ class _StepPairs(dict):
         block_id, sign = key
         table = self.bilinear_tables[block_id]
         forward, inverse = (self.vector_tables.step_table(table, s) for s in (sign, -sign))
-        self[block_id, -sign] = inverse, forward
-        pair = self[key] = forward, inverse
+        self[block_id, -sign] = inverse, forward, Preimages(inverse)
+        pair = self[key] = forward, inverse, Preimages(forward)
         return pair
 
 

@@ -6,8 +6,43 @@ one nested for loop per seed with a line per step.  solve takes the
 same arguments as a kernel and must return the same (count, solutions):
 the tests compare the two on every catalog, tests/data and benchmark
 diagram, and tests/test_isometries.py counts with it to check the
-reduced counts.
+reduced counts.  ascending_plan builds a plan of the same seeds in
+ascending arc order, which the cost order of propagation_plan replaced,
+so counts can be checked against a plan the package does not build.
 """
+
+from qbeads.diagram import seed_arcs
+
+
+def ascending_plan(diagram):
+    """The plan of diagram's seeds (seed_arcs) in ascending arc order,
+    each stage taking every step its seed makes decidable, found by
+    sweeping the crossings again after each step: plans had this order
+    before propagation_plan's cost order, and the tests check counts
+    against it."""
+    known, planned, plan = set(), set(), []
+    for seed in seed_arcs(diagram):
+        known.add(seed)
+        steps = []
+        while True:
+            for i, c in enumerate(diagram.crossings):
+                if i in planned or c.over not in known:
+                    continue
+                if c.under_in in known:
+                    kind = "check" if c.under_out in known else "forward"
+                    step = (kind, i, c.under_out, c.under_in, c.over)
+                elif c.under_out in known:
+                    step = ("backward", i, c.under_in, c.under_out, c.over)
+                else:
+                    continue
+                planned.add(i)
+                known.add(step[2])
+                steps.append(step)
+                break
+            else:
+                break
+        plan.append((seed, tuple(steps)))
+    return tuple(plan)
 
 
 def solve(plan, size, tables, limit, orbits=None):
@@ -16,11 +51,13 @@ def solve(plan, size, tables, limit, orbits=None):
     arguments.
 
     tables[i] is the (forward, inverse) pair of crossing i, indexed
-    [source][over].  Solutions come in lexicographic order of the seed
-    values, taken in plan order (ascending seed arcs for
-    LinkDiagram.plan), the first `limit` of them (all when limit is
-    None).  The arcs a seed's steps write are fixed, so its next value
-    just overwrites them: nothing is undone.
+    [source][over]; a kernel's tables carry a third member, the
+    preimages of the forward table, which solve does not read: every
+    stage runs every value and checks every check.  Solutions come in
+    lexicographic order of the seed values, taken in plan order, the
+    first `limit` of them (all when limit is None).  The arcs a seed's
+    steps write are fixed, so its next value just overwrites them:
+    nothing is undone.
 
     orbits, when given, is (first, second) as quandle.weighted_orbits
     returns it: the first seed runs over the (value, weight) pairs of

@@ -29,6 +29,7 @@ from qbeads.diagram import (
     compile_structure,
     import_pd,
     kernel_source,
+    keyed_checks,
     load_diagram,
     propagation_plan,
     seed_arcs,
@@ -36,11 +37,11 @@ from qbeads.diagram import (
 from qbeads.errors import InputError, QBeadsError
 from qbeads.forms import constant_form, validate_form, zero_form
 from qbeads.invariant import compute_invariant
-from qbeads.quandle import Quandle, alexander_quandle, trivial_quandle
+from qbeads.quandle import Preimages, Quandle, alexander_quandle, trivial_quandle
 
 from diagram_ops import canonical_key
 from field_ops import bilinear_eval, scalar_mul, vec_add
-from plan_reference import solve
+from plan_reference import ascending_plan, solve
 from quandle_ops import op_signed
 
 DATA = Path(__file__).parent / "data"
@@ -257,17 +258,20 @@ def test_solution_listing_and_limit(swap3):
 @pytest.mark.parametrize("form_name", ["swap3-partial", "swap3-full"])
 def test_solutions_come_in_seed_order(form_name):
     """The propagate engine lists bead colorings in lexicographic order
-    of the values of the seeds, taken in ascending arc order, and a
-    limit keeps the first limit of that order.  The oracle's listing
-    is the reference set.  The catalog links' seeds skip arcs, so this
-    order differs from the oracle's arc order."""
+    of the values of the seeds, taken in plan order, and a limit keeps
+    the first limit of that order.  The oracle's listing is the
+    reference set.  The catalog links' seeds skip arcs, so this order
+    differs from the oracle's arc order, and P(3,3,3)'s plan runs its
+    seeds out of ascending order."""
     form = catalog.load_form(form_name)
     q = form.quandle
     index = {v: i for i, v in enumerate(form.vector_tables.vectors)}
     reordered = 0
-    for d in [HOPF] + [catalog.link_diagram(name) for name in ("L6a4", "L6n1", "L7a2")]:
-        seeds = seed_arcs(d)
-        assert seeds == sorted(seeds) == [seed for seed, _ in d.plan]
+    diagrams = [HOPF] + [catalog.link_diagram(name) for name in ("L6a4", "L6n1", "L7a2")]
+    diagrams.append(load_diagram(BENCH_DIAGRAMS / "P333.diagram"))
+    for d in diagrams:
+        seeds = [seed for seed, _ in d.plan]
+        assert sorted(seeds) == seed_arcs(d)
         for f in enumerate_xcolorings(d, q):
             every = bead_solutions(d, q, form, f, engine="oracle")
             expected = sorted(every, key=lambda s: [index[s[a]] for a in seeds])
@@ -277,6 +281,7 @@ def test_solutions_come_in_seed_order(form_name):
                 listed = bead_solutions(d, q, form, f, limit=limit)
                 assert listed == expected[:limit], (d.name, f, limit)
     assert reordered
+    assert [seed for seed, _ in diagrams[-1].plan] == [0, 3, 2]
 
 
 def test_solutions_satisfy_the_step_equations(swap3):
@@ -486,6 +491,96 @@ def test_exhaustive_search_finds_fewer_seeds_than_greedy(monkeypatch):
     assert len(seed_arcs(d)) == 3
 
 
+# P(3,3,3,3,3) as tools/gen_catalog.py draws it: 15 arcs, 5 seeds
+P33333_PD = (
+    "X[30,13,1,14] X[14,29,15,30] X[28,15,29,16] X[12,25,13,26] X[26,11,27,12] "
+    "X[10,27,11,28] X[24,7,25,8] X[8,23,9,24] X[22,9,23,10] X[6,19,7,20] "
+    "X[20,5,21,6] X[4,21,5,22] X[18,1,19,2] X[2,17,3,18] X[16,3,17,4]"
+)
+
+
+def checks_per_stage(plan):
+    return [sum(kind == "check" for kind, *_ in steps) for _, steps in plan]
+
+
+def test_plans_close_checks_before_the_last_stage():
+    """Ascending seeds leave all five checks of P(3,3,3,3,3) to the last
+    stage, a size^5 count; the cost order closes one at each of stages
+    2 and 3.  No order of its seeds keys a stage: no seed is the over
+    arc of a crossing whose under ends the seeds before it fix.
+    P(2,2,2,2,2) keys its last three stages, each on its first step."""
+    d = import_pd(P33333_PD, "-" * 15)
+    assert [seed for seed, _ in d.plan] == [0, 6, 5, 3, 2]
+    assert checks_per_stage(d.plan) == [0, 0, 1, 1, 3]
+    assert checks_per_stage(ascending_plan(d)) == [0, 0, 0, 0, 5]
+    assert keyed_checks(d.plan) == (None,) * 5
+    p22222 = load_diagram(BENCH_DIAGRAMS / "P22222.diagram")
+    assert [seed for seed, _ in p22222.plan] == [1, 2, 4, 6, 8]
+    assert checks_per_stage(p22222.plan) == [0, 0, 1, 1, 3]
+    assert keyed_checks(p22222.plan) == (None, None, 0, 0, 0)
+    source = kernel_source(p22222.plan)
+    # stage 2 checks crossing 2: a2 == t2[a3][a4], with a2 and a3 fixed
+    assert "    p2 = tables[2][2]\n" in source and "t2 =" not in source
+    assert "for a4 in p2[a3][a2]:" in source
+    # five checks, three of them keyed, and no stage runs every value
+    assert source.count("!=") == 2 and " in every:" not in source
+
+
+def test_counts_are_those_of_the_ascending_plan(swap3):
+    """Every catalog, tests/data and benchmark diagram on 8 relabellings:
+    X-colorings (listed and counted) and the bead colorings (counted,
+    and listed by the kernel) of every coloring under both catalog
+    forms are those that the reference solver gives on the plan with
+    the same seeds in ascending order.
+    swap3 and F_2 cannot tell a table from its inverse, so the same runs
+    on Alexander (5, 2), with bead counts of a few colorings each under
+    a form at p = 3."""
+    relabel = load_relabel()
+    alex = alexander_quandle(5, 2)
+    cases = [
+        (swap3, [catalog.load_form(name, swap3) for name in ("swap3-partial", "swap3-full")], None),
+        (alex, [constant_form(alex, 3, 2, [[0, 1], [2, 0]])], 3),
+    ]
+    for base in every_diagram():
+        for v in range(8):
+            d = relabel.relabel_diagram(base, relabel.rng_for(1, v, base.name))
+            plan = ascending_plan(d)
+            for q, forms, few in cases:
+                tables = _quandle_tables(d, q)
+                count, colorings = solve(plan, q.order, tables, None)
+                assert enumerate_xcolorings(d, q) == sorted(colorings), (d.name, v, q.name)
+                assert counting_invariant(d, q) == count, (d.name, v, q.name)
+                if few is not None:
+                    colorings = colorings[:1] + [f for f in colorings if len(set(f)) > 1][: few - 1]
+                for form in forms:
+                    counter = BeadCounter(d, q, form)
+                    size = len(counter.vectors)
+                    for f in colorings:
+                        tables = counter._step_tables(counter.block_key(f))
+                        count, beads = solve(plan, size, tables, None)
+                        assert counter.count(f) == count, (d.name, v, form.name, f)
+                        listed = d.kernel(size, tables, None, None)[1]
+                        assert sorted(listed) == sorted(beads), (d.name, v, form.name, f)
+
+
+def test_preimages_list_each_value_s_columns_in_order():
+    """Rows are built on first read; equal tuples are shared."""
+    vt = validate_form(trivial_quandle(1), [[[[0, 1], [2, 0]]]], 3, 2).step_pairs
+    forward, _, preimages = vt[0, 1]
+    assert dict(preimages) == {}
+    for x, row in enumerate(forward):
+        index = preimages[x]
+        assert [list(index[v]) for v in range(9)] == [
+            [y for y in range(9) if row[y] == v] for v in range(9)
+        ]
+    assert len(preimages) == 9
+    shared = {id(ys) for index in preimages.values() for ys in index}
+    assert len(shared) == len({ys for index in preimages.values() for ys in index})
+    q = alexander_quandle(5, 2)
+    table, inverse = q.preimages
+    assert table.table is q.table and inverse.table is q.inv_table
+
+
 def test_plan_is_built_once_per_structure(monkeypatch, swap3):
     """Two loads of one link, every engine and three forms: one plan
     built and one kernel compiled."""
@@ -549,7 +644,10 @@ def test_kernel_returns_what_solve_returns():
             colorings = enumerate_xcolorings(d, q)
             for f in colorings[:1] + [f for f in colorings if len(set(f)) > 1][:1]:
                 reads = [(f[c.under_in], f[c.over], c.sign) for c in d.crossings]
-                tables = [(form.step_table(x, y, s), form.step_table(x, y, -s)) for x, y, s in reads]
+                tables = [
+                    (form.step_table(x, y, s), form.step_table(x, y, -s), Preimages(form.step_table(x, y, s)))
+                    for x, y, s in reads
+                ]
                 orbits = form.seed_orbits(frozenset(form.block_ids[x][y] for x, y, _ in reads))
                 size = len(form.vector_tables.vectors)
                 assert_kernel_is_solve(kernel, d.plan, size, tables, orbits, (d.name, form.name, f))

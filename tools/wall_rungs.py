@@ -6,18 +6,31 @@ on the diagonal at p = 3, n = 4 for p^n = 81:
 
 - the closure of the 4-braid (s1 s2^-1 s3 s2^-1)^5 (20 arcs, 4 seeds)
   at p^n = 25, 49, 81 and 121;
-- the pretzel link P(3,3,3,3,3) (15 arcs, 5 seeds) at p^n = 25 and 49;
+- the pretzel link P(3,3,3,3,3) (15 arcs, 5 seeds) at p^n = 25, 49
+  and 121;
 - the closure of the 5-braid (s1 s2^-1 s3 s4^-1)^6 (24 arcs, 5 seeds)
   at p^n = 25 and 49.
 
-Each cell is the median of REPEAT compute_invariant calls, each on a
-freshly built diagram and a freshly validated form, as a one-shot
-`qbeads invariant` runs it: each call includes the isometry group and
-its seed orbits, but not the vector tables.  Plans and kernels are
-kept by diagram structure (see diagram.compile_structure), so the
-fresh diagrams of one construction share one plan and one kernel,
-built and compiled on the first call in the process: a cell pays for
-the plan only on its first call, which the median leaves out.
+Each cell runs in a fresh process of its own, and is the median of
+REPEAT compute_invariant calls, or of the calls made once they have
+taken RUNG_SECONDS (at least three), each on a freshly built diagram
+and a freshly validated form, as a one-shot `qbeads invariant` runs
+it: each call includes the isometry group and its seed orbits, but not
+the vector tables.  Plans and kernels are kept by diagram structure
+(see diagram.compile_structure), so the fresh diagrams of one
+construction share one plan and one kernel, built and compiled on the
+first call in the process: a cell pays for the plan only on its first
+call, which the median leaves out.  A cell records the process's peak
+RSS, the polynomial, and its plan: the seeds in plan order, the checks
+of each stage and the stages whose loop is keyed
+(diagram.keyed_checks; null for a package without keyed loops).
+
+With --against DIR the rungs also run on the package of the checkout
+at DIR, cell by cell, in RUNG_ROUNDS rounds that alternate which
+checkout runs first, so host drift between processes minutes apart
+falls on both sides alike.  The cell's own fields are then the median
+over its rounds of this checkout, and "against" holds the same for
+DIR; the polynomials must be the same on both sides.
 
 The hard case times BilinearForm.isometries, and then seed_orbits,
 which builds the isometries and their weighted orbits, the same way
@@ -75,8 +88,11 @@ Its microseconds per crossing show whether loading scales linearly.
 Run from the repository root:
 
     python3 tools/wall_rungs.py --label change --out BENCH_walls.json
+    python3 tools/wall_rungs.py --label plans --out BENCH_plans.json \
+        --sections rungs --against ../parent
 
---sections runs only the named sections.
+--sections runs only the named sections; --against changes only the
+rungs section.
 
 The run is stored under its label in the output file, next to any
 other labels already there, so two checkouts can fill one file.
@@ -98,24 +114,32 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+# a rung cell runs on the package in the source directory it is given
+# (--rung-cell SRC NAME SIZE), which may be another checkout's
+SRC = Path(sys.argv[2]) if sys.argv[1:2] == ["--rung-cell"] else ROOT / "src"
+sys.path.insert(0, str(SRC))
 sys.path.insert(0, str(ROOT / "tools"))
 
-from gen_catalog import braid_closure, pretzel_link  # noqa: E402
-from qbeads import catalog, cli, compute_invariant, constant_form, trivial_quandle  # noqa: E402
+from qbeads import catalog, cli, compute_invariant, constant_form, diagram, trivial_quandle  # noqa: E402
 from qbeads.diagram import format_diagram, import_pd, load_diagram  # noqa: E402
 from qbeads.field import PrimeField, VectorTables  # noqa: E402
 from qbeads.quandle import conjugation_quandle, format_quandle  # noqa: E402
 from qbeads.search import run_search, verify_search_output  # noqa: E402
 
+# after qbeads: gen_catalog puts this checkout's src first on the path
+# and imports qbeads, which must find the package of SRC imported
+from gen_catalog import braid_closure, pretzel_link  # noqa: E402
+
 # label -> the construction, as called on tools/gen_catalog.py, and the
 # p^n of its rungs
 DIAGRAMS = {
     "braid4": (lambda: braid_closure(4, [1, -2, 3, -2] * 5), (25, 49, 81, 121)),
-    "P33333": (lambda: pretzel_link([3, 3, 3, 3, 3]), (25, 49)),
+    "P33333": (lambda: pretzel_link([3, 3, 3, 3, 3]), (25, 49, 121)),
     "braid5": (lambda: braid_closure(5, [1, -2, 3, -4] * 6), (25, 49)),
 }
 REPEAT = 9
+RUNG_SECONDS = 20.0
+RUNG_ROUNDS = 5
 # (p, n) for p^n = 16, 81, 121, 1021 and 1024
 TABLE_SIZES = [(2, 4), (3, 4), (11, 2), (1021, 1), (2, 10)]
 # (quandle, p, n) of the search cells
@@ -130,16 +154,17 @@ WARM_REPEAT = 21
 LOAD_SIZES = (100, 1000, 10000)
 
 
-def timed(build, run):
+def timed(build, run, budget=None):
     """(median seconds, the seconds of each) of REPEAT calls of run on
-    a fresh build(), and the last result."""
+    a fresh build(), or of those made once the calls have taken budget
+    seconds and at least three are done, and the last result."""
     runs = []
-    for _ in range(REPEAT):
+    while len(runs) < REPEAT and (budget is None or len(runs) < 3 or sum(runs) < budget):
         arg = build()
         start = time.perf_counter()
         result = run(arg)
         runs.append(round(time.perf_counter() - start, 6))
-    return sorted(runs)[REPEAT // 2], runs, result
+    return sorted(runs)[len(runs) // 2], runs, result
 
 
 def block_diagonal(blocks):
@@ -162,33 +187,71 @@ def rung_form(size):
     return p, 2, [[0, 1], [p - 1, 0]]
 
 
-def run_rungs():
+def rung_cell(name, size):
+    """One rung timed, as a JSON line: see the module docstring.  Run in
+    a fresh process of its own, on the package in SRC."""
     quandle = catalog.load_quandle("swap3")
+    pd, signs = DIAGRAMS[name][0]().pd_string()
+    p, n, B = rung_form(size)
+    seconds, runs, result = timed(
+        lambda: (
+            import_pd(pd, signs=signs, name=name).validate(),
+            constant_form(quandle, p, n, B),
+        ),
+        lambda args: compute_invariant(args[0], quandle, args[1]),
+        RUNG_SECONDS,
+    )
+    plan = import_pd(pd, signs=signs, name=name).plan
+    keyed = getattr(diagram, "keyed_checks", None)
+    cell = {
+        "seconds": seconds,
+        "runs": runs,
+        "peak_rss_mb": peak_rss_mb(),
+        "polynomial": result.polynomial.render(),
+        "seeds": [seed for seed, _ in plan],
+        "checks_per_stage": [sum(kind == "check" for kind, *_ in steps) for _, steps in plan],
+        "keyed_stages": None if keyed is None else [k for k, j in enumerate(keyed(plan)) if j is not None],
+    }
+    print(json.dumps(cell))
+
+
+def rung_side(rounds):
+    """A side of a rung cell from its rounds: the median of their
+    medians, the largest peak RSS and the plan, which every round must
+    share."""
+    plans = {json.dumps([r[key] for key in ("seeds", "checks_per_stage", "keyed_stages")]) for r in rounds}
+    assert len(plans) == 1, "one checkout built two plans for one rung"
+    side = {key: rounds[0][key] for key in ("seeds", "checks_per_stage", "keyed_stages")}
+    side["seconds"] = sorted(r["seconds"] for r in rounds)[len(rounds) // 2]
+    side["peak_rss_mb"] = max(r["peak_rss_mb"] for r in rounds)
+    side["rounds"] = [{key: r[key] for key in ("seconds", "runs", "peak_rss_mb")} for r in rounds]
+    return side
+
+
+def run_rungs(against=None):
+    sources = {"this": ROOT / "src"}
+    if against is not None:
+        sources["against"] = Path(against).resolve() / "src"
+    order = list(sources)
     cells = []
-    for name, (construction, sizes) in DIAGRAMS.items():
-        pd, signs = construction().pd_string()
+    for name, (_, sizes) in DIAGRAMS.items():
         for size in sizes:
-            p, n, B = rung_form(size)
-            seconds, runs, result = timed(
-                lambda: (
-                    import_pd(pd, signs=signs, name=name).validate(),
-                    constant_form(quandle, p, n, B),
-                ),
-                lambda args: compute_invariant(args[0], quandle, args[1]),
-            )
-            polynomial = result.polynomial.render()
-            cells.append(
-                {
-                    "diagram": name,
-                    "rung": f"p^n={size}",
-                    "p": p,
-                    "n": n,
-                    "seconds": seconds,
-                    "runs": runs,
-                    "polynomial": polynomial,
-                }
-            )
-            print(f"{name} at p^n={size}: {seconds:.3f} s, {polynomial}", file=sys.stderr)
+            rounds = {side: [] for side in order}
+            for r in range(RUNG_ROUNDS if against is not None else 1):
+                for side in order if r % 2 == 0 else order[::-1]:
+                    rounds[side].append(child("--rung-cell", sources[side], name, size))
+            polynomials = {cell["polynomial"] for side in order for cell in rounds[side]}
+            assert len(polynomials) == 1, f"{name} at p^n={size} gave {sorted(polynomials)}"
+            p, n, _ = rung_form(size)
+            cell = {"diagram": name, "rung": f"p^n={size}", "p": p, "n": n}
+            cell["polynomial"] = polynomials.pop()
+            cell.update(rung_side(rounds["this"]))
+            line = f"{name} at p^n={size}: {cell['seconds']:.3f} s, {cell['peak_rss_mb']} MB"
+            if against is not None:
+                cell["against"] = rung_side(rounds["against"])
+                line += f"; against {cell['against']['seconds']:.3f} s, {cell['against']['peak_rss_mb']} MB"
+            cells.append(cell)
+            print(f"{line}; {cell['polynomial']}", file=sys.stderr)
     return cells
 
 
@@ -476,6 +539,9 @@ SECTIONS = {
 
 
 def main():
+    if sys.argv[1:2] == ["--rung-cell"]:
+        rung_cell(sys.argv[3], int(sys.argv[4]))
+        return
     if sys.argv[1:2] == ["--search-cell"]:
         name, p, n, verify = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5]
         search_cell(name, p, n, bool(verify))
@@ -499,13 +565,17 @@ def main():
         "--sections", nargs="+", choices=SECTIONS, default=list(SECTIONS),
         help="run only these sections (default: all)",
     )
+    parser.add_argument(
+        "--against", metavar="DIR",
+        help="run every rung cell on the checkout at DIR too, alternating cell by cell",
+    )
     args = parser.parse_args()
     run = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
     }
     for section in args.sections:
-        run[section] = SECTIONS[section]()
+        run[section] = SECTIONS[section](args.against) if section == "rungs" else SECTIONS[section]()
     out = Path(args.out)
     runs = json.loads(out.read_text()) if out.is_file() else {}
     runs[args.label] = run
