@@ -256,14 +256,9 @@ def cmd_batch(args):
         record["link"] = name
         results.append(record)
 
-    groups = []
-    group_index = {}
+    groups = {}
     for name, poly in polynomials.items():
-        text = poly.render()
-        if text not in group_index:
-            group_index[text] = len(groups)
-            groups.append([text, []])
-        groups[group_index[text]][1].append(name)
+        groups.setdefault(poly.render(), []).append(name)
 
     diffs = None
     if expected is not None:
@@ -283,7 +278,7 @@ def cmd_batch(args):
         "engine": args.engine,
         "links": names,
         "results": results,
-        "groups": groups,
+        "groups": [[text, links] for text, links in groups.items()],
         "diffs": diffs,
         "elapsed": time.monotonic() - start,
     }

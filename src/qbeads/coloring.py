@@ -39,10 +39,11 @@ of knot groups"; see diagram.seed_arcs, which finds it up to 20
 candidate arcs).  A count enumerates the values of the seeds only,
 in the plan's cost order (diagram.propagation_plan), and from the
 third seed on a seed that is the over arc of a check whose under ends
-are already fixed runs only over the values that pass it
-(diagram.keyed_checks).  A run reads one (forward, inverse, preimages)
-table triple per crossing: quandle tables for X-colorings, the form's
-step tables for beads (the "propagate" engine).
+are already fixed runs only over the values that pass it: the plan
+marks that check as the stage's "key" step.  A run reads one
+(forward, inverse, preimages) table triple per crossing: quandle
+tables for X-colorings, the form's step tables for beads (the
+"propagate" engine).
 
 Every run calls LinkDiagram.kernel, the plan compiled into one
 generated function with a nested for loop per seed and a line per step

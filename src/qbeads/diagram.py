@@ -21,9 +21,10 @@ crossings it closes.  A check passes about one value in size, so the
 seeds run in a cost order that closes checks early: on P(3,3,3,3,3)
 that turns a size^5 count into a size^3 one.  The plan is compiled
 into a kernel with one nested for loop per seed (kernel_source).  From
-the third seed on, a seed that is the over arc of a check whose under
-ends are already fixed loops over the preimages that pass the check,
-not over every value (keyed_checks).
+the third seed on, the plan marks as its stage's "key" the first check
+whose over arc is the seed and whose under ends are already fixed; the
+kernel loops that seed over the preimages that pass the key, not over
+every value.
 
 PD import convention: a planar-diagram crossing X[a,b,c,d] lists the
 four edge ends counterclockwise starting from the incoming under-strand
@@ -303,24 +304,32 @@ def propagation_plan(diagram):
 
     The seeds are seed_arcs(diagram).  A seed's steps are the crossings
     its value makes decidable once the seeds before it are known.  A
-    step is (kind, crossing, target, source, over): "forward" sets
-    under_out from under_in, "backward" sets under_in from under_out,
-    and "check" compares under_out with the forward value.  Every
-    crossing gets exactly one step, and every arc is a seed or the
-    target of exactly one forward or backward step.
+    step is (kind, crossing, target, source, over), of four kinds:
+    "forward" sets under_out from under_in, "backward" sets under_in
+    from under_out, "check" compares under_out with the forward value,
+    and "key" is a check that keys its stage's loop.  Every crossing
+    gets exactly one step, and every arc is a seed or the target of
+    exactly one forward or backward step.
+
+    The key is decided where a stage is built.  From the third seed on,
+    the first check whose over arc is the seed and whose under ends the
+    earlier seeds fixed is a "key", so a stage holds at most one.  Only
+    the values in row source of that crossing's forward table that map
+    to target pass it, so the stage loops over those preimages, in
+    ascending order, and drops the check (see kernel_source).  The
+    first two seeds run over their weighted orbits and are never keyed.
 
     The seeds run in the order of a cost model.  A kernel runs stage k
-    about size^(k + 1 - C) times, C the checks of stages 0..k-1, since
-    each check passes about one value in size; so a count costs about
-    size to the largest such exponent, and early checks lower it.  The
-    next seed is the one whose stage has a keyed check (see
-    keyed_checks: from the third seed on, such a stage loops over the
-    few values that pass the check instead of all size of them), then
-    the one whose stage closes the most checks, then the one that fixes
-    the most arcs, then the least arc.  On P(3,3,3,3,3) ascending seeds
-    leave all five checks to the last stage, a size^5 count; this order
-    closes one at each of stages 2 and 3 and three at stage 4, a size^3
-    count.  The order is greedy, so it need not reach the least
+    about size^(k + 1 - C) times, C the checks and keys of stages
+    0..k-1, since each passes about one value in size; so a count costs
+    about size to the largest such exponent, and early checks lower it.
+    The next seed is the one whose stage has a key, which loops over
+    the few values that pass it instead of all size of them, then the
+    one whose stage closes the most checks and keys, then the one that
+    fixes the most arcs, then the least arc.  On P(3,3,3,3,3) ascending
+    seeds leave all five checks to the last stage, a size^5 count; this
+    order closes one at each of stages 2 and 3 and three at stage 4, a
+    size^3 count.  The order is greedy, so it need not reach the least
     exponent.
 
     The plan reads only the arc count, the crossings in their order and
@@ -328,20 +337,6 @@ def propagation_plan(diagram):
     plan (compile_structure), and it is a tuple of tuples, never changed.
     """
     return _propagation_plan(diagram.arc_count, diagram.crossings, len(diagram.components))
-
-
-def _key_step(seed, steps, fixed):
-    """The index in steps, the steps of seed's stage, of the first check
-    whose over arc is seed and whose under ends are fixed[arc] before
-    the stage, or None."""
-    return next(
-        (
-            j
-            for j, (kind, _, target, source, over) in enumerate(steps)
-            if kind == "check" and over == seed and fixed[source] and fixed[target]
-        ),
-        None,
-    )
 
 
 def _propagation_plan(n_arcs, crossings, component_count):
@@ -355,9 +350,10 @@ def _propagation_plan(n_arcs, crossings, component_count):
     planned = [False] * len(crossings)
 
     def stage(seed):
-        """The steps of seed's stage if it ran next, and the arcs they fix;
-        known and planned are left as they are."""
+        """The steps of seed's stage if it ran next, its key marked, and
+        the arcs they fix; known and planned are left as they are."""
         fixed, stepped = {seed}, set()
+        keyable = len(plan) >= 2
 
         def is_known(a):
             return known[a] or a in fixed
@@ -370,6 +366,8 @@ def _propagation_plan(n_arcs, crossings, component_count):
                     continue
                 if is_known(c.under_in):
                     kind = "check" if is_known(c.under_out) else "forward"
+                    if keyable and c.over == seed and known[c.under_in] and known[c.under_out]:
+                        kind, keyable = "key", False
                     step = (kind, i, c.under_out, c.under_in, c.over)
                 elif is_known(c.under_out):
                     step = ("backward", i, c.under_in, c.under_out, c.over)
@@ -383,8 +381,8 @@ def _propagation_plan(n_arcs, crossings, component_count):
         return tuple(steps), fixed
 
     def cost(seed, steps, fixed):
-        keyed = len(plan) >= 2 and _key_step(seed, steps, known) is not None
-        checks = sum(kind == "check" for kind, *_ in steps)
+        keyed = any(kind == "key" for kind, *_ in steps)
+        checks = sum(kind in ("check", "key") for kind, *_ in steps)
         return keyed, checks, len(fixed), -seed
 
     plan = []
@@ -402,27 +400,6 @@ def _propagation_plan(n_arcs, crossings, component_count):
     return tuple(plan)
 
 
-def keyed_checks(plan):
-    """Per stage of plan, the index in its steps of the check its kernel
-    loop is keyed by, or None.
-
-    From the third seed on, a stage may hold a check a_t != t[a_s][seed]
-    whose a_s and a_t the earlier seeds fixed: the seed is the check's
-    over arc.  Only the values in row a_s of that forward table that
-    map to a_t pass it, so the stage loops over those preimages of a_t,
-    in ascending order, and drops the check (see kernel_source).  The
-    first two seeds run over their weighted orbits and are never keyed.
-    """
-    fixed = [False] * sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
-    keys = []
-    for depth, (seed, steps) in enumerate(plan):
-        keys.append(_key_step(seed, steps, fixed) if depth >= 2 else None)
-        fixed[seed] = True
-        for kind, _, target, *_ in steps:
-            fixed[target] = True
-    return tuple(keys)
-
-
 # -- compiled plan ----------------------------------------------------
 
 # CPython compiles at most 20 statically nested blocks in one function,
@@ -438,40 +415,30 @@ MAX_KERNEL_SEEDS = 20
 KERNEL_CACHE_SIZE = 256
 
 
-def _known_arcs(plan, start):
-    """The arcs the seeds plan[:start] fix, in ascending order."""
-    return sorted(
-        int(a)
-        for seed, steps in plan[:start]
-        for a in [seed] + [target for kind, _, target, *_ in steps if kind != "check"]
-    )
-
-
-def _loops(plan, keys, start, stop, indent):
+def _loops(plan, start, stop, indent):
     """The source lines of the nested for loops of seeds plan[start:stop],
-    keyed as keys (keyed_checks) says, the first indented by indent
-    levels, and the padding of their body."""
+    a keyed stage looping over its key's preimages, the first indented
+    by indent levels, and the padding of their body."""
     lines = []
     for depth in range(start, stop):
         seed, steps = plan[depth]
         pad = "    " * (indent + depth - start)
+        keys = [step for step in steps if step[0] == "key"]
         if depth == 0:
             lines.append(f"{pad}for a{int(seed)}, k0 in first:")
         elif depth == 1:
             lines.append(f"{pad}for a{int(seed)}, k1 in second[a{int(plan[0][0])}]:")
-        elif keys[depth] is None:
-            lines.append(f"{pad}for a{int(seed)} in every:")
-        else:
-            _, i, target, source, _ = steps[keys[depth]]
+        elif keys:
+            _, i, target, source, _ = keys[0]
             lines.append(f"{pad}for a{int(seed)} in p{int(i)}[a{int(source)}][a{int(target)}]:")
+        else:
+            lines.append(f"{pad}for a{int(seed)} in every:")
         pad += "    "
-        for j, (kind, i, target, source, over) in enumerate(steps):
-            if j == keys[depth]:
-                continue
+        for kind, i, target, source, over in steps:
             value = f"t{int(i)}[a{int(source)}][a{int(over)}]"
             if kind == "check":
                 lines += [f"{pad}if a{int(target)} != {value}:", f"{pad}    continue"]
-            else:
+            elif kind in ("forward", "backward"):
                 lines.append(f"{pad}a{int(target)} = {value}")
         if depth == 1:
             lines.append(f"{pad}w = k0 * k1")
@@ -485,11 +452,11 @@ def kernel_source(plan):
     one line: an assignment for a derive step, an if and continue for a
     check.  Arcs are locals a<arc> and each crossing's table is bound
     once, as t<crossing>.  Only the first two seeds carry weights.  A
-    stage that keyed_checks keys loops over the ascending preimages of
-    its check's target in row source of the check's forward table,
+    stage with a "key" step (propagation_plan) loops over the ascending
+    preimages of the key's target in row source of its forward table,
     read from the third member of the crossing's tables, bound as
-    p<crossing> (see quandle.Preimages), and has no line for that
-    check.  A bare count (limit 0) tests that it lists nothing once per
+    p<crossing> (see quandle.Preimages), and has no line for the key.
+    A bare count (limit 0) tests that it lists nothing once per
     call, not once per solution.  The kernel nests the loops of the
     first MAX_KERNEL_SEEDS seeds; each further run of at most
     MAX_KERNEL_SEEDS seeds goes to a function part<k> defined in the
@@ -500,18 +467,24 @@ def kernel_source(plan):
     of the plan's numbers and fixed names alone, so nothing in a
     diagram can add to it.
     """
-    arcs = sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
-    keys = keyed_checks(plan)
     # the first seed of each part, and where each run of loops ends
     starts = list(range(MAX_KERNEL_SEEDS, len(plan), MAX_KERNEL_SEEDS))
     ends = starts + [len(plan)]
     lines = ["def kernel(size, tables, limit, orbits):"]
-    for (_, steps), key in zip(plan, keys):
-        for j, (kind, i, *_) in enumerate(steps):
-            if j == key:
+    # the arcs fixed so far, and the parameters of each part: the arcs
+    # fixed before it, and the weight
+    fixed, params = [], []
+    for depth, (seed, steps) in enumerate(plan):
+        if depth in starts:
+            params.append("".join(f"a{a}, " for a in sorted(fixed)) + "w")
+        fixed.append(int(seed))
+        for kind, i, target, *_ in steps:
+            if kind == "key":
                 lines.append(f"    p{int(i)} = tables[{int(i)}][2]")
             else:
                 lines.append(f"    t{int(i)} = tables[{int(i)}][{int(kind == 'backward')}]")
+            if kind in ("forward", "backward"):
+                fixed.append(int(target))
     lines += [
         "    every = range(size)",
         "    if orbits is None:",
@@ -524,9 +497,7 @@ def kernel_source(plan):
         "    sols = []",
     ]
     weight = ("1", "k0", "w")[min(len(plan), 2)]
-    solution = "(" + "".join(f"a{a}," for a in range(arcs)) + ")"
-    # the parameters of each part: the arcs fixed before it, and the weight
-    params = ["".join(f"a{a}, " for a in _known_arcs(plan, start)) + "w" for start in starts]
+    solution = "(" + "".join(f"a{a}," for a in range(len(fixed))) + ")"
 
     def innermost(k, pad):
         """The body of the innermost loop of run k (0 for the kernel's
@@ -541,10 +512,10 @@ def kernel_source(plan):
         ]
 
     for k, start in enumerate(starts, 1):
-        body, pad = _loops(plan, keys, start, ends[k], 2)
+        body, pad = _loops(plan, start, ends[k], 2)
         lines += [f"    def part{k}({params[k - 1]}):", "        count = 0", *body]
         lines += innermost(k, pad) + ["        return count"]
-    body, pad = _loops(plan, keys, 0, ends[0], 1)
+    body, pad = _loops(plan, 0, ends[0], 1)
     lines += body + innermost(0, pad)
     lines.append("    return count, sols")
     return "\n".join(lines) + "\n"
@@ -558,7 +529,7 @@ def compile_plan(plan):
     (forward, inverse, preimages) triple of crossing i: the tables are
     indexed [source][over], and preimages indexes the forward table by
     value as quandle.Preimages does; a kernel reads it only at the
-    crossings of keyed checks (keyed_checks).  Solutions come in
+    crossings of "key" steps (propagation_plan).  Solutions come in
     lexicographic order of the seed values, taken in plan order, which
     is propagation_plan's cost order and need not be ascending, the
     first limit of them (all when limit is None).

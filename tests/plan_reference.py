@@ -53,7 +53,8 @@ def solve(plan, size, tables, limit, orbits=None):
     tables[i] is the (forward, inverse) pair of crossing i, indexed
     [source][over]; a kernel's tables carry a third member, the
     preimages of the forward table, which solve does not read: every
-    stage runs every value and checks every check.  Solutions come in
+    stage runs every value and checks every check, a "key" step
+    (diagram.propagation_plan) like any other check.  Solutions come in
     lexicographic order of the seed values, taken in plan order, the
     first `limit` of them (all when limit is None).  The arcs a seed's
     steps write are fixed, so its next value just overwrites them:
@@ -69,14 +70,16 @@ def solve(plan, size, tables, limit, orbits=None):
         (
             seed,
             [
-                (target, source, over, tables[i][kind == "backward"], kind == "check")
+                (target, source, over, tables[i][kind == "backward"], kind in ("check", "key"))
                 for kind, i, target, source, over in steps
             ],
         )
         for seed, steps in plan
     ]
     # every arc is a seed or the target of one derive step
-    values = [0] * sum(1 + sum(kind != "check" for kind, *_ in steps) for _, steps in plan)
+    values = [0] * sum(
+        1 + sum(kind in ("forward", "backward") for kind, *_ in steps) for _, steps in plan
+    )
     # each stage's (value, weight) pairs; None reads second
     pairs = [[(v, 1) for v in range(size)]] * len(stages)
     if orbits is not None:

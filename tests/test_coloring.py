@@ -29,7 +29,6 @@ from qbeads.diagram import (
     compile_structure,
     import_pd,
     kernel_source,
-    keyed_checks,
     load_diagram,
     propagation_plan,
     seed_arcs,
@@ -378,18 +377,29 @@ def torus_2(n):
 def check_plan(d):
     """Walk the plan: every step reads only known arcs, derives an
     unknown one or checks a known one, and in the end every crossing
-    has exactly one step and every arc is a seed or one step's target."""
+    has exactly one step and every arc is a seed or one step's target.
+    A "key" is a check: a stage holds one exactly when it is stage 2 or
+    later and has a check whose over arc is its seed and whose under
+    ends the stages before it fixed, and then it is the first such
+    check and the stage's only key."""
     known = set()
     stepped = []
-    for seed, steps in d.plan:
+    for depth, (seed, steps) in enumerate(d.plan):
         assert seed not in known, d.name
+        keyable = [
+            j
+            for j, (kind, _, target, source, over) in enumerate(steps)
+            if kind in ("check", "key") and over == seed and {source, target} <= known
+        ]
+        keys = [j for j, (kind, *_) in enumerate(steps) if kind == "key"]
+        assert keys == (keyable[:1] if depth >= 2 else []), (d.name, depth)
         known.add(seed)
         for kind, i, target, source, over in steps:
             c = d.crossings[i]
             ends = (c.under_out, c.under_in) if kind == "backward" else (c.under_in, c.under_out)
             assert (source, target, over) == (*ends, c.over), (d.name, i)
             assert {source, over} <= known, (d.name, i)
-            assert (target in known) == (kind == "check"), (d.name, i)
+            assert (target in known) == (kind in ("check", "key")), (d.name, i)
             known.add(target)
             stepped.append(i)
     assert sorted(stepped) == list(range(len(d.crossings))), d.name
@@ -500,7 +510,11 @@ P33333_PD = (
 
 
 def checks_per_stage(plan):
-    return [sum(kind == "check" for kind, *_ in steps) for _, steps in plan]
+    return [sum(kind in ("check", "key") for kind, *_ in steps) for _, steps in plan]
+
+
+def keyed_stages(plan):
+    return [k for k, (_, steps) in enumerate(plan) if any(kind == "key" for kind, *_ in steps)]
 
 
 def test_plans_close_checks_before_the_last_stage():
@@ -513,11 +527,13 @@ def test_plans_close_checks_before_the_last_stage():
     assert [seed for seed, _ in d.plan] == [0, 6, 5, 3, 2]
     assert checks_per_stage(d.plan) == [0, 0, 1, 1, 3]
     assert checks_per_stage(ascending_plan(d)) == [0, 0, 0, 0, 5]
-    assert keyed_checks(d.plan) == (None,) * 5
+    assert keyed_stages(d.plan) == []
     p22222 = load_diagram(BENCH_DIAGRAMS / "P22222.diagram")
     assert [seed for seed, _ in p22222.plan] == [1, 2, 4, 6, 8]
     assert checks_per_stage(p22222.plan) == [0, 0, 1, 1, 3]
-    assert keyed_checks(p22222.plan) == (None, None, 0, 0, 0)
+    check_plan(p22222)
+    assert keyed_stages(p22222.plan) == [2, 3, 4]
+    assert [steps[0][0] for _, steps in p22222.plan[2:]] == ["key"] * 3
     source = kernel_source(p22222.plan)
     # stage 2 checks crossing 2: a2 == t2[a3][a4], with a2 and a3 fixed
     assert "    p2 = tables[2][2]\n" in source and "t2 =" not in source
@@ -717,8 +733,9 @@ def load_relabel():
 def test_shared_plans_are_the_plans_of_their_diagrams():
     """Every diagram and 8 relabellings of each, as the benchmark makes
     them, in one process: the plan read through the structure cache is
-    the one propagation_plan builds for the diagram, and immutable, and
-    a second copy of a relabelling shares its plan and kernel."""
+    the one propagation_plan builds for the diagram, immutable and a
+    plan by check_plan, and a second copy of a relabelling shares its
+    plan and kernel."""
     relabel = load_relabel()
     for base in every_diagram():
         for v in range(8):
@@ -726,6 +743,7 @@ def test_shared_plans_are_the_plans_of_their_diagrams():
             for e in (base, d):
                 assert e.plan == propagation_plan(e), (e.name, v)
                 assert isinstance(e.plan, tuple) and all(isinstance(steps, tuple) for _, steps in e.plan)
+                check_plan(e)
             assert twin.plan is d.plan and twin.kernel is d.kernel
     assert compile_structure.cache_info().maxsize == KERNEL_CACHE_SIZE
 

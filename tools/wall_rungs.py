@@ -22,8 +22,11 @@ construction share one plan and one kernel, built and compiled on the
 first call in the process: a cell pays for the plan only on its first
 call, which the median leaves out.  A cell records the process's peak
 RSS, the polynomial, and its plan: the seeds in plan order, the checks
-of each stage and the stages whose loop is keyed
-(diagram.keyed_checks; null for a package without keyed loops).
+of each stage, its "key" step counted as a check, and the stages whose
+loop is keyed, those with a "key" step (see diagram.propagation_plan).
+A package whose plans mark no keys but which has diagram.keyed_checks
+reports the stages that function keys, so a round against it compares
+like with like.
 
 With --against DIR the rungs also run on the package of the checkout
 at DIR, cell by cell, in RUNG_ROUNDS rounds that alternate which
@@ -202,15 +205,20 @@ def rung_cell(name, size):
         RUNG_SECONDS,
     )
     plan = import_pd(pd, signs=signs, name=name).plan
+    # a package that finds its keys after planning, not in the plan
     keyed = getattr(diagram, "keyed_checks", None)
+    if keyed is None:
+        keyed_stages = [k for k, (_, steps) in enumerate(plan) if any(kind == "key" for kind, *_ in steps)]
+    else:
+        keyed_stages = [k for k, j in enumerate(keyed(plan)) if j is not None]
     cell = {
         "seconds": seconds,
         "runs": runs,
         "peak_rss_mb": peak_rss_mb(),
         "polynomial": result.polynomial.render(),
         "seeds": [seed for seed, _ in plan],
-        "checks_per_stage": [sum(kind == "check" for kind, *_ in steps) for _, steps in plan],
-        "keyed_stages": None if keyed is None else [k for k, j in enumerate(keyed(plan)) if j is not None],
+        "checks_per_stage": [sum(kind in ("check", "key") for kind, *_ in steps) for _, steps in plan],
+        "keyed_stages": keyed_stages,
     }
     print(json.dumps(cell))
 
